@@ -450,11 +450,16 @@ def _run_gap(cfg):
     profile = transverse_profile(problem.V, st, problem.b)
     top = float(toeplitz_eigenvalues(profile, 0, m_max=12).eigenvalues.max())
     etas = [top * f for f in fracs]
-    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps)
+    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps, state=st,
+                                 profile=profile)
     rows = [[r["eta"], r["count"], r["n_plus_lower"], r["n_plus_upper"], r["slack"]]
             for r in rep.rows]
     tables = {"gap": (["eta", "count", "n_plus_lower", "n_plus_upper", "slack"], rows)}
-    return tables, {"m_used": rep.m_used, "lambda": rep.lam, "sign": sign}
+    diag = {"m_used": rep.m_used, "lambda": rep.lam, "sign": sign,
+            "inertia_sweeps": rep.inertia_sweeps,
+            "inertia_shifts": rep.inertia_shifts,
+            "eig_banded_fallbacks": rep.eig_banded_fallbacks}
+    return tables, diag
 
 
 def _run_mourre(cfg):

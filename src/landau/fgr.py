@@ -19,12 +19,10 @@ from scipy.linalg import solve_banded
 from .errors import AccuracyError, DomainError
 from .numutil import neville_to_zero, richardson_h2
 from .operators import BasisTruncation
-from .potentials import PerturbationProfile  # re-export: the type belongs here
 from .schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal, scattering_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
-    "PerturbationProfile",
     "FgrResult",
     "first_order_shift",
     "fgr_channel",

@@ -11,14 +11,19 @@ coupled operator reads
     C_ab(theta)(x3) = int phi_{q_a,m} phi_{q_b,m} V(rho, e^theta x3) rho drho.
 
 The matrix is complex symmetric (exactly, by construction) for Im theta > 0 and
-real symmetric for theta = 0.  Storage is structured: dense materialization is
-available for small truncations, while solves use a banded LU in grid-major
-ordering (bandwidth J), which is what keeps eigenvalue continuation fast.
+real symmetric for theta = 0.  In grid-major order it is block tridiagonal, and
+that is its one stored form: the J x J diagonal blocks
+D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the scalar kinetic coupling
+H_par,i,i+1 times I.  Everything else is derived from D: the dense matrix (small
+truncations and oracles), the LAPACK band of a banded LU (built once per
+operator, copied and factorized per shift), the symmetric band for eig_banded,
+and eigenvalue counts by Sylvester inertia of a block LDL^T sweep.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -92,10 +97,39 @@ class DilationParams:
             )
 
 
-class AssembledOperator:
-    """Structured matrix of the truncated operator; see the module docstring.
+# A Schur block eigenvalue below this fraction of the operator norm means the
+# shift sits (numerically) on the spectrum of a leading section, where the
+# block LDL^T sweep loses its backward stability; the count is then refused.
+_INERTIA_RTOL = 1e-12
 
-    Vectors are flat in mode-major order: index = a * n_interior + i.
+
+class _BandSolver:
+    """Solves with one zgbtrf factorization; right-hand sides are mode-major.
+
+    A plain module-level class: a class built per call would sit in a
+    reference cycle and keep its LU alive until the cyclic collector ran.
+    """
+
+    __slots__ = ("_lu", "_piv", "_J", "_n")
+
+    def __init__(self, lu, piv, J, n):
+        self._lu, self._piv, self._J, self._n = lu, piv, J, n
+
+    def solve(self, rhs):
+        J, n = self._J, self._n
+        r = np.asarray(rhs, dtype=complex).reshape(J, n).T.reshape(-1)
+        x, info = _lapack.zgbtrs(self._lu, J, J, r, self._piv)
+        if info != 0:
+            raise SolverError(f"zgbtrs failed with info={info}")
+        return x.reshape(n, J).T.reshape(-1)
+
+
+class AssembledOperator:
+    """Block-tridiagonal matrix of the truncated operator; see the module docstring.
+
+    ``D[i]`` is the J x J diagonal block at interior grid point i; the
+    off-diagonal blocks are ``hpar_off * I``.  Vectors are flat in mode-major
+    order: index = a * n_interior + i.
     """
 
     def __init__(self, b, m, qs, grid, theta, kappa, mode_shifts, hpar_diag, hpar_off,
@@ -112,14 +146,25 @@ class AssembledOperator:
         self.coupling = coupling  # (J, J, n_int) or None
         self.J = len(self.qs)
         self.n_int = len(self.hpar_diag)
+        self.D = self._diagonal_blocks()
+
+    def _diagonal_blocks(self):
+        # float-operation order (hpar_diag + mode_shift) + kappa C_aa, shared
+        # by every storage derived from D
+        diag = self.hpar_diag[None, :] + self.mode_shifts[:, None]
+        D = np.zeros((self.n_int, self.J, self.J),
+                     dtype=float if self.is_real else complex)
+        if self.coupling is not None and self.kappa != 0:
+            kc = self.kappa * self.coupling
+            D[...] = kc.transpose(2, 0, 1)
+            diag = diag + np.einsum("aax->ax", kc)
+        idx = np.arange(self.J)
+        D[:, idx, idx] = diag.T
+        return D
 
     @property
     def dim(self):
         return self.J * self.n_int
-
-    @property
-    def symmetric(self):
-        return True  # complex symmetric by construction; real symmetric at theta = 0
 
     @property
     def is_real(self):
@@ -135,29 +180,14 @@ class AssembledOperator:
             raise DomainError(
                 f"refusing dense materialization at dimension {self.dim}"
             )
-        dtype = float if self.is_real else complex
-        n, J = self.n_int, self.J
-        out = np.zeros((self.dim, self.dim), dtype=dtype)
-        idx = np.arange(n)
-        for a in range(J):
-            sl = slice(a * n, (a + 1) * n)
-            blk = out[sl, sl]
-            blk[idx, idx] = self.hpar_diag + self.mode_shifts[a]
-            blk[idx[:-1], idx[:-1] + 1] = self.hpar_off
-            blk[idx[:-1] + 1, idx[:-1]] = self.hpar_off
-            if self.coupling is not None and self.kappa != 0:
-                blk[idx, idx] += self.kappa * self.coupling[a, a]
-        if self.coupling is not None and self.kappa != 0:
-            for a in range(J):
-                for bb in range(J):
-                    if a == bb:
-                        continue
-                    out[a * n + idx, bb * n + idx] = self.kappa * self.coupling[a, bb]
-        return out
-
-    @property
-    def matrix(self):
-        return self.dense()
+        J, n = self.J, self.n_int
+        out = np.zeros((J, n, J, n), dtype=self.D.dtype)
+        i = np.arange(n)
+        out[:, i, :, i] = self.D
+        a = np.arange(J)[:, None]
+        out[a, i[:-1], a, i[:-1] + 1] = self.hpar_off
+        out[a, i[:-1] + 1, a, i[:-1]] = self.hpar_off
+        return out.reshape(self.dim, self.dim)
 
     def matvec(self, vec):
         v = np.asarray(vec).reshape(self.J, self.n_int)
@@ -176,70 +206,73 @@ class AssembledOperator:
             est += abs(self.kappa) * float(np.max(np.sum(np.abs(self.coupling), axis=1)))
         return float(est)
 
-    def _banded(self, shift):
-        """LAPACK general-band storage of M - shift, grid-major, with kl=ku=J."""
-        J, n = self.J, self.n_int
-        N = self.dim
-        kl = ku = J
-        ab = np.zeros((2 * kl + ku + 1, N), dtype=complex)
-        row0 = kl + ku  # row index of the diagonal
-        diag = (self.hpar_diag[None, :] + self.mode_shifts[:, None]).astype(complex)
-        if self.coupling is not None and self.kappa != 0:
-            diag = diag + self.kappa * np.einsum("aax->ax", self.coupling)
-        ab[row0, :] = (diag - shift).T.reshape(-1)  # grid-major: i outer, a inner
-        # kinetic neighbors: (i+1,a)-(i,a), offsets +-J
-        off = np.full(N - J, self.hpar_off, dtype=complex)
-        ab[row0 + J, : N - J] = off
-        ab[row0 - J, J:] = off
-        # mode coupling within a grid point: offsets a-b
-        if self.coupling is not None and self.kappa != 0:
-            for a in range(J):
-                for bb in range(J):
-                    if a == bb:
-                        continue
-                    cols = np.arange(self.n_int) * J + bb
-                    ab[row0 + a - bb, cols] = self.kappa * self.coupling[a, bb]
-        return ab, kl, ku
+    @cached_property
+    def _lu_band(self):
+        """zgbtrf storage of M (grid-major, kl = ku = J, kl fill rows on top)."""
+        J, n, N = self.J, self.n_int, self.dim
+        ab = np.zeros((3 * J + 1, N), dtype=complex, order="F")
+        a = np.arange(J)[:, None]
+        b = np.arange(J)[None, :]
+        # entry (i J + a, i J + b) sits in row 2J + a - b, column i J + b
+        ab[2 * J + a - b, np.arange(n)[:, None, None] * J + b] = self.D
+        ab[3 * J, : N - J] = self.hpar_off
+        ab[J, J:] = self.hpar_off
+        return ab
 
     def factorized(self, shift=0.0):
-        """Banded LU of (M - shift); returns a solver with .solve(rhs) (mode-major)."""
-        ab, kl, ku = self._banded(shift)
-        lu, piv, info = _lapack.zgbtrf(ab, kl, ku)
+        """Banded LU of (M - shift); returns a solver with .solve(rhs) (mode-major).
+
+        Each call factorizes one copy of the band cached on the operator, in
+        place, so the cached band itself is never modified.
+        """
+        J = self.J
+        ab = self._lu_band.copy(order="F")
+        ab[2 * J] -= shift
+        lu, piv, info = _lapack.zgbtrf(ab, J, J, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"singular factorization at shift {shift}")
         if info < 0:
             raise SolverError(f"zgbtrf failed with info={info}")
-        J, n = self.J, self.n_int
-
-        class _Solver:
-            def solve(self_inner, rhs):
-                r = np.asarray(rhs, dtype=complex).reshape(J, n).T.reshape(-1)
-                x, info2 = _lapack.zgbtrs(lu, kl, ku, r, piv)
-                if info2 != 0:
-                    raise SolverError(f"zgbtrs failed with info={info2}")
-                return x.reshape(n, J).T.reshape(-1)
-
-        return _Solver()
+        return _BandSolver(lu, piv, J, self.n_int)
 
     def symmetric_band_lower(self):
         """Lower band storage (for scipy.eig_banded) of the real-symmetric case."""
         if not self.is_real:
             raise DomainError("symmetric band storage requires a real operator")
-        J, n = self.J, self.n_int
-        N = self.dim
+        J, n, N = self.J, self.n_int, self.dim
         ab = np.zeros((J + 1, N))
-        diag = self.hpar_diag[None, :] + self.mode_shifts[:, None]
-        if self.coupling is not None and self.kappa != 0:
-            diag = diag + self.kappa * np.einsum("aax->ax", self.coupling)
-        ab[0, :] = diag.T.reshape(-1)
+        a, b = np.tril_indices(J)
+        ab[a - b, np.arange(n)[:, None] * J + b] = self.D[:, a, b]
         ab[J, : N - J] = self.hpar_off
-        if self.coupling is not None and self.kappa != 0:
-            for d in range(1, J):
-                for bb in range(J - d):
-                    a = bb + d  # row a = b + d, column b: lower band d
-                    cols = np.arange(n) * J + bb
-                    ab[d, cols] = self.kappa * self.coupling[a, bb]
         return ab
+
+    def count_below(self, sigmas):
+        """Number of eigenvalues below each sigma, by Sylvester inertia.
+
+        One block LDL^T sweep, vectorized over sigma, takes the Schur blocks
+        S_i = D_i - sigma I - hpar_off^2 S_(i-1)^(-1); by Haynsworth's inertia
+        additivity the count is the number of negative eigenvalues of all S_i.
+        Real-symmetric operators only.  Raises SolverError when a Schur block
+        is numerically singular (sigma on the spectrum of a leading section).
+        """
+        if not self.is_real:
+            raise DomainError("inertia counting requires a real operator")
+        sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
+        floor = (_INERTIA_RTOL * (self.norm_estimate() + np.abs(sig)))[:, None]
+        shifted = sig[:, None, None] * np.eye(self.J)
+        off2 = self.hpar_off**2
+        counts = np.zeros(sig.shape, dtype=int)
+        s_inv = None
+        for blk in self.D:
+            s = blk - shifted
+            if s_inv is not None:
+                s -= off2 * s_inv
+            w, vecs = np.linalg.eigh(s)
+            if np.any(np.abs(w) < floor):
+                raise SolverError("Schur block singular: shift on the spectrum")
+            counts += np.count_nonzero(w < 0, axis=1)
+            s_inv = (vecs / w[:, None, :]) @ vecs.transpose(0, 2, 1)
+        return counts
 
 
 def _dilation_bound(problem, kappa):
@@ -325,11 +358,6 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
         hpar_off=hpar_off,
         coupling=coupling,
     )
-
-
-def grid_inner(u, v, h):
-    """<u, v> = h * sum u conj(v): the discrete L^2 pairing, linear in the first slot."""
-    return h * complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
 
 
 def grid_norm(u, h):

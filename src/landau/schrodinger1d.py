@@ -15,11 +15,9 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import AccuracyError, DomainError
 from .numutil import check_extrapolation, neville_to_zero, richardson_h2
-from .potentials import Potential1D  # re-export: the type belongs to this layer
 
 __all__ = [
     "Grid1D",
-    "Potential1D",
     "BoundState",
     "ScatteringSolution",
     "hamiltonian_tridiagonal",

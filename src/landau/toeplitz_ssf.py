@@ -10,13 +10,13 @@ exponential and compact profiles).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, SolverError
 from .operators import assemble
 from .schrodinger1d import bound_states
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
@@ -341,16 +341,33 @@ class GapAccumulationReport:
     rows: list  # dict per eta
     m_used: int
     lam: float
+    inertia_sweeps: int  # block LDL^T sweeps, one per counted m
+    inertia_shifts: int  # shifts counted over those sweeps
+    eig_banded_fallbacks: int  # m blocks recounted with eig_banded
+
+
+def _count_below_eig_banded(op, sigmas):
+    """Fallback for ``op.count_below``: eigenvalues in (lower bound, sigma]."""
+    band = op.symmetric_band_lower()
+    lo = min(-op.norm_estimate(), float(np.min(sigmas))) - 1.0
+    return np.array([len(eig_banded(band, lower=True, eigvals_only=True, select="v",
+                                    select_range=(lo, float(s))))
+                     for s in sigmas])
 
 
 def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, m_pad=6,
-                           which=0, m_cap=200):
+                           which=0, m_cap=200, state=None, profile=None):
     """Eigenvalue accumulation at the isolated embedded energy vs the counting law.
 
     For sign '-' counts eigenvalues of H^(m) - V below lambda - eta, aggregated
     over m >= 0, and sandwiches the total by n_+((1 +- eps) eta) of the
     transverse compression at the bottom Landau level.  sign '+' mirrors to
-    (lambda + eta, 0).  Requires sign-definite V.
+    (lambda + eta, 0).  Requires sign-definite V.  ``state`` (the bound state
+    ``which``) and its transverse ``profile`` are built here unless given.
+
+    Each m is counted by one inertia sweep over all eta (see
+    ``AssembledOperator.count_below``); an m whose sweep breaks down is
+    recounted with ``eig_banded``.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -360,41 +377,44 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, m_pad=6,
     if np.any(eta_grid <= 0):
         raise DomainError("eta grid must be positive")
 
-    st = bound_states(problem.v0, basis.grid)[which]
-    lam = st.lam
-    profile = transverse_profile(problem.V, st, problem.b)
+    if state is None:
+        state = bound_states(problem.v0, basis.grid)[which]
+    lam = state.lam
+    if profile is None:
+        profile = transverse_profile(problem.V, state, problem.b)
     spec = toeplitz_eigenvalues(profile, 0, eta_min=float(eta_grid[-1]) * (1 - eps))
     cf = CountingFunction(spec)
 
     kappa = -1.0 if sign == "-" else 1.0
     # the box continuum starts at the first free kinetic eigenvalue; counting
-    # windows must stay clear of it on the '+' side
-    counts = {float(eta): 0 for eta in eta_grid}
+    # windows must stay clear of it on the '+' side, so '+' counts in
+    # (lambda + eta, -1e-9] as count_below(-1e-9) - count_below(lambda + eta)
+    if sign == "-":
+        shifts = lam - eta_grid
+    else:
+        shifts = np.append(lam + eta_grid, -1e-9)
+        open_window = lam + eta_grid < -1e-9
+    counts = np.zeros(len(eta_grid), dtype=int)
+    sweeps = fallbacks = 0
     m = 0
     m_used = 0
     zero_streak = 0
     while m <= m_cap:
-        from dataclasses import replace
-
-        pm = replace(problem, m=m)
-        op = assemble(pm, basis, theta=0.0, kappa=kappa)
-        band = op.symmetric_band_lower()
-        lo_bound = float(np.min(band[0]) - 2.0 * basis.J * np.max(np.abs(band[1:])))
-        got_any = False
-        for eta in eta_grid:
-            if sign == "-":
-                lo, hi = lo_bound, lam - float(eta)
-            else:
-                lo, hi = lam + float(eta), -1e-9
-            if hi <= lo:
-                continue
-            vals = eig_banded(band, lower=True, eigvals_only=True, select="v",
-                              select_range=(lo, hi))
-            if len(vals):
-                got_any = True
-            counts[float(eta)] += len(vals)
+        op = assemble(replace(problem, m=m), basis, theta=0.0, kappa=kappa)
+        try:
+            below = op.count_below(shifts)
+        except SolverError:
+            below = _count_below_eig_banded(op, shifts)
+            fallbacks += 1
+        else:
+            sweeps += 1
+        if sign == "-":
+            found = below
+        else:
+            found = np.where(open_window, below[-1] - below[:-1], 0)
+        counts += found
         m_used = m
-        zero_streak = 0 if got_any else zero_streak + 1
+        zero_streak = 0 if found.any() else zero_streak + 1
         mu_m = toeplitz_eigenvalue(profile, 0, m)
         if zero_streak >= 2 and mu_m < float(eta_grid[-1]) / 4.0:
             break
@@ -403,10 +423,10 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, m_pad=6,
         raise RangeError(f"aggregation did not close by m = {m_cap}")
 
     rows = []
-    for eta in eta_grid:
+    for eta, c in zip(eta_grid, counts):
         n_hi = cf.n_plus(float(eta) * (1 - eps))
         n_lo = cf.n_plus(float(eta) * (1 + eps))
-        c = counts[float(eta)]
+        c = int(c)
         slack = max(n_lo - c, c - n_hi, 0)
         rows.append(
             {
@@ -417,4 +437,7 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, m_pad=6,
                 "slack": int(slack),
             }
         )
-    return GapAccumulationReport(rows=rows, m_used=m_used, lam=lam)
+    return GapAccumulationReport(rows=rows, m_used=m_used, lam=lam,
+                                 inertia_sweeps=sweeps,
+                                 inertia_shifts=sweeps * len(shifts),
+                                 eig_banded_fallbacks=fallbacks)

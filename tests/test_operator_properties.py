@@ -1,0 +1,132 @@
+"""Property tests of the block-tridiagonal operator core.
+
+Inertia counting is checked against dense eigenvalues on random real
+operators; the cached-band factorization against dense solves on dilated
+operators, and against itself (the cached band must never be modified).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import refcase
+from landau import toeplitz_ssf
+from landau.errors import SolverError
+from landau.operators import AssembledOperator, BasisTruncation, LandauProblem, assemble
+from landau.potentials import gaussian_product, sech2
+from landau.schrodinger1d import Grid1D, bound_states
+from landau.specfun import m_minus
+from landau.toeplitz_ssf import gap_accumulation_check
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@st.composite
+def real_operators(draw):
+    """Random real block-tridiagonal operators with the assembled layout."""
+    J = draw(st.integers(1, 4))
+    n = draw(st.integers(20, 80))
+    m = draw(st.integers(-2, 3))
+    kappa = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid1D(-18.0, 18.0, n)
+    h = grid.h
+    qs = np.arange(m_minus(m), m_minus(m) + J)
+    coupling = rng.standard_normal((J, J, n - 2))
+    coupling = 0.5 * (coupling + coupling.transpose(1, 0, 2))
+    return AssembledOperator(
+        b=1.0, m=m, qs=qs, grid=grid, theta=0.0, kappa=kappa,
+        mode_shifts=2.0 * qs, hpar_diag=2.0 / h**2 + rng.uniform(-2.0, 0.0, n - 2),
+        hpar_off=-1.0 / h**2, coupling=coupling,
+    )
+
+
+@SETTINGS
+@given(op=real_operators(), fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_count_below_equals_dense_count(op, fracs, picks, side):
+    ev = np.linalg.eigvalsh(op.dense())
+    across = ev[0] - 1.0 + (ev[-1] - ev[0] + 2.0) * np.array(fracs)
+    near = ev[np.array(picks) % len(ev)] + side * 1e-9  # 1e-9 off an eigenvalue
+    sigmas = np.concatenate([across, near])
+    try:
+        got = op.count_below(sigmas)
+    except SolverError:
+        assume(False)  # the guard refused the sweep; the gap check recounts then
+    want = np.array([np.count_nonzero(ev < s) for s in sigmas])
+    assert np.array_equal(got, want)
+
+
+def test_count_below_guard_on_singular_schur_block():
+    grid = Grid1D(-1.0, 1.0, 12)
+    diag = np.linspace(1.0, 2.0, 10)
+    op = AssembledOperator(b=1.0, m=0, qs=[0], grid=grid, theta=0.0, kappa=0.0,
+                           mode_shifts=[0.0], hpar_diag=diag, hpar_off=-0.1,
+                           coupling=None)
+    with pytest.raises(SolverError):
+        op.count_below([diag[0]])  # S_0 = D_0 - sigma = 0 exactly
+
+
+@SETTINGS
+@given(J=st.integers(1, 3), n=st.integers(41, 121), im_theta=st.floats(0.05, 0.45),
+       kappa=st.floats(-0.1, 0.1), re_shift=st.floats(-2.0, 6.0),
+       im_shift=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_cached_band_solve_matches_dense(J, n, im_theta, kappa, re_shift, im_shift,
+                                         seed):
+    problem = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
+    basis = BasisTruncation(J=J, grid=Grid1D(-18.0, 18.0, n))
+    op = assemble(problem, basis, theta=1j * im_theta, kappa=kappa)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    shift = complex(re_shift, im_shift)
+    x_band = op.factorized(shift).solve(rhs)
+    x_dense = np.linalg.solve(op.dense() - shift * np.eye(op.dim), rhs)
+    assert np.max(np.abs(x_band - x_dense)) <= 1e-9 * np.max(np.abs(x_dense))
+
+
+@SETTINGS
+@given(shifts=st.lists(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=2, max_size=4))
+def test_factorizations_at_one_shift_are_bitwise_equal(shifts):
+    op = assemble(refcase.problem(), refcase.basis(n=201, J=3), theta=0.3j, kappa=0.05)
+    rhs = np.linspace(-1.0, 1.0, op.dim) + 0.5j
+    try:
+        first = op.factorized(shifts[0]).solve(rhs)
+        for s in shifts[1:]:
+            op.factorized(s).solve(rhs)
+    except SolverError:
+        assume(False)  # a drawn shift landed on an eigenvalue
+    again = op.factorized(shifts[0]).solve(rhs)
+    assert first.tobytes() == again.tobytes()
+
+
+def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
+    problem = refcase.problem()
+    basis = refcase.basis(n=401, J=3)
+    state = bound_states(problem.v0, basis.grid)[0]
+    profile = toeplitz_ssf.transverse_profile(problem.V, state, problem.b)
+    top = toeplitz_ssf.toeplitz_eigenvalues(profile, 0, m_max=10).eigenvalues.max()
+    for sign in ("-", "+"):
+        etas = top * np.array([0.1, 0.03])
+        fast = gap_accumulation_check(problem, basis, sign, etas, state=state,
+                                      profile=profile)
+        shifts_per_m = len(etas) + (sign == "+")
+        assert fast.inertia_sweeps == fast.m_used + 1
+        assert fast.inertia_shifts == fast.inertia_sweeps * shifts_per_m
+        assert fast.eig_banded_fallbacks == 0
+
+        def refuse(self, sigmas):
+            raise SolverError("forced")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(AssembledOperator, "count_below", refuse)
+            slow = gap_accumulation_check(problem, basis, sign, etas, state=state,
+                                          profile=profile)
+        assert slow.rows == fast.rows
+        assert slow.m_used == fast.m_used
+        assert (slow.inertia_sweeps, slow.inertia_shifts) == (0, 0)
+        assert slow.eig_banded_fallbacks == fast.m_used + 1

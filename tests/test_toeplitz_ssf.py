@@ -270,3 +270,12 @@ def test_gap_accumulation_requires_sign_definite():
     )
     with pytest.raises(DomainError):
         gap_accumulation_check(replace(PROBLEM, V=bad), BASIS, "-", [0.01])
+
+
+def test_gap_accumulation_repeated_eta_counted_once():
+    basis = refcase.basis(n=401, J=3)
+    etas = [0.01, 0.003]
+    once = gap_accumulation_check(PROBLEM, basis, "-", etas)
+    twice = gap_accumulation_check(PROBLEM, basis, "-", etas + [0.01])
+    counts = {r["eta"]: r["count"] for r in once.rows}
+    assert all(r["count"] == counts[r["eta"]] for r in twice.rows)
