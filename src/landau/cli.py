@@ -8,21 +8,28 @@ Outputs are CSV (one table per file plus a manifest) or a single
 schema-versioned JSON document.  Identical configs produce bitwise-identical
 output files; wall-clock timing goes to stderr only.
 
+Each invocation has one run object, which builds the problem, the basis, the
+bound state, the transverse profile and the golden-rule data at most once and
+shares them among the runners: the golden-rule data are computed once per run.
+v0 and V are families of ``landau.potentials``; ``problem.v0.<param>`` and
+``problem.V.<param>`` set the keyword parameters of the selected family.
+
 Exit codes: 0 success, 1 accuracy/solver failure, 2 usage/config error.
 """
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
 import sys
 import time
+from functools import cached_property
+
+from .errors import ConfigError, DomainError, LandauError
 
 SCHEMA_VERSION = 1
-
-_SUBCOMMANDS = ("bound", "fgr", "resonance", "dynamics", "toeplitz", "gap",
-                "mourre", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +46,6 @@ class Config:
 
     @classmethod
     def load(cls, path):
-        from .errors import ConfigError
-
         entries = {}
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -65,8 +70,6 @@ class Config:
         return key in self.entries
 
     def raw(self, key, default=None, required=False):
-        from .errors import ConfigError
-
         if key not in self.entries:
             if required:
                 raise ConfigError(f"missing required key {key!r}")
@@ -75,8 +78,6 @@ class Config:
         return self.entries[key][0]
 
     def _typed(self, key, cast, default, required, positive=False):
-        from .errors import ConfigError
-
         raw = self.raw(key, default=None, required=required)
         if raw is None:
             return default
@@ -102,8 +103,6 @@ class Config:
         return self.raw(key, default=default, required=required)
 
     def get_floats(self, key, default=None, required=False):
-        from .errors import ConfigError
-
         raw = self.raw(key, default=None, required=required)
         if raw is None:
             return default
@@ -118,8 +117,6 @@ class Config:
         return [k for k in self.entries if k.startswith(prefix)]
 
     def check_all_consumed(self):
-        from .errors import ConfigError
-
         leftover = sorted(set(self.entries) - self.consumed)
         if leftover:
             key = leftover[0]
@@ -137,101 +134,131 @@ class Config:
 # builders
 
 
-def _build_v0(cfg):
+def _registries():
     from . import potentials
-    from .errors import ConfigError
 
-    family = cfg.get_str("problem.v0.family", required=True)
-    if family == "sech2":
-        return potentials.sech2(depth=cfg.get_float("problem.v0.depth", 2.0,
-                                                    positive=True))
-    if family == "square_well":
-        return potentials.square_well(
-            depth=cfg.get_float("problem.v0.depth", 0.5, positive=True),
-            half_width=cfg.get_float("problem.v0.half_width", 1.0, positive=True),
+    return {"v0": potentials.V0_FAMILIES, "V": potentials.V_FAMILIES}
+
+
+def _build_potential(cfg, part):
+    """The ``problem.<part>.family`` member of its registry in ``potentials``.
+
+    Its keyword parameters are read from ``problem.<part>.<param>``; absent keys
+    keep the family's defaults, and the family validates the values.
+    """
+    key = f"problem.{part}.family"
+    family = cfg.get_str(key, required=True)
+    line = cfg.entries[key][1]
+    build = _registries()[part].get(family)
+    if build is None:
+        raise ConfigError(f"unknown {part} family {family!r}", line=line)
+    kwargs = {name: cfg.get_float(f"problem.{part}.{name}")
+              for name in inspect.signature(build).parameters
+              if cfg.has(f"problem.{part}.{name}")}
+    try:
+        return build(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{family}: {exc}", line=line)
+
+
+def _common_keys():
+    """Keys every runner may ignore without tripping the unknown-key check: the
+    shared problem and numerics keys, and every family's keys."""
+    keys = ["problem.b", "problem.m", "problem.q", "numerics.x_min",
+            "numerics.x_max", "numerics.n", "numerics.J", "numerics.quad_nodes"]
+    for part, registry in _registries().items():
+        keys.append(f"problem.{part}.family")
+        keys += [f"problem.{part}.{name}"
+                 for build in registry.values()
+                 for name in inspect.signature(build).parameters]
+    return keys
+
+
+class _Run:
+    """The inputs of one invocation, each built from the config at most once and
+    shared by every runner (``all`` hands one run to its four runners)."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self._fgr = {}
+
+    @cached_property
+    def v0(self):
+        return _build_potential(self.cfg, "v0")
+
+    @cached_property
+    def problem(self):
+        from .operators import LandauProblem
+
+        return LandauProblem(
+            b=self.cfg.get_float("problem.b", 1.0, positive=True),
+            v0=self.v0,
+            V=_build_potential(self.cfg, "V"),
+            m=self.cfg.get_int("problem.m", 0),
         )
-    if family == "zero":
-        return potentials.zero_potential()
-    raise ConfigError(f"unknown v0 family {family!r}")
 
+    @cached_property
+    def basis(self):
+        from .operators import BasisTruncation
+        from .schrodinger1d import Grid1D
 
-def _build_V(cfg):
-    from . import potentials
-    from .errors import ConfigError
-
-    family = cfg.get_str("problem.V.family", required=True)
-    if family == "gaussian_product":
-        return potentials.gaussian_product(
-            amplitude=cfg.get_float("problem.V.amplitude", 1.0),
-            rho_rate=cfg.get_float("problem.V.rho_rate", 1.0, positive=True),
-            x3_rate=cfg.get_float("problem.V.x3_rate", 1.0, positive=True),
+        cfg = self.cfg
+        grid = Grid1D(
+            x_min=cfg.get_float("numerics.x_min", -18.0),
+            x_max=cfg.get_float("numerics.x_max", 18.0),
+            n=cfg.get_int("numerics.n", 1201, positive=True),
         )
-    if family == "power_radial":
-        return potentials.power_radial(
-            alpha=cfg.get_float("problem.V.alpha", 4.0, positive=True),
-            amplitude=cfg.get_float("problem.V.amplitude", 1.0),
-            x3_rate=cfg.get_float("problem.V.x3_rate", None),
+        return BasisTruncation(
+            J=cfg.get_int("numerics.J", 7, positive=True),
+            grid=grid,
+            quad_nodes=cfg.get_int("numerics.quad_nodes", 0),
         )
-    if family == "compact_radial":
-        return potentials.compact_radial(
-            radius=cfg.get_float("problem.V.radius", 1.0, positive=True),
-            amplitude=cfg.get_float("problem.V.amplitude", 1.0),
-            x3_rate=cfg.get_float("problem.V.x3_rate", None),
-        )
-    raise ConfigError(f"unknown V family {family!r}")
 
+    @cached_property
+    def q(self):
+        return self.cfg.get_int("problem.q", 1)
 
-def _build_problem(cfg):
-    from .operators import LandauProblem
+    @cached_property
+    def states(self):
+        from .schrodinger1d import bound_states
 
-    return LandauProblem(
-        b=cfg.get_float("problem.b", 1.0, positive=True),
-        v0=_build_v0(cfg),
-        V=_build_V(cfg),
-        m=cfg.get_int("problem.m", 0),
-    )
+        return bound_states(self.v0, self.basis.grid)
 
+    @cached_property
+    def state(self):
+        if not self.states:
+            raise DomainError("longitudinal operator has no bound state")
+        return self.states[0]
 
-def _build_basis(cfg):
-    from .operators import BasisTruncation
-    from .schrodinger1d import Grid1D
+    @cached_property
+    def profile(self):
+        from .toeplitz_ssf import transverse_profile
 
-    grid = Grid1D(
-        x_min=cfg.get_float("numerics.x_min", -18.0),
-        x_max=cfg.get_float("numerics.x_max", 18.0),
-        n=cfg.get_int("numerics.n", 1201, positive=True),
-    )
-    return BasisTruncation(
-        J=cfg.get_int("numerics.J", 7, positive=True),
-        grid=grid,
-        quad_nodes=cfg.get_int("numerics.quad_nodes", 0),
-    )
+        return transverse_profile(self.problem.V, self.state, self.problem.b)
 
+    def fgr(self, refine=1):
+        """The golden-rule data at this run's q, computed once per ``refine``."""
+        if refine not in self._fgr:
+            from .fgr import fgr_value
 
-def _require_task(cfg, subcommand):
-    from .errors import ConfigError
-
-    if not cfg.prefix_keys("task."):
-        raise ConfigError(f"empty task block for subcommand {subcommand!r}")
+            self._fgr[refine] = fgr_value(self.problem, self.basis, self.q,
+                                          refine=refine)
+        return self._fgr[refine]
 
 
 # ---------------------------------------------------------------------------
-# runners (each returns (tables, diagnostics))
+# runners (each takes the run and returns (tables, diagnostics))
 
 
-def _run_bound(cfg):
-    import numpy as np
+def _run_bound(run):
+    from .schrodinger1d import jost_solutions, richardson_ground_state
 
-    from .schrodinger1d import bound_states, jost_solutions, richardson_ground_state
-
-    _require_task(cfg, "bound")
-    v0 = _build_v0(cfg)
-    cfg.raw("problem.V.family")  # V irrelevant here but tolerated in shared configs
-    basis = _build_basis(cfg)
-    grid = basis.grid
+    cfg = run.cfg
+    v0 = run.v0
+    grid = run.basis.grid
     ks = cfg.get_floats("task.k_values", required=True)
 
-    states = bound_states(v0, grid)
+    states = run.states
     rows = []
     for i, st in enumerate(states):
         lam_r, _ = richardson_ground_state(v0, grid, which=i)
@@ -250,17 +277,15 @@ def _run_bound(cfg):
     return tables, diag
 
 
-def _run_fgr(cfg):
+def _run_fgr(run):
     from dataclasses import replace
 
-    from .fgr import fgr_value, first_order_shift
+    from .fgr import first_order_shift
     from .specfun import m_minus
 
-    _require_task(cfg, "fgr")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
-    q = cfg.get_int("problem.q", 1)
-    q_max = cfg.get_int("task.q_max", q, positive=True)
+    cfg = run.cfg
+    problem, basis = run.problem, run.basis
+    q_max = cfg.get_int("task.q_max", run.q, positive=True)
     m_values = [int(v) for v in cfg.get_floats("task.m_values", [problem.m])]
     refine = cfg.get_int("task.refine", 1)
 
@@ -270,7 +295,7 @@ def _run_fgr(cfg):
         for qq in range(m_minus(m), q_max + 1):
             shift_rows.append([qq, m, first_order_shift(pm, basis, qq, refine=refine)])
 
-    res = fgr_value(problem, basis, q, refine=refine)
+    res = run.fgr(refine)
     fgr_rows = [[res.q, res.m, res.F.real, res.F.imag, res.im_from_channels,
                  res.first_order, res.route_agreement, res.flagged]]
     chan_rows = [[l, j, amp.real, amp.imag, abs(amp) ** 2]
@@ -284,36 +309,19 @@ def _run_fgr(cfg):
     return tables, {"lambda": res.lam, "flagged": res.flagged}
 
 
-def _resonance_branch(cfg, problem, basis):
+def _run_resonance(run):
     import numpy as np
 
-    from .resonance import ResonanceResult, continue_in_kappa
+    from .resonance import fit_expansion, richardson_branch
 
-    q = cfg.get_int("problem.q", 1)
+    cfg = run.cfg
+    problem, basis, q = run.problem, run.basis, run.q
     kmax = cfg.get_float("task.kappa_max", 0.08, positive=True)
     steps = cfg.get_int("task.kappa_steps", 9, positive=True)
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
-    grid_k = np.linspace(0.0, kmax, steps)
-    coarse = continue_in_kappa(problem, basis, theta, q, grid_k)
-    fine = continue_in_kappa(problem, basis.refined(), theta, q, grid_k)
-    branch = [
-        ResonanceResult(c.kappa, (4.0 * f.w - c.w) / 3.0, max(c.residual, f.residual),
-                        c.iterations + f.iterations, c.theta_used)
-        for c, f in zip(coarse, fine)
-    ]
-    return q, branch
-
-
-def _run_resonance(cfg):
-    from .fgr import fgr_value
-    from .resonance import fit_expansion
-
-    _require_task(cfg, "resonance")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
-    q, branch = _resonance_branch(cfg, problem, basis)
+    branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps))
     fit = fit_expansion(branch)
-    res = fgr_value(problem, basis, q)
+    res = run.fgr()
 
     rows = [[r.kappa, r.w.real, r.w.imag, r.residual, r.iterations] for r in branch]
     c1_rel = abs(fit.c1 - res.first_order) / abs(res.first_order)
@@ -334,23 +342,19 @@ def _run_resonance(cfg):
     return tables, diag
 
 
-def _run_dynamics(cfg):
-    import numpy as np
-
+def _run_dynamics(run):
     from .dynamics import autocorrelation, default_fit_window, default_times, fit_decay
-    from .fgr import fgr_value
+    from .fgr import channel_amplitudes, im_from_amplitudes
 
-    _require_task(cfg, "dynamics")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
-    q = cfg.get_int("problem.q", 1)
+    cfg = run.cfg
+    problem, basis, q = run.problem, run.basis, run.q
     kappas = cfg.get_floats("task.kappa_values", required=True)
     delta_window = cfg.get_float("task.delta_window", 0.25, positive=True)
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
     method = cfg.get_str("task.method", "resolvent")
 
-    res = fgr_value(problem, basis, q)
-    imf = res.im_from_channels
+    # the golden-rule rate needs only Im F: the channel route, no resolvent
+    imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
     tables = {}
     fit_rows = []
     for kappa in kappas:
@@ -378,38 +382,26 @@ def _run_dynamics(cfg):
     return tables, {"im_F": imf, "method": method}
 
 
-def _toeplitz_profile(cfg, problem, basis):
-    from .errors import ConfigError
-    from .schrodinger1d import bound_states
-    from .toeplitz_ssf import transverse_profile
-
-    source = cfg.get_str("task.source", "derived")
-    if source == "derived":
-        st = bound_states(problem.v0, basis.grid)[0]
-        return transverse_profile(problem.V, st, problem.b)
-    raise ConfigError(f"unknown profile source {source!r}")
-
-
-def _run_toeplitz(cfg):
+def _run_toeplitz(run):
     import numpy as np
 
     from .toeplitz_ssf import (CountingFunction, law_convergence_report,
                                toeplitz_eigenvalues)
 
-    _require_task(cfg, "toeplitz")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
+    cfg = run.cfg
     q = cfg.get_int("task.q", 0)
     eta_min = cfg.get_float("task.eta_min", 1e-8, positive=True)
     eta_max = cfg.get_float("task.eta_max", 1e-3, positive=True)
     eta_points = cfg.get_int("task.eta_points", 21, positive=True)
 
-    profile = _toeplitz_profile(cfg, problem, basis)
+    source = cfg.get_str("task.source", "derived")
+    if source != "derived":
+        raise ConfigError(f"unknown profile source {source!r}")
+    profile = run.profile
     spec = toeplitz_eigenvalues(profile, q, eta_min=eta_min)
     cf = CountingFunction(spec)
     spec_rows = [[int(m), float(v)] for m, v in zip(spec.ms, spec.eigenvalues)]
     etas = np.geomspace(eta_min, eta_max, eta_points)
-    law_rows = []
     report = None
     if profile.decay is not None:
         report = law_convergence_report(profile, q, etas)
@@ -432,25 +424,19 @@ def _run_toeplitz(cfg):
     return tables, diag
 
 
-def _run_gap(cfg):
-    import numpy as np
+def _run_gap(run):
+    from .toeplitz_ssf import gap_accumulation_check, toeplitz_eigenvalues
 
-    from .schrodinger1d import bound_states
-    from .toeplitz_ssf import gap_accumulation_check, toeplitz_eigenvalues, \
-        transverse_profile
-
-    _require_task(cfg, "gap")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
+    cfg = run.cfg
+    problem, basis = run.problem, run.basis
     sign = cfg.get_str("task.sign", "-")
     eps = cfg.get_float("task.eps", 0.1, positive=True)
     fracs = cfg.get_floats("task.eta_fractions", [0.1, 0.04, 0.01])
 
-    st = bound_states(problem.v0, basis.grid)[0]
-    profile = transverse_profile(problem.V, st, problem.b)
+    profile = run.profile
     top = float(toeplitz_eigenvalues(profile, 0, m_max=12).eigenvalues.max())
     etas = [top * f for f in fracs]
-    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps, state=st,
+    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps, state=run.state,
                                  profile=profile)
     rows = [[r["eta"], r["count"], r["n_plus_lower"], r["n_plus_upper"], r["slack"]]
             for r in rep.rows]
@@ -462,25 +448,22 @@ def _run_gap(cfg):
     return tables, diag
 
 
-def _run_mourre(cfg):
+def _run_mourre(run):
     from .operators import mourre_quantity
 
-    _require_task(cfg, "mourre")
-    problem = _build_problem(cfg)
-    basis = _build_basis(cfg)
-    q = cfg.get_int("problem.q", 1)
+    cfg = run.cfg
+    q = run.q
     delta = cfg.get_float("task.delta", 0.1, positive=True)
-    val = mourre_quantity(problem, basis, q, delta)
+    val = mourre_quantity(run.problem, run.basis, q, delta)
     tables = {"mourre": (["q", "delta", "value"], [[q, delta, val]])}
     return tables, {"positive": val > 0}
 
 
-def _run_all(cfg):
+def _run_all(run):
     tables = {}
     diags = {}
-    for name, runner in (("bound", _run_bound), ("fgr", _run_fgr),
-                         ("resonance", _run_resonance), ("toeplitz", _run_toeplitz)):
-        sub_tables, sub_diag = runner(cfg)
+    for name in ("bound", "fgr", "resonance", "toeplitz"):
+        sub_tables, sub_diag = _RUNNERS[name](run)
         for tname, tbl in sub_tables.items():
             tables[f"{name}_{tname}"] = tbl
         diags[name] = sub_diag
@@ -497,16 +480,6 @@ _RUNNERS = {
     "mourre": _run_mourre,
     "all": _run_all,
 }
-
-# keys every runner may ignore without tripping the unknown-key check
-_COMMON_KEYS = (
-    "problem.b", "problem.m", "problem.q",
-    "problem.v0.family", "problem.v0.depth", "problem.v0.half_width",
-    "problem.V.family", "problem.V.amplitude", "problem.V.rho_rate",
-    "problem.V.x3_rate", "problem.V.alpha", "problem.V.radius",
-    "numerics.x_min", "numerics.x_max", "numerics.n", "numerics.J",
-    "numerics.quad_nodes",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +540,7 @@ def main(argv=None):
         prog="landau",
         description="spectral experiments for the fibered magnetic Schrodinger operator",
     )
-    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_RUNNERS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -592,15 +565,15 @@ def main(argv=None):
             return 2
         _set_thread_env(threads)
 
-    from .errors import ConfigError, DomainError, LandauError
-
     started = time.monotonic()
     try:
         cfg = Config.load(args.config)
-        for key in _COMMON_KEYS:
+        if not cfg.prefix_keys("task."):
+            raise ConfigError(f"empty task block for subcommand {args.subcommand!r}")
+        for key in _common_keys():
             if cfg.has(key):
                 cfg.raw(key)
-        tables, diagnostics = _RUNNERS[args.subcommand](cfg)
+        tables, diagnostics = _RUNNERS[args.subcommand](_Run(cfg))
         cfg.check_all_consumed()
     except (ConfigError, DomainError) as exc:
         print(f"landau: config error: {exc}", file=sys.stderr)

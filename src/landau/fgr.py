@@ -25,8 +25,10 @@ from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunct
 __all__ = [
     "FgrResult",
     "first_order_shift",
+    "channel_amplitudes",
     "fgr_channel",
     "fgr_value",
+    "im_from_amplitudes",
     "omega_profile",
     "overlap_polynomial_check",
     "OverlapPolynomialResult",
@@ -46,11 +48,16 @@ def _radial_factor(problem, basis, qa, qb, x, arg=1.0):
     return np.einsum("k,k,k,kx->x", rule.weights, fa, fb, vv)
 
 
+def _bound_state(v0, grid, which):
+    states = bound_states(v0, grid)
+    if len(states) <= which:
+        raise DomainError(
+            f"longitudinal operator has no bound state with index {which}")
+    return states[which]
+
+
 def _first_order_on_grid(problem, basis, q, which):
-    states = bound_states(problem.v0, basis.grid)
-    if not states:
-        raise DomainError("longitudinal operator has no bound state")
-    st = states[which]
+    st = _bound_state(problem.v0, basis.grid, which)
     x = basis.grid.interior
     cqq = _radial_factor(problem, basis, q, q, x)
     psi2 = st.psi[1:-1] ** 2
@@ -89,13 +96,26 @@ def fgr_channel(problem, basis, q, j, l, refine=1, which=0):
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
     bas = basis
-    st = bound_states(problem.v0, bas.grid)[which]
+    st = _bound_state(problem.v0, bas.grid, which)
     val = _channel_amplitude(problem, bas, q, j, l, st)
     for _ in range(refine):
         bas = bas.refined()
-        st = bound_states(problem.v0, bas.grid)[which]
+        st = _bound_state(problem.v0, bas.grid, which)
         val = richardson_h2(val, _channel_amplitude(problem, bas, q, j, l, st))
     return complex(val)
+
+
+def channel_amplitudes(problem, basis, q, refine=1, which=0):
+    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2."""
+    if q < m_minus(problem.m):
+        raise DomainError(f"q={q} below m_- for m={problem.m}")
+    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine, which=which)
+            for j in range(m_minus(problem.m), q) for l in (1, 2)}
+
+
+def im_from_amplitudes(amps):
+    """Channel-route Im F = pi * sum |a|^2 over the amplitudes of ``amps``."""
+    return math.pi * sum(abs(a) ** 2 for a in amps.values())
 
 
 @dataclass(frozen=True)
@@ -119,18 +139,14 @@ class FgrResult:
 
     @property
     def im_from_channels(self):
-        return math.pi * sum(abs(a) ** 2 for a in self.channel_amplitudes.values())
+        return im_from_amplitudes(self.channel_amplitudes)
 
 
 def _resolvent_route(problem, basis, q, grid, deltas, which):
     """F(E0 + i0) on a long grid; H^(m) is block-diagonal so solves are per-mode."""
-    states = bound_states(problem.v0, grid)
-    if not states:
-        raise DomainError("longitudinal operator has no bound state")
-    st = states[which]
-    lam_c = bound_states(problem.v0, Grid1D(grid.x_min, grid.x_max, (grid.n - 1) // 2 + 1))[
-        which
-    ].lam
+    st = _bound_state(problem.v0, grid, which)
+    coarse = Grid1D(grid.x_min, grid.x_max, (grid.n - 1) // 2 + 1)
+    lam_c = _bound_state(problem.v0, coarse, which).lam
     lam_star = richardson_h2(lam_c, st.lam)  # continuum-limit eigenvalue
     e0 = 2.0 * problem.b * q + lam_star
 
@@ -170,8 +186,6 @@ def _resolvent_route(problem, basis, q, grid, deltas, which):
 def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-3,
               refine=1, which=0):
     """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check."""
-    if q < m_minus(problem.m):
-        raise DomainError(f"q={q} below m_- for m={problem.m}")
     if resolvent_grid is None:
         resolvent_grid = _DEFAULT_RESOLVENT_GRID
     if deltas is None:
@@ -179,12 +193,8 @@ def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-
 
     first = first_order_shift(problem, basis, q, refine=refine, which=which)
 
-    amps = {}
-    for j in range(m_minus(problem.m), q):
-        for l in (1, 2):
-            amps[(l, j)] = fgr_channel(problem, basis, q, j, l, refine=refine,
-                                       which=which)
-    im_channels = math.pi * sum(abs(a) ** 2 for a in amps.values())
+    amps = channel_amplitudes(problem, basis, q, refine=refine, which=which)
+    im_channels = im_from_amplitudes(amps)
 
     f_coarse, lam_star = _resolvent_route(problem, basis, q, resolvent_grid, deltas,
                                           which)
@@ -214,7 +224,7 @@ def omega_profile(problem, grid, which=0):
     This is the profile whose radial pairing controls golden-rule positivity
     for product perturbations; it is nonzero and Schwartz-class.
     """
-    st = bound_states(problem.v0, grid)[which]
+    st = _bound_state(problem.v0, grid, which)
     psi1 = scattering_state(problem.v0, 2.0 * problem.b + st.lam, 1, grid)
     return st.psi * psi1.real
 
@@ -296,12 +306,8 @@ def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12
             for q in q_range:
                 if q <= m_minus(m):
                     continue
-                amps = [
-                    fgr_channel(pm, basis, q, j, l, refine=refine, which=which)
-                    for j in range(m_minus(m), q)
-                    for l in (1, 2)
-                ]
-                im_f = math.pi * sum(abs(a) ** 2 for a in amps)
+                im_f = im_from_amplitudes(
+                    channel_amplitudes(pm, basis, q, refine=refine, which=which))
                 rows.append(
                     {
                         "label": label,

@@ -113,7 +113,7 @@ class PerturbationProfile:
 def sech2(depth=2.0):
     """v0(x) = -depth / cosh(x)^2.  Entire in the strip |Im x| < pi/2; depth=2 is
     the reflectionless well with the single bound state at -1."""
-    if depth <= 0:
+    if not depth > 0:
         raise DomainError("sech2 depth must be positive")
     d = float(depth)
 
@@ -155,7 +155,7 @@ def sech2(depth=2.0):
 def square_well(depth=0.5, half_width=1.0):
     """v0(x) = -depth on |x| < half_width, 0 outside.  Not dilatable; no
     classical derivatives (the jump is handled by breakpoint-aware marching)."""
-    if depth <= 0 or half_width <= 0:
+    if not (depth > 0 and half_width > 0):
         raise DomainError("square well depth and half_width must be positive")
     d, a = float(depth), float(half_width)
 
@@ -196,8 +196,8 @@ def gaussian_product(amplitude=1.0, rho_rate=1.0, x3_rate=1.0):
     |Arg z| < pi/4).  Sign-definite when amplitude >= 0.
     """
     A, ar, ax = float(amplitude), float(rho_rate), float(x3_rate)
-    if ar <= 0 or ax <= 0:
-        raise DomainError("gaussian rates must be positive")
+    if not (ar > 0 and ax > 0):
+        raise DomainError("gaussian rates rho_rate and x3_rate must be positive")
 
     def v(rho, x3):
         return A * np.exp(-ar * np.asarray(rho) ** 2) * np.exp(-ax * np.asarray(x3) ** 2)
@@ -235,8 +235,8 @@ def power_radial(alpha=4.0, amplitude=1.0, x3_rate=None):
     supply x3_rate when a genuine 3D perturbation is needed.
     """
     A, al = float(amplitude), float(alpha)
-    if al <= 0:
-        raise DomainError("power-decay exponent alpha must be positive")
+    if not (al > 0 and (x3_rate is None or x3_rate > 0)):
+        raise DomainError("power-decay exponent alpha and x3_rate must be positive")
     ax = None if x3_rate is None else float(x3_rate)
 
     def v(rho, x3):
@@ -259,8 +259,8 @@ def compact_radial(radius=1.0, amplitude=1.0, x3_rate=None):
     """Smooth compactly supported radial bump: amplitude on [0, 0.7 radius],
     C-infinity decay to 0 at rho = radius.  Optional Gaussian x3 factor."""
     A, R = float(amplitude), float(radius)
-    if R <= 0:
-        raise DomainError("support radius must be positive")
+    if not (R > 0 and (x3_rate is None or x3_rate > 0)):
+        raise DomainError("support radius and x3_rate must be positive")
     ax = None if x3_rate is None else float(x3_rate)
 
     def v(rho, x3):

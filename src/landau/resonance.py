@@ -165,6 +165,17 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid, tol=1e-10, which=0):
     return results
 
 
+def richardson_branch(problem, basis, theta, q, kappa_grid):
+    """The branch on the (h, h/2) grid pair, Richardson-combined pointwise."""
+    coarse = continue_in_kappa(problem, basis, theta, q, kappa_grid)
+    fine = continue_in_kappa(problem, basis.refined(), theta, q, kappa_grid)
+    return [
+        ResonanceResult(c.kappa, (4.0 * f.w - c.w) / 3.0, max(c.residual, f.residual),
+                        c.iterations + f.iterations, c.theta_used)
+        for c, f in zip(coarse, fine)
+    ]
+
+
 def _lsq_poly(kappas, ws, degree):
     A = np.vander(kappas, degree + 1, increasing=True).astype(complex)
     coef, *_ = np.linalg.lstsq(A, ws, rcond=None)

@@ -355,8 +355,8 @@ def _count_below_eig_banded(op, sigmas):
                      for s in sigmas])
 
 
-def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, m_pad=6,
-                           which=0, m_cap=200, state=None, profile=None):
+def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, which=0,
+                           m_cap=200, state=None, profile=None):
     """Eigenvalue accumulation at the isolated embedded energy vs the counting law.
 
     For sign '-' counts eigenvalues of H^(m) - V below lambda - eta, aggregated

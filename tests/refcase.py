@@ -12,7 +12,8 @@ import numpy as np
 from landau.fgr import fgr_value
 from landau.operators import BasisTruncation, LandauProblem
 from landau.potentials import gaussian_product, sech2
-from landau.resonance import ResonanceResult, continue_in_kappa, fit_expansion
+from landau.resonance import continue_in_kappa, fit_expansion
+from landau.resonance import richardson_branch as _branch
 from landau.schrodinger1d import Grid1D
 
 
@@ -35,18 +36,11 @@ def branch_pair(theta_im=0.3, q=1, kmax=0.08, npts=9):
     return coarse, fine
 
 
+@lru_cache(maxsize=None)
 def richardson_branch(theta_im=0.3, q=1, kmax=0.08, npts=9):
-    coarse, fine = branch_pair(theta_im, q, kmax, npts)
-    return [
-        ResonanceResult(
-            kappa=c.kappa,
-            w=(4.0 * f.w - c.w) / 3.0,
-            residual=max(c.residual, f.residual),
-            iterations=c.iterations + f.iterations,
-            theta_used=c.theta_used,
-        )
-        for c, f in zip(coarse, fine)
-    ]
+    """The Richardson-combined branch from ``resonance.richardson_branch``."""
+    return tuple(_branch(problem(), basis(), 1j * theta_im, q,
+                         np.linspace(0.0, kmax, npts)))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,16 @@
+import dataclasses
+import inspect
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landau.cli import main
+from landau import cli, fgr, potentials
+from landau.cli import Config, main
+from landau.errors import ConfigError, DomainError
 
 BOUND_CFG = """
 # longitudinal reference
@@ -181,6 +188,15 @@ def test_missing_config_exit_2(tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["dynamics", "toeplitz", "gap"])
+def test_no_bound_state_exit_2(tmp_path, capsys, subcommand):
+    cfg = _write(tmp_path, "problem.v0.family = zero\nproblem.V.family = "
+                 "gaussian_product\nnumerics.n = 301\nnumerics.J = 3\n"
+                 "task.kappa_values = 0.05\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "no bound state" in capsys.readouterr().err
+
+
 def test_bad_subcommand_usage(tmp_path):
     assert main(["frobnicate", "--config", "x", "--out", "y"]) == 2
 
@@ -230,22 +246,149 @@ task.method = resolvent
 """
 
 
-def test_all_subcommand(tmp_path):
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a pass-through that records its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_all_subcommand(tmp_path, monkeypatch):
     cfg = _write(tmp_path, ALL_CFG)
     out = tmp_path / "all"
+    calls = _counting(monkeypatch, fgr, "fgr_value")
     assert main(["all", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    # the fgr and resonance tables share one golden-rule computation
+    assert len(calls) == 1
     doc = json.loads((out / "all.json").read_text())
     names = set(doc["tables"])
     assert {"bound_bound_states", "fgr_fgr", "resonance_branch",
             "toeplitz_counting"} <= names
 
 
-def test_dynamics_subcommand(tmp_path):
+def test_dynamics_subcommand(tmp_path, monkeypatch):
     cfg = _write(tmp_path, DYN_CFG)
     out = tmp_path / "dyn"
+    resolvent = _counting(monkeypatch, fgr, "_resolvent_route")
     assert main(["dynamics", "--config", cfg, "--out", str(out),
                  "--format", "json"]) == 0
+    # the golden-rule rate needs only the channel route
+    assert resolvent == []
     doc = json.loads((out / "dynamics.json").read_text())
     fits = dict(zip(doc["tables"]["decay_fits"]["columns"],
                     doc["tables"]["decay_fits"]["rows"][0]))
     assert abs(fits["rate_ratio"] - 1.0) < 0.10
+
+
+# -- potentials from the family registries
+
+POSITIVE_PARAMS = [
+    ("v0", "sech2", "depth"),
+    ("v0", "square_well", "depth"),
+    ("v0", "square_well", "half_width"),
+    ("V", "gaussian_product", "rho_rate"),
+    ("V", "gaussian_product", "x3_rate"),
+    ("V", "power_radial", "alpha"),
+    ("V", "power_radial", "x3_rate"),
+    ("V", "compact_radial", "radius"),
+    ("V", "compact_radial", "x3_rate"),
+]
+
+REGISTRIES = {"v0": potentials.V0_FAMILIES, "V": potentials.V_FAMILIES}
+
+
+def _config(text):
+    entries = {}
+    for lineno, line in enumerate(text.strip().splitlines(), start=1):
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries[key] = (value, lineno)
+    return Config(entries)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("part,family,param", POSITIVE_PARAMS)
+def test_family_rejects_non_positive(tmp_path, capsys, part, family, param, value):
+    with pytest.raises(DomainError):
+        REGISTRIES[part][family](**{param: float(value)})
+    v0 = family if part == "v0" else "sech2"
+    V = family if part == "V" else "gaussian_product"
+    text = (f"problem.v0.family = {v0}\nproblem.V.family = {V}\n"
+            f"problem.{part}.{param} = {value}\ntask.delta = 0.1\n")
+    cfg = _write(tmp_path, text)
+    capsys.readouterr()
+    assert main(["mourre", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    family_line = 1 if part == "v0" else 2
+    assert f"config error: line {family_line}: {family}: " in err
+    assert param in err
+
+
+def _same_potential(part, a, b):
+    rho = np.array([0.0, 0.3, 1.1, 2.5])
+    x = np.array([-3.0, -0.6, 0.0, 0.8, 4.0])
+
+    def sample(fn):
+        return fn(x) if part == "v0" else fn(rho[:, None], x[None, :])
+
+    for field in dataclasses.fields(a):
+        va, vb = getattr(a, field.name), getattr(b, field.name)
+        if callable(va):
+            assert np.array_equal(sample(va), sample(vb)), field.name
+        elif isinstance(va, tuple):
+            assert len(va) == len(vb), field.name
+            for fa, fb in zip(va, vb):
+                assert np.array_equal(sample(fa), sample(fb)), field.name
+        else:
+            assert va == vb, field.name
+
+
+@pytest.mark.parametrize("part,family", [(part, family)
+                                         for part, reg in REGISTRIES.items()
+                                         for family in reg])
+def test_registry_builder_matches_direct_call(part, family):
+    build = REGISTRIES[part][family]
+    params = inspect.signature(build).parameters
+    values = {name: 1.3 + 0.1 * i for i, name in enumerate(params)}
+    assert all(values[name] != p.default for name, p in params.items())
+    lines = [f"problem.{part}.family = {family}"]
+    lines += [f"problem.{part}.{name} = {v!r}" for name, v in values.items()]
+    cfg = _config("\n".join(lines))
+    built = cli._build_potential(cfg, part)
+    cfg.check_all_consumed()
+    _same_potential(part, built, build(**values))
+
+
+_FAMILY_NAMES = st.one_of(
+    st.sampled_from(sorted(potentials.V0_FAMILIES) + sorted(potentials.V_FAMILIES)),
+    st.text(max_size=8),
+)
+_PROBLEM_KEYS = sorted(
+    {"problem.b", "problem.m"}
+    | {f"problem.{part}.{name}" for part, reg in REGISTRIES.items()
+       for build in reg.values() for name in inspect.signature(build).parameters}
+)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 5).map(str),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v0=_FAMILY_NAMES, V=_FAMILY_NAMES,
+       values=st.dictionaries(st.sampled_from(_PROBLEM_KEYS), _NUMBERS))
+def test_problem_builds_or_reports_input_error(v0, V, values):
+    entries = {"problem.v0.family": (v0, 1), "problem.V.family": (V, 2)}
+    for lineno, (key, value) in enumerate(sorted(values.items()), start=3):
+        entries[key] = (value, lineno)
+    try:
+        problem = cli._Run(Config(entries)).problem
+    except (ConfigError, DomainError):
+        return
+    assert problem.b > 0
