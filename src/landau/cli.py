@@ -113,6 +113,15 @@ class Config:
                 f"cannot parse list {key!r} = {raw!r}", line=self.entries[key][1]
             )
 
+    def get_ints(self, key, default=None):
+        vals = self.get_floats(key)
+        if vals is None:
+            return default
+        if not all(v.is_integer() for v in vals):
+            raise ConfigError(f"{key!r} must be a list of integers, got "
+                              f"{self.entries[key][0]!r}", line=self.entries[key][1])
+        return [int(v) for v in vals]
+
     def prefix_keys(self, prefix):
         return [k for k in self.entries if k.startswith(prefix)]
 
@@ -286,7 +295,7 @@ def _run_fgr(run):
     cfg = run.cfg
     problem, basis = run.problem, run.basis
     q_max = cfg.get_int("task.q_max", run.q, positive=True)
-    m_values = [int(v) for v in cfg.get_floats("task.m_values", [problem.m])]
+    m_values = cfg.get_ints("task.m_values", [problem.m])
     refine = cfg.get_int("task.refine", 1)
 
     shift_rows = []

@@ -8,6 +8,14 @@ coupling integrals against the channel scattering states.  Route two
 delta -> 0 on a long grid; the unperturbed operator is block-diagonal over the
 radial modes, so this costs J tridiagonal solves per delta.  Their agreement is
 the module's self-check and is reported, never silently resolved.
+
+A closed channel (2b q_a - E0 > -min v0) has a solution that decays
+exponentially away from the support of its right-hand side, so on the long grid
+most of it would be subnormal, and arithmetic on subnormals is several times
+slower.  Each closed channel is therefore solved only on its representable
+window, where that decay has not yet passed the smallest subnormal: the entries
+the window drops are ones the whole-grid solve leaves subnormal or zero, so F is
+bit-for-bit the whole-grid value.
 """
 
 import math
@@ -56,6 +64,11 @@ def _bound_state(v0, grid, which):
     return states[which]
 
 
+def _check_refine(refine):
+    if refine < 0:
+        raise DomainError(f"refine must be >= 0, got {refine}")
+
+
 def _first_order_on_grid(problem, basis, q, which):
     st = _bound_state(problem.v0, basis.grid, which)
     x = basis.grid.interior
@@ -70,6 +83,7 @@ def first_order_shift(problem, basis, q, refine=1, which=0):
     ``refine`` Richardson-extrapolates over (h, h/2) grid pairs to remove the
     O(h^2) bias of the discretized bound state.
     """
+    _check_refine(refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
     val = _first_order_on_grid(problem, basis, q, which)
@@ -91,6 +105,7 @@ def _channel_amplitude(problem, basis, q, j, l, st):
 
 def fgr_channel(problem, basis, q, j, l, refine=1, which=0):
     """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q)."""
+    _check_refine(refine)
     if not (m_minus(problem.m) <= j < q):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
@@ -142,21 +157,33 @@ class FgrResult:
         return im_from_amplitudes(self.channel_amplitudes)
 
 
-def _resolvent_route(problem, basis, q, grid, deltas, which):
-    """F(E0 + i0) on a long grid; H^(m) is block-diagonal so solves are per-mode."""
-    st = _bound_state(problem.v0, grid, which)
-    coarse = Grid1D(grid.x_min, grid.x_max, (grid.n - 1) // 2 + 1)
-    lam_c = _bound_state(problem.v0, coarse, which).lam
-    lam_star = richardson_h2(lam_c, st.lam)  # continuum-limit eigenvalue
-    e0 = 2.0 * problem.b * q + lam_star
+# Away from its right-hand side, a closed channel's solution decays at least
+# as fast as zeta^|j| with zeta + 1/zeta = 2 + h^2 kappa_a^2 (kappa_a^2 taken
+# at the bottom of v0).  800 such e-folds carry any entry past -ln(4.9e-324),
+# about 745, the smallest subnormal: beyond them the full-grid solve holds only
+# subnormals or zeros, which cannot reach the pairing with w.
+_REPRESENTABLE_EFOLDS = 800
 
-    x = grid.interior
-    h = grid.h
+
+def _representable_window(rhs, kappa2, h):
+    """Index range [lo, hi): the nonzero support of ``rhs`` widened by the
+    representable decay at kappa2 = 2b q_a + min v0 - E0.  The whole grid when
+    kappa2 <= 0 (an open channel, the embedded mode, or a well deeper than the
+    gap) or when ``rhs`` is zero."""
+    n = len(rhs)
+    nz = np.flatnonzero(rhs)
+    if not (kappa2 > 0 and nz.size):
+        return 0, n
+    margin = math.ceil(_REPRESENTABLE_EFOLDS / math.acosh(1.0 + 0.5 * h * h * kappa2))
+    return max(int(nz[0]) - margin, 0), min(int(nz[-1]) + margin + 1, n)
+
+
+def _mode_rows(problem, basis, q, st):
+    """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w."""
+    grid = st.grid
     qs = basis.landau_indices(problem.m)
     bas_on_grid = BasisTruncation(basis.J, grid, basis.quad_nodes)
-    d, e = hamiltonian_tridiagonal(problem.v0, grid)
-
-    # w = V Phi: mode rows C_{a q}(x) psi(x)
+    x = grid.interior
     psi = st.psi[1:-1]
     w = np.stack(
         [_radial_factor(problem, bas_on_grid, qa, q, x) * psi for qa in qs]
@@ -164,28 +191,48 @@ def _resolvent_route(problem, basis, q, grid, deltas, which):
     # (I - P) w: remove the embedded eigenvector component exactly
     a_idx = int(np.where(qs == q)[0][0])
     w_proj = w.copy()
-    w_proj[a_idx] -= psi * (h * float(np.dot(w[a_idx], psi)))
+    w_proj[a_idx] -= psi * (grid.h * float(np.dot(w[a_idx], psi)))
+    return qs, w, w_proj
+
+
+def _resolvent_route(problem, basis, q, st, lam_star, deltas):
+    """F(E0 + i0) on the long grid of ``st``; H^(m) is block-diagonal, so the
+    solves are per mode, each on its representable window."""
+    grid = st.grid
+    h = grid.h
+    e0 = 2.0 * problem.b * q + lam_star
+    qs, w, w_proj = _mode_rows(problem, basis, q, st)
+    d, e = hamiltonian_tridiagonal(problem.v0, grid)
+    v_min = float(np.min(d)) - 2.0 / h**2
+    windows = [_representable_window(w_proj[a], 2.0 * problem.b * qa + v_min - e0, h)
+               for a, qa in enumerate(qs)]
 
     n_int = len(d)
     ab = np.zeros((3, n_int), dtype=complex)
+    u = np.zeros(n_int, dtype=complex)
     vals = []
     for delta in deltas:
         z = e0 + 1j * delta
         total = 0.0 + 0.0j
         for a, qa in enumerate(qs):
-            ab[0, 1:] = e
-            ab[1, :] = d + 2.0 * problem.b * qa - z
-            ab[2, :-1] = e
-            u = solve_banded((1, 1), ab, w_proj[a])
-            total += h * np.dot(u, w[a])  # w real: pairing linear in first slot
+            lo, hi = windows[a]
+            ab[0, lo + 1:hi] = e[lo:hi - 1]
+            ab[1, lo:hi] = d[lo:hi] + 2.0 * problem.b * qa - z
+            ab[2, lo:hi - 1] = e[lo:hi - 1]
+            u[:] = 0.0
+            u[lo:hi] = solve_banded((1, 1), ab[:, lo:hi], w_proj[a, lo:hi])
+            # full length, so the pairing sums in the whole-grid order; w real:
+            # the pairing is linear in its first slot
+            total += h * np.dot(u, w[a])
         vals.append(total)
     value, _ = neville_to_zero(deltas, vals)
-    return complex(value), float(lam_star)
+    return complex(value)
 
 
 def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-3,
               refine=1, which=0):
     """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check."""
+    _check_refine(refine)
     if resolvent_grid is None:
         resolvent_grid = _DEFAULT_RESOLVENT_GRID
     if deltas is None:
@@ -196,13 +243,19 @@ def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-
     amps = channel_amplitudes(problem, basis, q, refine=refine, which=which)
     im_channels = im_from_amplitudes(amps)
 
-    f_coarse, lam_star = _resolvent_route(problem, basis, q, resolvent_grid, deltas,
-                                          which)
-    f_val = f_coarse
+    # each route takes its continuum-limit eigenvalue from its own grid and the
+    # next coarser one, so the grid of the first route serves both
+    g = resolvent_grid
+    coarse = _bound_state(problem.v0, Grid1D(g.x_min, g.x_max, (g.n - 1) // 2 + 1),
+                          which)
+    st = _bound_state(problem.v0, g, which)
+    lam_star = richardson_h2(coarse.lam, st.lam)
+    f_val = _resolvent_route(problem, basis, q, st, lam_star, deltas)
     if refine:
-        f_fine, _ = _resolvent_route(problem, basis, q, resolvent_grid.refined(),
-                                     deltas, which)
-        f_val = complex(richardson_h2(f_coarse, f_fine))
+        fine = _bound_state(problem.v0, g.refined(), which)
+        f_fine = _resolvent_route(problem, basis, q, fine,
+                                  richardson_h2(st.lam, fine.lam), deltas)
+        f_val = complex(richardson_h2(f_val, f_fine))
 
     scale = max(im_channels, abs(f_val.imag), 1e-12)
     agreement = abs(im_channels - f_val.imag) / scale
@@ -212,7 +265,7 @@ def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-
         channel_amplitudes=amps,
         q=q,
         m=problem.m,
-        lam=lam_star,
+        lam=float(lam_star),
         route_agreement=agreement,
         flagged=agreement > tolerance,
     )

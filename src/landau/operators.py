@@ -360,10 +360,6 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
     )
 
 
-def grid_norm(u, h):
-    return math.sqrt(h) * float(np.linalg.norm(u))
-
-
 @dataclass(frozen=True)
 class EmbeddedEigenpair:
     """Tensor eigenpair Phi = phi_{q,m} (x) psi with energy 2bq + lambda.

@@ -197,6 +197,27 @@ def test_no_bound_state_exit_2(tmp_path, capsys, subcommand):
     assert "no bound state" in capsys.readouterr().err
 
 
+FGR_CFG = """problem.v0.family = sech2
+problem.V.family = gaussian_product
+numerics.n = 601
+numerics.J = 4
+"""
+
+
+@pytest.mark.parametrize("m_values", ["0.5, 1.7", "0, nan", "1, inf"])
+def test_fgr_non_integer_m_values_exit_2(tmp_path, capsys, m_values):
+    cfg = _write(tmp_path, FGR_CFG + f"task.m_values = {m_values}\n")
+    assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 5: 'task.m_values' must be a list of integers" in err
+
+
+def test_fgr_negative_refine_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, FGR_CFG + "task.refine = -1\n")
+    assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "config error: refine must be >= 0" in capsys.readouterr().err
+
+
 def test_bad_subcommand_usage(tmp_path):
     assert main(["frobnicate", "--config", "x", "--out", "y"]) == 2
 

@@ -1,13 +1,22 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 import refcase
 from landau.errors import DomainError
 from landau.fgr import (
+    _DEFAULT_DELTAS,
+    _mode_rows,
+    _radial_factor,
+    _representable_window,
+    _resolvent_route,
     fgr_channel,
     fgr_positivity_scan,
     fgr_value,
@@ -15,8 +24,10 @@ from landau.fgr import (
     omega_profile,
     overlap_polynomial_check,
 )
-from landau.potentials import PerturbationProfile, gaussian_product
-from landau.schrodinger1d import bound_states
+from landau.numutil import neville_to_zero, richardson_h2
+from landau.operators import BasisTruncation
+from landau.potentials import PerturbationProfile, gaussian_product, sech2, square_well
+from landau.schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal
 
 PROBLEM = refcase.problem()
 BASIS = refcase.basis()
@@ -247,3 +258,144 @@ def test_positivity_scan_adjusted_candidate():
     rows = fgr_positivity_scan([("adjusted", prob_adj)], BASIS, range(1, 3),
                                range(-1, 2), threshold=1e-16)
     assert all(r["passes"] for r in rows)
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: first_order_shift(PROBLEM, BASIS, 1, refine=r),
+    lambda r: fgr_channel(PROBLEM, BASIS, 1, 0, 1, refine=r),
+    lambda r: fgr_value(PROBLEM, BASIS, 1, refine=r),
+], ids=["first_order_shift", "fgr_channel", "fgr_value"])
+def test_negative_refine_rejected(call):
+    with pytest.raises(DomainError, match="refine"):
+        call(-1)
+
+
+# Long enough for closed-channel solutions to decay into subnormals, yet cheap.
+WINDOW_GRID = Grid1D(-1000.0, 1000.0, 40001)
+V0_FAMILIES = {"sech2": sech2, "square_well": square_well}
+TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=None)
+def _closed_systems(v0_name, m, q):
+    """Diagonal, off-diagonal, E0 and the closed modes (a, kappa_a^2, w, (I-P) w)
+    of the resolvent route on WINDOW_GRID."""
+    prob = replace(PROBLEM, v0=V0_FAMILIES[v0_name](), m=m)
+    bound = bound_states(prob.v0, WINDOW_GRID)[0]
+    qs, w, w_proj = _mode_rows(prob, BASIS, q, bound)
+    d, e = hamiltonian_tridiagonal(prob.v0, WINDOW_GRID)
+    e0 = 2.0 * prob.b * q + bound.lam
+    v_min = float(np.min(d)) - 2.0 / WINDOW_GRID.h ** 2
+    closed = []
+    for a, qa in enumerate(qs):
+        kappa2 = 2.0 * prob.b * qa + v_min - e0
+        if kappa2 > 0:
+            closed.append((float(2.0 * prob.b * qa), kappa2, w[a], w_proj[a]))
+    return d, e, e0, closed
+
+
+def _banded(d, e, shift):
+    ab = np.zeros((3, len(d)), dtype=complex)
+    ab[0, 1:] = e
+    ab[1, :] = d + shift
+    ab[2, :-1] = e
+    return ab
+
+
+@settings(max_examples=40, deadline=None)
+@given(v0_name=st.sampled_from(sorted(V0_FAMILIES)),
+       mq=st.sampled_from([(0, 1), (0, 2), (-1, 2)]),
+       delta=st.floats(1e-3, 0.1),
+       pick=st.integers(0, 20))
+def test_closed_channel_window_is_exact(v0_name, mq, delta, pick):
+    # the window drops only entries the full-grid solve leaves subnormal or
+    # zero, and keeps every normal-range entry and the pairing bit for bit
+    d, e, e0, closed = _closed_systems(v0_name, *mq)
+    assert closed
+    mode_shift, kappa2, w, rhs = closed[pick % len(closed)]
+    ab = _banded(d, e, mode_shift - (e0 + 1j * delta))
+    full = solve_banded((1, 1), ab, rhs)
+    lo, hi = _representable_window(rhs, kappa2, WINDOW_GRID.h)
+    assert 0 < hi - lo < len(d)
+    win = np.zeros_like(full)
+    win[lo:hi] = solve_banded((1, 1), ab[:, lo:hi], rhs[lo:hi])
+
+    parts_full, parts_win = full.view(float), win.view(float)
+    outside = np.r_[parts_full[:2 * lo], parts_full[2 * hi:]]
+    assert not np.any(np.abs(outside) >= TINY)
+    normal = (np.abs(parts_full) >= TINY) | (np.abs(parts_win) >= TINY)
+    assert np.any(normal)
+    assert np.array_equal(parts_full[normal], parts_win[normal])
+    assert np.dot(win, w) == np.dot(full, w)
+
+
+def test_representable_window_whole_grid_cases():
+    rhs = np.zeros(2001)
+    rhs[900:1100] = 1.0
+    h = 0.05
+    assert _representable_window(rhs, -1.0, h) == (0, 2001)   # open channel
+    assert _representable_window(rhs, 0.0, h) == (0, 2001)    # threshold
+    assert _representable_window(np.zeros(2001), 1e4, h) == (0, 2001)  # V = 0
+    assert _representable_window(rhs, 1.0, h) == (0, 2001)    # clipped
+    margin = math.ceil(800 / math.acosh(1.0 + 0.5 * h * h * 1e4))
+    assert 0 < margin < 900
+    assert _representable_window(rhs, 1e4, h) == (900 - margin, 1100 + margin)
+
+
+def _full_grid_route(problem, basis, q, grid, deltas, which=0):
+    """The resolvent route with every mode solved on the whole grid (oracle)."""
+    st_ = bound_states(problem.v0, grid)[which]
+    coarse = Grid1D(grid.x_min, grid.x_max, (grid.n - 1) // 2 + 1)
+    lam_c = bound_states(problem.v0, coarse)[which].lam
+    lam_star = richardson_h2(lam_c, st_.lam)
+    e0 = 2.0 * problem.b * q + lam_star
+
+    x = grid.interior
+    h = grid.h
+    qs = basis.landau_indices(problem.m)
+    bas_on_grid = BasisTruncation(basis.J, grid, basis.quad_nodes)
+    d, e = hamiltonian_tridiagonal(problem.v0, grid)
+
+    psi = st_.psi[1:-1]
+    w = np.stack(
+        [_radial_factor(problem, bas_on_grid, qa, q, x) * psi for qa in qs]
+    )
+    a_idx = int(np.where(qs == q)[0][0])
+    w_proj = w.copy()
+    w_proj[a_idx] -= psi * (h * float(np.dot(w[a_idx], psi)))
+
+    n_int = len(d)
+    ab = np.zeros((3, n_int), dtype=complex)
+    vals = []
+    for delta in deltas:
+        z = e0 + 1j * delta
+        total = 0.0 + 0.0j
+        for a, qa in enumerate(qs):
+            ab[0, 1:] = e
+            ab[1, :] = d + 2.0 * problem.b * qa - z
+            ab[2, :-1] = e
+            u = solve_banded((1, 1), ab, w_proj[a])
+            total += h * np.dot(u, w[a])
+        vals.append(total)
+    value, _ = neville_to_zero(deltas, vals)
+    return complex(value), float(lam_star)
+
+
+@pytest.mark.parametrize("case", ["reference", "zero_V", "q_is_m_minus",
+                                  "square_well_m-1_q2"])
+def test_windowed_route_matches_full_grid_oracle(case):
+    prob, q = PROBLEM, 1
+    if case == "zero_V":
+        prob = replace(PROBLEM, V=zero_v())
+    elif case == "q_is_m_minus":
+        q = 0  # no open channel: every mode but the embedded one is closed
+    elif case == "square_well_m-1_q2":
+        prob, q = replace(PROBLEM, v0=square_well(), m=-1), 2
+    grid = WINDOW_GRID
+    coarse = Grid1D(grid.x_min, grid.x_max, (grid.n - 1) // 2 + 1)
+    bound = bound_states(prob.v0, grid)[0]
+    lam_star = richardson_h2(bound_states(prob.v0, coarse)[0].lam, bound.lam)
+    got = _resolvent_route(prob, BASIS, q, bound, lam_star, _DEFAULT_DELTAS)
+    want, want_lam = _full_grid_route(prob, BASIS, q, grid, _DEFAULT_DELTAS)
+    assert lam_star == want_lam
+    assert got == want
