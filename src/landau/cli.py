@@ -589,14 +589,11 @@ def main(argv=None):
         return 2
     except LandauError as exc:
         print(f"landau: computation failed: {exc}", file=sys.stderr)
+        diag_dir = ((os.path.dirname(args.out) or ".") if args.out.endswith(".json")
+                    else args.out)
         try:
-            os.makedirs(args.out if not args.out.endswith(".json")
-                        else os.path.dirname(args.out) or ".", exist_ok=True)
-            diag_path = os.path.join(
-                args.out if not args.out.endswith(".json")
-                else os.path.dirname(args.out) or ".",
-                f"{args.subcommand}_diagnostics.txt",
-            )
+            os.makedirs(diag_dir, exist_ok=True)
+            diag_path = os.path.join(diag_dir, f"{args.subcommand}_diagnostics.txt")
             with open(diag_path, "w", encoding="utf-8") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
         except OSError:

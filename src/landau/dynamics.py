@@ -1,5 +1,6 @@
 """Time evolution of the embedded state under the perturbed operator: smoothed
 autocorrelation series and exponential-decay fits against the golden-rule rate.
+The embedded state is phi_{q,m} (x) psi with psi the ground state of H_par.
 
 Two routes build the series ⟨e^(-iHt) g(H) Phi, Phi⟩:
 
@@ -27,7 +28,7 @@ from .errors import AccuracyError, DomainError
 from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
-from .schrodinger1d import bound_states
+from .schrodinger1d import ground_state
 
 _BG_TIME_CAP = 6000.0  # beyond this the smooth-background Fourier tail is < 1e-12
 
@@ -61,9 +62,9 @@ class AutocorrelationSeries:
     horizon_exceeded: bool
 
 
-def _series_eigh(problem, basis, q, kappa, times, delta_window, which):
+def _series_eigh(problem, basis, q, kappa, times, delta_window):
     op = assemble(problem, basis, theta=0.0, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q, which=which)
+    pair = embedded_eigenpair(problem, basis, q)
     h = basis.grid.h
     m = op.dense()
     energies, vecs = np.linalg.eigh(m)
@@ -78,15 +79,17 @@ def _series_eigh(problem, basis, q, kappa, times, delta_window, which):
     return values, pair.energy, horizon
 
 
-def dilated_bound_vector(problem, basis, theta, which=0, tol=1e-12):
-    """Bilinear-normalized bound eigenvector of the dilated longitudinal operator.
+def dilated_bound_vector(problem, basis, theta):
+    """Bilinear-normalized ground-state eigenvector of the dilated longitudinal
+    operator.
 
     Under exact dilation this is the analytic continuation U(theta) psi; on the
-    grid it comes from inverse iteration on the complex tridiagonal, normalized
-    by h * sum(u^2) = 1 with sign matched to psi.
+    grid it comes from inverse iteration on the complex tridiagonal (until the
+    eigenvalue moves by less than 1e-12), normalized by h * sum(u^2) = 1 with
+    sign matched to psi.
     """
     grid = basis.grid
-    st = bound_states(problem.v0, grid)[which]
+    st = ground_state(problem.v0, grid)
     x = grid.interior
     h = grid.h
     scale = np.exp(-2 * theta)
@@ -105,7 +108,7 @@ def dilated_bound_vector(problem, basis, theta, which=0, tol=1e-12):
         mu[:-1] += e * u[1:]
         mu[1:] += e * u[:-1]
         w_new = (u @ mu) / (u @ u)
-        if abs(w_new - w) < tol:
+        if abs(w_new - w) < 1e-12:
             w = w_new
             break
         w = w_new
@@ -131,12 +134,12 @@ def _pole_energy_grid(center, delta, pole_re, pole_width, base_points=1401):
     return np.unique(np.concatenate([base, cluster]))
 
 
-def _dilated_pole(problem, basis, q, kappa, theta, which):
+def _dilated_pole(problem, basis, q, kappa, theta):
     """Resonance pole and residue of the dilated resolvent on one grid."""
     op = assemble(problem, basis, theta=theta, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q, which=which)
+    pair = embedded_eigenpair(problem, basis, q)
     h = basis.grid.h
-    _, u_th = dilated_bound_vector(problem, basis, theta, which=which)
+    _, u_th = dilated_bound_vector(problem, basis, theta)
     phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
     a_idx = int(np.where(op.qs == q)[0][0])
     phi_th[a_idx] = u_th
@@ -146,17 +149,17 @@ def _dilated_pole(problem, basis, q, kappa, theta, which):
     return op, pair, phi_th, w, alpha
 
 
-def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, which):
+def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
     from .numutil import neville_to_zero
 
-    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta, which)
+    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
     h = basis.grid.h
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     b2 = basis.refined()
-    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta, which)
-    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta, which)
+    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta)
+    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta)
     w_pole, _ = neville_to_zero([h**2, h**2 / 4.0, h**2 / 16.0], [w_h, w_2, w_4])
 
     grid_e = _pole_energy_grid(pair.energy, delta_window, w_h.real, abs(w_h.imag))
@@ -197,7 +200,7 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, whic
 
 
 def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh",
-                    theta=0.3j, which=0):
+                    theta=0.3j):
     """Smoothed autocorrelation of the embedded state.
 
     eigh: exact spectral sum on the (self-adjoint, theta = 0) truncation;
@@ -212,7 +215,7 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
         raise DomainError("delta_window must be positive")
     if method == "eigh":
         values, center, horizon = _series_eigh(problem, basis, q, kappa, times,
-                                               delta_window, which)
+                                               delta_window)
         return AutocorrelationSeries(
             times=times,
             values=values,
@@ -224,7 +227,7 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
         )
     if method == "resolvent":
         values, center = _series_resolvent(problem, basis, q, kappa, times,
-                                           delta_window, theta, which)
+                                           delta_window, theta)
         return AutocorrelationSeries(
             times=times,
             values=values,
@@ -257,20 +260,21 @@ def default_fit_window(delta_window, gamma_est, horizon=math.inf):
     return t0, t1
 
 
-def default_times(t_max, n_dense=900, n_tail=1200):
-    """Dense early sampling (background) plus uniform coverage to t_max."""
-    dense = np.linspace(0.0, min(_BG_TIME_CAP / 2, 0.25 * t_max), n_dense,
+def default_times(t_max):
+    """Dense early sampling (900 points, background) plus 1200 uniform to t_max."""
+    dense = np.linspace(0.0, min(_BG_TIME_CAP / 2, 0.25 * t_max), 900,
                         endpoint=False)
-    tail = np.linspace(min(_BG_TIME_CAP / 2, 0.25 * t_max), t_max, n_tail)
+    tail = np.linspace(min(_BG_TIME_CAP / 2, 0.25 * t_max), t_max, 1200)
     return np.unique(np.concatenate([dense, tail]))
 
 
-def fit_decay(series, window, curvature_tol=0.25):
+def fit_decay(series, window):
     """Least-squares fit of the series to a e^(-i omega t - Gamma t/2).
 
     Log-modulus and demodulated phase (against the window center frequency)
-    are fitted linearly; visible curvature in the log-modulus marks a
-    non-exponential window and raises AccuracyError.
+    are fitted linearly; log-modulus curvature above a quarter of the linear
+    drop over the half-window marks a non-exponential window and raises
+    AccuracyError.
     """
     t0, t1 = window
     sel = (series.times >= t0) & (series.times <= t1)
@@ -298,7 +302,7 @@ def fit_decay(series, window, curvature_tol=0.25):
     span = t1 - t0
     defect = abs(q2[2]) * (span / 2.0) ** 2
     scale = max(abs(slope_m) * span / 2.0, 1e-10)
-    if defect > curvature_tol * scale + 1e-8:
+    if defect > 0.25 * scale + 1e-8:
         raise AccuracyError(
             f"log-modulus curvature {defect:.2e} vs linear scale {scale:.2e}: "
             "window is not in the exponential regime"

@@ -2,6 +2,9 @@
 independent routes, plus the overlap-polynomial machinery behind the density
 of admissible perturbations.
 
+The embedded state is Phi = phi_{q,m} (x) psi, with psi the ground state of the
+longitudinal operator H_par; its energy is E0 = 2bq + lambda.
+
 Route one (open channels): Im F = pi * sum over scattering channels of squared
 coupling integrals against the channel scattering states.  Route two
 (resolvent): F = <(H^(m) - E0 - i delta)^(-1) (I - P) V Phi, V Phi> extrapolated
@@ -27,7 +30,7 @@ from scipy.linalg import solve_banded
 from .errors import AccuracyError, DomainError
 from .numutil import neville_to_zero, richardson_h2
 from .operators import BasisTruncation
-from .schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal, scattering_state
+from .schrodinger1d import Grid1D, ground_state, hamiltonian_tridiagonal, scattering_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -45,51 +48,45 @@ __all__ = [
 
 _DEFAULT_RESOLVENT_GRID = Grid1D(-4000.0, 4000.0, 160001)
 _DEFAULT_DELTAS = 0.1 * 0.5 ** np.arange(5)
+_ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
 
 
-def _radial_factor(problem, basis, qa, qb, x, arg=1.0):
-    """C_ab(x) = int phi_a phi_b V(rho, arg*x) rho drho at longitudinal samples x."""
+def _radial_factor(problem, basis, qa, qb, x):
+    """C_ab(x) = int phi_a phi_b V(rho, x) rho drho at longitudinal samples x."""
     rule = basis.rule(problem.b, problem.m)
     fa = radial_eigenfunction(RadialMode(problem.b, int(qa), problem.m), rule.nodes)
     fb = radial_eigenfunction(RadialMode(problem.b, int(qb), problem.m), rule.nodes)
-    vv = problem.V.evaluate(rule.nodes[:, None], arg * np.asarray(x)[None, :])
+    vv = problem.V.evaluate(rule.nodes[:, None], np.asarray(x)[None, :])
     return np.einsum("k,k,k,kx->x", rule.weights, fa, fb, vv)
 
 
-def _bound_state(v0, grid, which):
-    states = bound_states(v0, grid)
-    if len(states) <= which:
-        raise DomainError(
-            f"longitudinal operator has no bound state with index {which}")
-    return states[which]
-
-
 def _check_refine(refine):
-    if refine < 0:
-        raise DomainError(f"refine must be >= 0, got {refine}")
+    # one (h, h/2) step removes the O(h^2) term; a second step on the already
+    # O(h^4) value would bring an O(h^2) error back
+    if refine not in (0, 1):
+        raise DomainError(f"refine must be >= 0 and <= 1, got {refine}")
 
 
-def _first_order_on_grid(problem, basis, q, which):
-    st = _bound_state(problem.v0, basis.grid, which)
+def _first_order_on_grid(problem, basis, q):
+    st = ground_state(problem.v0, basis.grid)
     x = basis.grid.interior
     cqq = _radial_factor(problem, basis, q, q, x)
     psi2 = st.psi[1:-1] ** 2
     return basis.grid.h * float(np.dot(cqq, psi2))
 
 
-def first_order_shift(problem, basis, q, refine=1, which=0):
+def first_order_shift(problem, basis, q, refine=1):
     """<V Phi_{q,m}, Phi_{q,m}> in L^2(R_+ x R; rho drho dx3).
 
-    ``refine`` Richardson-extrapolates over (h, h/2) grid pairs to remove the
-    O(h^2) bias of the discretized bound state.
+    ``refine`` = 1 Richardson-extrapolates over the (h, h/2) grid pair to remove
+    the O(h^2) bias of the discretized bound state; 0 keeps the grid value.
     """
     _check_refine(refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    val = _first_order_on_grid(problem, basis, q, which)
-    for _ in range(refine):
-        fine = _first_order_on_grid(problem, basis.refined(), q, which)
-        val, basis = richardson_h2(val, fine), basis.refined()
+    val = _first_order_on_grid(problem, basis, q)
+    if refine:
+        val = richardson_h2(val, _first_order_on_grid(problem, basis.refined(), q))
     return float(val)
 
 
@@ -103,28 +100,27 @@ def _channel_amplitude(problem, basis, q, j, l, st):
     return basis.grid.h * complex(np.sum(integrand))
 
 
-def fgr_channel(problem, basis, q, j, l, refine=1, which=0):
+def fgr_channel(problem, basis, q, j, l, refine=1):
     """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q)."""
     _check_refine(refine)
     if not (m_minus(problem.m) <= j < q):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    bas = basis
-    st = _bound_state(problem.v0, bas.grid, which)
-    val = _channel_amplitude(problem, bas, q, j, l, st)
-    for _ in range(refine):
-        bas = bas.refined()
-        st = _bound_state(problem.v0, bas.grid, which)
-        val = richardson_h2(val, _channel_amplitude(problem, bas, q, j, l, st))
+    st = ground_state(problem.v0, basis.grid)
+    val = _channel_amplitude(problem, basis, q, j, l, st)
+    if refine:
+        fine = basis.refined()
+        st = ground_state(problem.v0, fine.grid)
+        val = richardson_h2(val, _channel_amplitude(problem, fine, q, j, l, st))
     return complex(val)
 
 
-def channel_amplitudes(problem, basis, q, refine=1, which=0):
+def channel_amplitudes(problem, basis, q, refine=1):
     """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2."""
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine, which=which)
+    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine)
             for j in range(m_minus(problem.m), q) for l in (1, 2)}
 
 
@@ -139,7 +135,7 @@ class FgrResult:
 
     F is the resolvent-route value; channel_amplitudes the per-(l, j) coupling
     integrals whose squared moduli rebuild Im F independently.  When the two
-    imaginary parts disagree beyond ``tolerance`` the result is flagged
+    imaginary parts disagree beyond ``_ROUTE_TOLERANCE`` the result is flagged
     (returned, not raised: systematic disagreement is reportable data).
     """
 
@@ -229,32 +225,30 @@ def _resolvent_route(problem, basis, q, st, lam_star, deltas):
     return complex(value)
 
 
-def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-3,
-              refine=1, which=0):
-    """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check."""
+def fgr_value(problem, basis, q, refine=1):
+    """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check.
+
+    The resolvent route runs on ``_DEFAULT_RESOLVENT_GRID`` and extrapolates
+    over ``_DEFAULT_DELTAS``; a relative Im F disagreement above
+    ``_ROUTE_TOLERANCE`` flags the result.
+    """
     _check_refine(refine)
-    if resolvent_grid is None:
-        resolvent_grid = _DEFAULT_RESOLVENT_GRID
-    if deltas is None:
-        deltas = _DEFAULT_DELTAS
+    first = first_order_shift(problem, basis, q, refine=refine)
 
-    first = first_order_shift(problem, basis, q, refine=refine, which=which)
-
-    amps = channel_amplitudes(problem, basis, q, refine=refine, which=which)
+    amps = channel_amplitudes(problem, basis, q, refine=refine)
     im_channels = im_from_amplitudes(amps)
 
     # each route takes its continuum-limit eigenvalue from its own grid and the
     # next coarser one, so the grid of the first route serves both
-    g = resolvent_grid
-    coarse = _bound_state(problem.v0, Grid1D(g.x_min, g.x_max, (g.n - 1) // 2 + 1),
-                          which)
-    st = _bound_state(problem.v0, g, which)
+    g = _DEFAULT_RESOLVENT_GRID
+    coarse = ground_state(problem.v0, Grid1D(g.x_min, g.x_max, (g.n - 1) // 2 + 1))
+    st = ground_state(problem.v0, g)
     lam_star = richardson_h2(coarse.lam, st.lam)
-    f_val = _resolvent_route(problem, basis, q, st, lam_star, deltas)
+    f_val = _resolvent_route(problem, basis, q, st, lam_star, _DEFAULT_DELTAS)
     if refine:
-        fine = _bound_state(problem.v0, g.refined(), which)
+        fine = ground_state(problem.v0, g.refined())
         f_fine = _resolvent_route(problem, basis, q, fine,
-                                  richardson_h2(st.lam, fine.lam), deltas)
+                                  richardson_h2(st.lam, fine.lam), _DEFAULT_DELTAS)
         f_val = complex(richardson_h2(f_val, f_fine))
 
     scale = max(im_channels, abs(f_val.imag), 1e-12)
@@ -267,17 +261,17 @@ def fgr_value(problem, basis, q, resolvent_grid=None, deltas=None, tolerance=1e-
         m=problem.m,
         lam=float(lam_star),
         route_agreement=agreement,
-        flagged=agreement > tolerance,
+        flagged=agreement > _ROUTE_TOLERANCE,
     )
 
 
-def omega_profile(problem, grid, which=0):
+def omega_profile(problem, grid):
     """The longitudinal weight psi(x) Re Psi_1(x; 2b + lambda) on the grid.
 
     This is the profile whose radial pairing controls golden-rule positivity
     for product perturbations; it is nonzero and Schwartz-class.
     """
-    st = _bound_state(problem.v0, grid, which)
+    st = ground_state(problem.v0, grid)
     psi1 = scattering_state(problem.v0, 2.0 * problem.b + st.lam, 1, grid)
     return st.psi * psi1.real
 
@@ -344,9 +338,9 @@ def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, rule=None,
     )
 
 
-def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12,
-                        refine=0, which=0):
-    """Channel-route Im F over candidate perturbations and (q, m) cells.
+def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12):
+    """Channel-route Im F over candidate perturbations and (q, m) cells, each
+    on the grid of ``basis`` without Richardson refinement.
 
     ``problem_family``: iterable of (label, LandauProblem); m is overridden by
     the scanned cell.  Returns rows of dicts with the Im F value and whether
@@ -359,8 +353,7 @@ def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12
             for q in q_range:
                 if q <= m_minus(m):
                     continue
-                im_f = im_from_amplitudes(
-                    channel_amplitudes(pm, basis, q, refine=refine, which=which))
+                im_f = im_from_amplitudes(channel_amplitudes(pm, basis, q, refine=0))
                 rows.append(
                     {
                         "label": label,

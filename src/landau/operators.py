@@ -31,7 +31,7 @@ from scipy.linalg import lapack as _lapack
 
 from .errors import DegenerateInputError, DomainError, SolverError
 from .potentials import PerturbationProfile, Potential1D
-from .schrodinger1d import BoundState, Grid1D, bound_states, hamiltonian_tridiagonal
+from .schrodinger1d import BoundState, Grid1D, ground_state, hamiltonian_tridiagonal
 from .specfun import RadialMode, default_rule, m_minus, radial_eigenfunction
 
 _DENSE_DIM_LIMIT = 12000
@@ -379,20 +379,16 @@ class EmbeddedEigenpair:
         return self.coefficients.reshape(-1)
 
 
-def embedded_eigenpair(problem, basis, q, which=0):
+def embedded_eigenpair(problem, basis, q):
     """Exact tensor eigenvector of the truncated unperturbed operator.
 
-    ``which`` selects the bound state of H_par when several exist (ascending).
+    The longitudinal factor is the ground state of H_par, so the energy is
+    2bq + lambda_0.
     """
     qs = basis.landau_indices(problem.m)
     if q not in qs:
         raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
-    states = bound_states(problem.v0, basis.grid)
-    if not states:
-        raise DomainError("longitudinal operator has no bound state")
-    if which >= len(states):
-        raise DomainError(f"bound state #{which} not present ({len(states)} found)")
-    st = states[which]
+    st = ground_state(problem.v0, basis.grid)
     coeff = np.zeros((basis.J, basis.grid.n - 2))
     a = int(np.where(qs == q)[0][0])
     coeff[a, :] = st.psi[1:-1]
@@ -459,19 +455,17 @@ def free_kinetic_eigenvalues(grid):
     return 2.0 * (1.0 - np.cos(math.pi * l / (n + 1))) / grid.h**2
 
 
-def mourre_quantity(problem, basis, q, delta, which=0, check_tails=True):
+def mourre_quantity(problem, basis, q, delta, check_tails=True):
     """Numerical surrogate of the compressed-commutator positivity diagnostic.
 
     Builds P_J(H^(m)) on the truncation for the window J = (E0 - delta, E0 + delta),
-    E0 = 2bq + lambda, compresses [H^(m), iA] = 2 H_0par - v_1 to Ran P_J, removes
-    the best rank-r approximation (r = estimated lower-Landau-channel count in the
-    window), and returns the smallest remaining eigenvalue.  Positive output is
+    E0 = 2bq + lambda with lambda the ground-state eigenvalue of H_par, compresses
+    [H^(m), iA] = 2 H_0par - v_1 to Ran P_J, removes the best rank-r
+    approximation (r = estimated lower-Landau-channel count in the window), and
+    returns the smallest remaining eigenvalue.  Positive output is
     the diagnostic; it is reported, never asserted by the library itself.
     """
-    states = bound_states(problem.v0, basis.grid, check_tails=check_tails)
-    if not states:
-        raise DomainError("longitudinal operator has no bound state")
-    lam = states[which].lam
+    lam = ground_state(problem.v0, basis.grid, check_tails=check_tails).lam
     b = problem.b
     # the channel thresholds sit at the potential's background value, not at 0;
     # this keeps the diagnostic exactly invariant under constant shifts of v0

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .errors import DomainError
 
@@ -71,14 +70,12 @@ class PerturbationProfile:
 
     evaluate         vectorized V(rho, x3); complex x3 allowed when theta0 is set
     m_perp, m3       decay exponents: |V| <rho>^m_perp <x3>^m3 bounded
-    x3_derivatives   analytic d^j V/dx3^j as far as available
     sign_definite    V >= 0 everywhere
     """
 
     evaluate: callable
     m_perp: float
     m3: float
-    x3_derivatives: tuple = ()
     theta0: float = None
     sign_definite: bool = False
     name: str = "custom"
@@ -88,22 +85,8 @@ class PerturbationProfile:
             raise DomainError("decay exponents m_perp and m3 must be positive")
 
     @property
-    def derivative_order(self):
-        return len(self.x3_derivatives)
-
-    @property
     def dilatable(self):
         return self.theta0 is not None
-
-    def weighted_x3_derivative(self, j, rho, x3):
-        """V_j(rho, x3) = x3^j d^j V/dx3^j."""
-        if j == 0:
-            return self.evaluate(rho, x3)
-        if j > self.derivative_order:
-            raise DomainError(
-                f"x3-derivative order {j} unavailable (have {self.derivative_order})"
-            )
-        return np.asarray(x3) ** j * self.x3_derivatives[j - 1](rho, x3)
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +185,10 @@ def gaussian_product(amplitude=1.0, rho_rate=1.0, x3_rate=1.0):
     def v(rho, x3):
         return A * np.exp(-ar * np.asarray(rho) ** 2) * np.exp(-ax * np.asarray(x3) ** 2)
 
-    def deriv(j):
-        c = math.sqrt(ax)
-
-        def dj(rho, x3):
-            x3 = np.asarray(x3)
-            return (
-                A
-                * np.exp(-ar * np.asarray(rho) ** 2)
-                * (-c) ** j
-                * eval_hermite(j, c * x3)
-                * np.exp(-ax * x3**2)
-            )
-
-        return dj
-
     return PerturbationProfile(
         evaluate=v,
         m_perp=8.0,
         m3=8.0,
-        x3_derivatives=tuple(deriv(j) for j in range(1, 7)),
         theta0=math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
         name="gaussian_product",

@@ -14,6 +14,8 @@ from .numutil import richardson_h2
 from .operators import assemble, embedded_eigenpair
 
 _EPS = np.finfo(float).eps
+_TOL = 1e-10
+_MAXITER = 40
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,14 @@ class AsymptoticFit:
     degree: int
 
 
-def find_eigenvalue_near(op, shift, tol=1e-10, maxiter=40, x0=None):
+def find_eigenvalue_near(op, shift, x0=None):
     """Eigenvalue of the assembled operator nearest the shift.
 
     Shifted inverse iteration with Rayleigh-quotient refinement; the Rayleigh
     functional is bilinear (u^T M u / u^T u), correct for the complex-symmetric
     matrices produced by dilation.  Returns (w, eigenvector, residual, iterations);
-    the residual is ||(M - w) u||_2 with ||u||_2 = 1.
+    the residual is ||(M - w) u||_2 with ||u||_2 = 1.  The iteration stops at
+    residual ``_TOL`` (or the roundoff floor) or after ``_MAXITER`` steps.
     """
     if x0 is None:
         x = np.ones(op.dim, dtype=complex)
@@ -58,7 +61,7 @@ def find_eigenvalue_near(op, shift, tol=1e-10, maxiter=40, x0=None):
 
     sigma = complex(shift)
     floor = 50.0 * _EPS * op.norm_estimate()
-    target = max(tol, floor)
+    target = max(_TOL, floor)
     best = (None, None, math.inf, 0)
     for attempt in range(3):
         try:
@@ -72,7 +75,7 @@ def find_eigenvalue_near(op, shift, tol=1e-10, maxiter=40, x0=None):
 
     prev_res = math.inf
     stagnant = 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, _MAXITER + 1):
         y = solver.solve(x)
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0:
@@ -130,7 +133,7 @@ def isolation_radius(problem, basis, theta, q, lam):
     return 0.5 * min(dists)
 
 
-def continue_in_kappa(problem, basis, theta, q, kappa_grid, tol=1e-10, which=0):
+def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     """Track the resonance branch w(kappa) from the embedded energy at kappa = 0.
 
     Each converged eigenvalue seeds the next shift; a step that leaves the
@@ -141,7 +144,7 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid, tol=1e-10, which=0):
         raise DomainError("kappa grid must start at 0")
     if np.any(np.diff(kappa_grid) <= 0):
         raise DomainError("kappa grid must be strictly increasing")
-    pair = embedded_eigenpair(problem, basis, q, which=which)
+    pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
     shift = complex(pair.energy)
@@ -149,7 +152,7 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid, tol=1e-10, which=0):
     w_prev = shift
     for kappa in kappa_grid:
         op = assemble(problem, basis, theta=theta, kappa=float(kappa))
-        w, x0, res, its = find_eigenvalue_near(op, shift, tol=tol, x0=x0)
+        w, x0, res, its = find_eigenvalue_near(op, shift, x0=x0)
         if abs(w - w_prev) > radius:
             raise ContinuationError(
                 f"branch jump at kappa={kappa}: |dw| = {abs(w - w_prev):.3e} "
@@ -235,22 +238,22 @@ class ThetaIndependenceResult:
     values: dict  # Im theta -> extrapolated w
 
 
-def theta_independence(problem, basis, q, kappa, thetas, refine=True, tol=1e-10):
+def theta_independence(problem, basis, q, kappa, thetas):
     """Max pairwise |w| difference across dilation angles.
 
-    Each w is tracked from kappa = 0 in two steps; with ``refine`` the value is
-    Richardson-extrapolated over (h, h/2), which removes the theta-dependent
-    O(h^2) discretization bias and certifies genuine theta-independence.
+    Each w is tracked from kappa = 0 in two steps and Richardson-extrapolated
+    over (h, h/2), which removes the theta-dependent O(h^2) discretization bias
+    and certifies genuine theta-independence.
     """
-    grids = [basis] + ([basis.refined()] if refine else [])
+    grids = [basis, basis.refined()]
     kappas = [0.0] if kappa == 0 else [0.0, 0.5 * kappa, kappa]
     values = {}
     for theta in thetas:
         ws = []
         for bas in grids:
-            branch = continue_in_kappa(problem, bas, theta, q, kappas, tol=tol)
+            branch = continue_in_kappa(problem, bas, theta, q, kappas)
             ws.append(branch[-1].w)
-        values[complex(theta)] = richardson_h2(ws[0], ws[1]) if refine else ws[0]
+        values[complex(theta)] = richardson_h2(ws[0], ws[1])
     vals = list(values.values())
     spread = max(
         (abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]), default=0.0

@@ -22,6 +22,7 @@ __all__ = [
     "ScatteringSolution",
     "hamiltonian_tridiagonal",
     "bound_states",
+    "ground_state",
     "richardson_ground_state",
     "jost_solutions",
     "scattering_state",
@@ -160,6 +161,17 @@ def bound_states(v0, grid, check_tails=True):
     return out
 
 
+def ground_state(v0, grid, check_tails=True):
+    """The lowest bound state: the one every embedded eigenvalue 2bq + lambda uses.
+
+    Raises DomainError when the discrete spectrum is empty.
+    """
+    states = bound_states(v0, grid, check_tails=check_tails)
+    if not states:
+        raise DomainError("longitudinal operator has no bound state")
+    return states[0]
+
+
 def richardson_ground_state(v0, grid, which=0):
     """Bound-state eigenvalue extrapolated over (h, h/2); O(h^4) accurate.
 
@@ -279,7 +291,7 @@ def default_delta_schedule(j_max=8, delta0=0.1):
     return delta0 * 0.5 ** np.arange(j_max + 1)
 
 
-def limiting_resolvent(v0, E, f, g, grid, s=1.0, deltas=None):
+def limiting_resolvent(v0, E, f, g, grid, deltas=None):
     """Boundary value <(H - E - i0)^(-1) f, g> by extrapolation over a delta sequence.
 
     f, g are samples on the full grid decaying like <x>^(-s), s > 1/2; the inner
@@ -289,8 +301,6 @@ def limiting_resolvent(v0, E, f, g, grid, s=1.0, deltas=None):
     """
     if not E > 0:
         raise DomainError("limiting absorption requires E > 0")
-    if not s > 0.5:
-        raise DomainError("weight exponent s must exceed 1/2")
     if deltas is None:
         deltas = default_delta_schedule()
     deltas = np.asarray(deltas, dtype=float)

@@ -18,10 +18,12 @@ from scipy.linalg import eig_banded
 
 from .errors import DomainError, RangeError, SolverError
 from .operators import assemble
-from .schrodinger1d import bound_states
+from .schrodinger1d import ground_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 _SMALL_M_CUTOFF = 64
+_M_CAP = 4000  # largest m an automatic spectrum range may reach
+_GAP_M_CAP = 200  # largest m the accumulation check aggregates over
 
 
 @lru_cache(maxsize=64)
@@ -211,11 +213,11 @@ def toeplitz_eigenvalue(profile, q, m):
     return _eigenvalue_large_m(profile, q, m)
 
 
-def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None, m_cap=4000):
+def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):
     """Spectrum over m = -q .. m_max.
 
     With m_max = None the range grows until the eigenvalue falls below
-    eta_min / 10 (capped at m_cap; power-law tails take large m_max).
+    eta_min / 10 (capped at ``_M_CAP``; power-law tails take large m_max).
     """
     ms = []
     vals = []
@@ -233,9 +235,9 @@ def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None, m_cap=4000):
             below = below + 1 if val < eta_min / 10.0 else 0
             if m > 8 and below >= 3:
                 break
-            if m >= m_cap:
+            if m >= _M_CAP:
                 raise RangeError(
-                    f"eigenvalues still above eta_min/10 at the m cap {m_cap}"
+                    f"eigenvalues still above eta_min/10 at the m cap {_M_CAP}"
                 )
         m += 1
     return ToeplitzSpectrum(q=q, ms=np.asarray(ms), eigenvalues=np.asarray(vals))
@@ -318,10 +320,10 @@ class LawReport:
     slope: float  # d ratio / d ln eta over the grid
 
 
-def law_convergence_report(profile, q, eta_grid, m_max=None):
+def law_convergence_report(profile, q, eta_grid):
     """Ratios n_+(eta) / prediction(eta) with a last-decade trend summary."""
     eta_grid = np.sort(np.asarray(eta_grid, dtype=float))[::-1]
-    spec = toeplitz_eigenvalues(profile, q, m_max=m_max, eta_min=float(eta_grid[-1]))
+    spec = toeplitz_eigenvalues(profile, q, eta_min=float(eta_grid[-1]))
     cf = CountingFunction(spec)
     rows = []
     for eta in eta_grid:
@@ -355,15 +357,17 @@ def _count_below_eig_banded(op, sigmas):
                      for s in sigmas])
 
 
-def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, which=0,
-                           m_cap=200, state=None, profile=None):
+def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
+                           profile=None):
     """Eigenvalue accumulation at the isolated embedded energy vs the counting law.
 
-    For sign '-' counts eigenvalues of H^(m) - V below lambda - eta, aggregated
-    over m >= 0, and sandwiches the total by n_+((1 +- eps) eta) of the
-    transverse compression at the bottom Landau level.  sign '+' mirrors to
-    (lambda + eta, 0).  Requires sign-definite V.  ``state`` (the bound state
-    ``which``) and its transverse ``profile`` are built here unless given.
+    The embedded energy is lambda, the ground-state eigenvalue of H_par in the
+    bottom Landau level.  For sign '-' counts eigenvalues of H^(m) - V below
+    lambda - eta, aggregated over m = 0 .. ``_GAP_M_CAP``, and sandwiches the
+    total by n_+((1 +- eps) eta) of the transverse compression at that level.
+    sign '+' mirrors to (lambda + eta, 0).  Requires sign-definite V.
+    ``state`` (the ground state) and its transverse ``profile`` are built here
+    unless given.
 
     Each m is counted by one inertia sweep over all eta (see
     ``AssembledOperator.count_below``); an m whose sweep breaks down is
@@ -378,7 +382,7 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, which=0,
         raise DomainError("eta grid must be positive")
 
     if state is None:
-        state = bound_states(problem.v0, basis.grid)[which]
+        state = ground_state(problem.v0, basis.grid)
     lam = state.lam
     if profile is None:
         profile = transverse_profile(problem.V, state, problem.b)
@@ -399,7 +403,7 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, which=0,
     m = 0
     m_used = 0
     zero_streak = 0
-    while m <= m_cap:
+    while m <= _GAP_M_CAP:
         op = assemble(replace(problem, m=m), basis, theta=0.0, kappa=kappa)
         try:
             below = op.count_below(shifts)
@@ -420,7 +424,7 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, which=0,
             break
         m += 1
     else:
-        raise RangeError(f"aggregation did not close by m = {m_cap}")
+        raise RangeError(f"aggregation did not close by m = {_GAP_M_CAP}")
 
     rows = []
     for eta, c in zip(eta_grid, counts):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau import cli, fgr, potentials
+from landau import cli, fgr, operators, potentials
 from landau.cli import Config, main
-from landau.errors import ConfigError, DomainError
+from landau.errors import AccuracyError, ConfigError, DomainError
 
 BOUND_CFG = """
 # longitudinal reference
@@ -216,6 +216,24 @@ def test_fgr_negative_refine_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, FGR_CFG + "task.refine = -1\n")
     assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "config error: refine must be >= 0" in capsys.readouterr().err
+
+
+def test_fgr_refine_above_one_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, FGR_CFG + "task.refine = 2\n")
+    assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "config error: refine must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["run", "run/mourre.json"])
+def test_computation_failure_exit_1(tmp_path, monkeypatch, out):
+    def fail(*args, **kwargs):
+        raise AccuracyError("forced failure")
+
+    monkeypatch.setattr(operators, "mourre_quantity", fail)
+    cfg = _write(tmp_path, MOURRE_CFG)
+    assert main(["mourre", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    diag = tmp_path / "run" / "mourre_diagnostics.txt"
+    assert diag.read_text() == "AccuracyError: forced failure\n"
 
 
 def test_bad_subcommand_usage(tmp_path):

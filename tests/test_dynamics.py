@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from landau.dynamics import (
     autocorrelation,
     default_fit_window,
     default_times,
+    dilated_bound_vector,
     fit_decay,
     smooth_cutoff,
 )
 from landau.errors import AccuracyError, DomainError
 from landau.operators import BasisTruncation
+from landau.potentials import zero_potential
 from landau.schrodinger1d import Grid1D
 
 PROBLEM = refcase.problem()
@@ -45,6 +48,12 @@ def test_cutoff_monotone_shoulders():
 def test_cutoff_domain_error():
     with pytest.raises(DomainError):
         smooth_cutoff(1.0, 1.0, -0.1)
+
+
+def test_dilated_bound_vector_no_bound_state():
+    prob = dataclasses.replace(PROBLEM, v0=zero_potential())
+    with pytest.raises(DomainError, match="no bound state"):
+        dilated_bound_vector(prob, SMALL, 0.3j)
 
 
 def test_eigh_kappa_zero_constant_modulus():

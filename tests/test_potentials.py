@@ -38,16 +38,6 @@ def test_sech2_analytic_derivatives():
         assert np.allclose(d(x), fd, rtol=5e-3, atol=5e-3), order
 
 
-def test_gaussian_x3_derivatives():
-    V = gaussian_product(amplitude=0.8, rho_rate=1.0, x3_rate=0.6)
-    rho = np.array([0.5])
-    x = np.array([-1.2, 0.3, 0.9])
-    for order, d in enumerate(V.x3_derivatives[:4], start=1):
-        h = 1e-3 if order <= 2 else 2e-2
-        fd = _fd_derivative(lambda t: V.evaluate(rho, t), x, order, h=h)
-        assert np.allclose(d(rho, x), fd, rtol=5e-3, atol=5e-3), order
-
-
 def test_weighted_derivatives():
     v = sech2()
     x = np.array([0.5, 1.5])

@@ -140,7 +140,7 @@ def test_theta_independence_reference():
 
 
 def test_theta_independence_kappa_zero():
-    res = theta_independence(PROBLEM, BASIS, 1, 0.0, [0.2j, 0.3j, 0.4j], refine=True)
+    res = theta_independence(PROBLEM, BASIS, 1, 0.0, [0.2j, 0.3j, 0.4j])
     assert res.spread < 1e-8
 
 

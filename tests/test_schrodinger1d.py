@@ -9,6 +9,7 @@ from landau.potentials import sech2, square_well, zero_potential
 from landau.schrodinger1d import (
     Grid1D,
     bound_states,
+    ground_state,
     jost_solutions,
     limiting_resolvent,
     richardson_ground_state,
@@ -30,6 +31,19 @@ def test_grid_invariants():
 
 def test_free_potential_no_bound_states():
     assert bound_states(zero_potential(), GRID) == []
+
+
+def test_ground_state():
+    st = ground_state(sech2(), GRID)
+    first = bound_states(sech2(), GRID)[0]
+    assert st.lam == first.lam and np.array_equal(st.psi, first.psi)
+    with pytest.raises(DomainError, match="no bound state"):
+        ground_state(zero_potential(), GRID)
+    narrow = Grid1D(-3.0, 3.0, 301)  # sech2 not negligible at the ends
+    with pytest.raises(DomainError, match="widen the grid"):
+        ground_state(sech2(), narrow)
+    loose = ground_state(sech2(), narrow, check_tails=False)
+    assert loose.lam == bound_states(sech2(), narrow, check_tails=False)[0].lam
 
 
 def test_poschl_teller_bound_state():

@@ -12,6 +12,7 @@ from landau.potentials import (
     compact_radial,
     gaussian_product,
     power_radial,
+    zero_potential,
 )
 from landau.schrodinger1d import bound_states
 from landau.toeplitz_ssf import (
@@ -270,6 +271,12 @@ def test_gap_accumulation_requires_sign_definite():
     )
     with pytest.raises(DomainError):
         gap_accumulation_check(replace(PROBLEM, V=bad), BASIS, "-", [0.01])
+
+
+def test_gap_accumulation_no_bound_state():
+    prob = replace(PROBLEM, v0=zero_potential())
+    with pytest.raises(DomainError, match="no bound state"):
+        gap_accumulation_check(prob, refcase.basis(n=301, J=3), "-", [0.01])
 
 
 def test_gap_accumulation_repeated_eta_counted_once():
