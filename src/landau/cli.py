@@ -318,6 +318,12 @@ def _run_fgr(run):
     return tables, {"lambda": res.lam, "flagged": res.flagged}
 
 
+def _relative(diff, ref):
+    """|diff| / |ref|; NaN when the reference is exactly 0 and the relative
+    disagreement is undefined (no open channel, or V = 0)."""
+    return abs(diff) / abs(ref) if ref else math.nan
+
+
 def _run_resonance(run):
     import numpy as np
 
@@ -333,8 +339,8 @@ def _run_resonance(run):
     res = run.fgr()
 
     rows = [[r.kappa, r.w.real, r.w.imag, r.residual, r.iterations] for r in branch]
-    c1_rel = abs(fit.c1 - res.first_order) / abs(res.first_order)
-    imc2_rel = abs(fit.c2.imag + res.im_from_channels) / res.im_from_channels
+    c1_rel = _relative(fit.c1 - res.first_order, res.first_order)
+    imc2_rel = _relative(fit.c2.imag + res.im_from_channels, res.im_from_channels)
     fit_rows = [[
         fit.c0.real, fit.c0.imag, fit.c1.real, fit.c1.imag, fit.c2.real, fit.c2.imag,
         fit.fit_residual, fit.degree, fit.kappa_window[0], fit.kappa_window[1],

@@ -19,6 +19,11 @@ slower.  Each closed channel is therefore solved only on its representable
 window, where that decay has not yet passed the smallest subnormal: the entries
 the window drops are ones the whole-grid solve leaves subnormal or zero, so F is
 bit-for-bit the whole-grid value.
+
+The right-hand sides C_{a q}(x) psi(x) come from one pass over V per grid: V is
+sampled in column blocks for all radial modes at once, and a block where V is
+zero (most of the long grid, beyond its x3 decay) is skipped.  Each column sums
+in the order of a whole-grid contraction, so the skip changes no bit.
 """
 
 import math
@@ -29,7 +34,6 @@ from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
 from .numutil import neville_to_zero, richardson_h2
-from .operators import BasisTruncation
 from .schrodinger1d import Grid1D, ground_state, hamiltonian_tridiagonal, scattering_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
@@ -51,13 +55,31 @@ _DEFAULT_DELTAS = 0.1 * 0.5 ** np.arange(5)
 _ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
 
 
-def _radial_factor(problem, basis, qa, qb, x):
-    """C_ab(x) = int phi_a phi_b V(rho, x) rho drho at longitudinal samples x."""
+# Columns of x per pass over V: one block's samples (about 28 quadrature nodes
+# by 4096 columns, 1 MB) stay small on the long resolvent grids.
+_COLUMN_BLOCK = 4096
+
+
+def _mode_factors(problem, basis, qs, q, x):
+    """Rows C_{a q}(x) = int phi_a phi_q V(rho, x) rho drho for each a in ``qs``.
+
+    V is sampled once per block of ``_COLUMN_BLOCK`` columns of x.  A block
+    where V is zero keeps +0.0, the value the contraction gives a zero column;
+    every other column sums over the nodes in the order of a whole-grid einsum.
+    """
     rule = basis.rule(problem.b, problem.m)
-    fa = radial_eigenfunction(RadialMode(problem.b, int(qa), problem.m), rule.nodes)
-    fb = radial_eigenfunction(RadialMode(problem.b, int(qb), problem.m), rule.nodes)
-    vv = problem.V.evaluate(rule.nodes[:, None], np.asarray(x)[None, :])
-    return np.einsum("k,k,k,kx->x", rule.weights, fa, fb, vv)
+    fq = radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
+    fs = [radial_eigenfunction(RadialMode(problem.b, int(qa), problem.m), rule.nodes)
+          for qa in qs]
+    c = np.zeros((len(fs), len(x)))
+    for lo in range(0, len(x), _COLUMN_BLOCK):
+        cols = slice(lo, lo + _COLUMN_BLOCK)
+        vv = problem.V.evaluate(rule.nodes[:, None], x[None, cols])
+        if not vv.any():
+            continue
+        for row, fa in zip(c, fs):
+            row[cols] = np.einsum("k,k,k,kx->x", rule.weights, fa, fq, vv)
+    return c
 
 
 def _check_refine(refine):
@@ -70,7 +92,7 @@ def _check_refine(refine):
 def _first_order_on_grid(problem, basis, q):
     st = ground_state(problem.v0, basis.grid)
     x = basis.grid.interior
-    cqq = _radial_factor(problem, basis, q, q, x)
+    cqq = _mode_factors(problem, basis, [q], q, x)[0]
     psi2 = st.psi[1:-1] ** 2
     return basis.grid.h * float(np.dot(cqq, psi2))
 
@@ -95,7 +117,7 @@ def _channel_amplitude(problem, basis, q, j, l, st):
     energy = 2.0 * problem.b * (q - j) + st.lam
     psi_l = scattering_state(problem.v0, energy, l, basis.grid)
     x = basis.grid.interior
-    cjq = _radial_factor(problem, basis, j, q, x)
+    cjq = _mode_factors(problem, basis, [j], q, x)[0]
     integrand = cjq * st.psi[1:-1] * psi_l[1:-1]
     return basis.grid.h * complex(np.sum(integrand))
 
@@ -178,12 +200,9 @@ def _mode_rows(problem, basis, q, st):
     """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w."""
     grid = st.grid
     qs = basis.landau_indices(problem.m)
-    bas_on_grid = BasisTruncation(basis.J, grid, basis.quad_nodes)
-    x = grid.interior
     psi = st.psi[1:-1]
-    w = np.stack(
-        [_radial_factor(problem, bas_on_grid, qa, q, x) * psi for qa in qs]
-    )
+    w = _mode_factors(problem, basis, qs, q, grid.interior)
+    w *= psi
     # (I - P) w: remove the embedded eigenvector component exactly
     a_idx = int(np.where(qs == q)[0][0])
     w_proj = w.copy()

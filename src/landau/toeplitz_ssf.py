@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from .errors import DomainError, RangeError, SolverError
+from .numutil import minimize_bounded
 from .operators import assemble
 from .schrodinger1d import ground_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
@@ -86,16 +87,12 @@ def _exp_fit(rho, lu):
         r = lu - a @ coef
         return float(np.sqrt(np.mean(r * r))), coef
 
-    from scipy.optimize import minimize_scalar
-
     betas = np.geomspace(0.1, 4.0, 60)
     scans = [solve(b)[0] for b in betas]
     i0 = int(np.argmin(scans))
     lo = betas[max(i0 - 1, 0)]
     hi = betas[min(i0 + 1, len(betas) - 1)]
-    opt = minimize_scalar(lambda b: solve(b)[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9})
-    beta = float(opt.x)
+    beta = minimize_bounded(lambda b: solve(b)[0], lo, hi, xatol=1e-9)
     resid, coef = solve(beta)
     if abs(beta - 1.0) < 5e-3:
         beta = 1.0

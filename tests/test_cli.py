@@ -2,12 +2,16 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau
 from landau import cli, fgr, operators, potentials
 from landau.cli import Config, main
 from landau.errors import AccuracyError, ConfigError, DomainError
@@ -134,6 +138,19 @@ def test_resonance_comparisons_pass(tmp_path):
     diag = doc["diagnostics"]
     assert diag["c1_rel"] < 1e-3
     assert diag["im_c2_rel"] < 0.1
+
+
+def test_gap_run_does_not_import_scipy_optimize(tmp_path):
+    # the tail fit's bounded minimisation is numutil's, not scipy.optimize's
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\nfrom landau.cli import main\n"
+            f"rc = main(['gap', '--config', {str(root / 'configs' / 'gap.cfg')!r}, "
+            f"'--out', {str(tmp_path / 'gap')!r}, '--threads', '1'])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_toeplitz_run(tmp_path):
@@ -309,6 +326,32 @@ def test_all_subcommand(tmp_path, monkeypatch):
     names = set(doc["tables"])
     assert {"bound_bound_states", "fgr_fgr", "resonance_branch",
             "toeplitz_counting"} <= names
+
+
+@pytest.mark.parametrize("subcommand,text", [("resonance", RES_CFG), ("all", ALL_CFG)],
+                         ids=["resonance", "all"])
+@pytest.mark.parametrize("change,undefined", [
+    (("problem.q = 1", "problem.q = 0"), {"im_c2_rel"}),  # q = m_-: no open channel
+    (("problem.b = 1.0", "problem.b = 1.0\nproblem.V.amplitude = 0"),
+     {"c1_rel", "im_c2_rel"}),
+], ids=["no_open_channel", "zero_V"])
+def test_resonance_zero_reference_reports_nan(tmp_path, subcommand, text, change,
+                                               undefined):
+    # a relative disagreement against an exact-zero reference is undefined
+    cfg = _write(tmp_path, text.replace(*change))
+    out = tmp_path / "res"
+    assert main([subcommand, "--config", cfg, "--out", str(out),
+                 "--format", "json"]) == 0
+    doc = json.loads((out / f"{subcommand}.json").read_text())
+    diag = doc["diagnostics"]
+    fit_table = doc["tables"]["fit" if subcommand == "resonance" else "resonance_fit"]
+    if subcommand == "all":
+        diag = diag["resonance"]
+    fit = dict(zip(fit_table["columns"], fit_table["rows"][0]))
+    for key, column in (("c1_rel", "c1_rel_disagreement"),
+                        ("im_c2_rel", "im_c2_rel_disagreement")):
+        assert np.isnan(diag[key]) == (key in undefined)
+        assert np.isnan(fit[column]) == (key in undefined)
 
 
 def test_dynamics_subcommand(tmp_path, monkeypatch):

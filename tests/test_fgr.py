@@ -12,9 +12,10 @@ from scipy.linalg import solve_banded
 import refcase
 from landau.errors import DomainError
 from landau.fgr import (
+    _COLUMN_BLOCK,
     _DEFAULT_DELTAS,
+    _mode_factors,
     _mode_rows,
-    _radial_factor,
     _representable_window,
     _resolvent_route,
     fgr_channel,
@@ -25,9 +26,16 @@ from landau.fgr import (
     overlap_polynomial_check,
 )
 from landau.numutil import neville_to_zero, richardson_h2
-from landau.operators import BasisTruncation
-from landau.potentials import PerturbationProfile, gaussian_product, sech2, square_well
+from landau.potentials import (
+    PerturbationProfile,
+    compact_radial,
+    gaussian_product,
+    power_radial,
+    sech2,
+    square_well,
+)
 from landau.schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal
+from landau.specfun import RadialMode, m_minus, radial_eigenfunction
 
 PROBLEM = refcase.problem()
 BASIS = refcase.basis()
@@ -344,6 +352,19 @@ def test_representable_window_whole_grid_cases():
     assert _representable_window(rhs, 1e4, h) == (900 - margin, 1100 + margin)
 
 
+def _whole_grid_rows(problem, basis, qs, q, x):
+    """C_{a q}(x) for each a in qs from one evaluation of V on all of x (oracle)."""
+    rule = basis.rule(problem.b, problem.m)
+    fq = radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
+    vv = problem.V.evaluate(rule.nodes[:, None], np.asarray(x)[None, :])
+    return np.stack([
+        np.einsum("k,k,k,kx->x", rule.weights,
+                  radial_eigenfunction(RadialMode(problem.b, int(qa), problem.m),
+                                       rule.nodes), fq, vv)
+        for qa in qs
+    ])
+
+
 def _full_grid_route(problem, basis, q, grid, deltas):
     """The resolvent route with every mode solved on the whole grid (oracle)."""
     st_ = bound_states(problem.v0, grid)[0]
@@ -355,13 +376,10 @@ def _full_grid_route(problem, basis, q, grid, deltas):
     x = grid.interior
     h = grid.h
     qs = basis.landau_indices(problem.m)
-    bas_on_grid = BasisTruncation(basis.J, grid, basis.quad_nodes)
     d, e = hamiltonian_tridiagonal(problem.v0, grid)
 
     psi = st_.psi[1:-1]
-    w = np.stack(
-        [_radial_factor(problem, bas_on_grid, qa, q, x) * psi for qa in qs]
-    )
+    w = _whole_grid_rows(problem, basis, qs, q, x) * psi
     a_idx = int(np.where(qs == q)[0][0])
     w_proj = w.copy()
     w_proj[a_idx] -= psi * (h * float(np.dot(w[a_idx], psi)))
@@ -401,3 +419,59 @@ def test_windowed_route_matches_full_grid_oracle(case):
     want, want_lam = _full_grid_route(prob, BASIS, q, grid, _DEFAULT_DELTAS)
     assert lam_star == want_lam
     assert got == want
+
+
+V_CASES = {
+    "gaussian_product": gaussian_product(),
+    "power_radial": power_radial(x3_rate=0.7),
+    "power_radial_no_x3": power_radial(),  # nonzero everywhere: no block skipped
+    "compact_radial": compact_radial(x3_rate=0.5),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _window_ground_state():
+    return bound_states(PROBLEM.v0, WINDOW_GRID)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(v_name=st.sampled_from(sorted(V_CASES)), m=st.sampled_from([-1, 0, 1]),
+       q_offset=st.integers(0, 2), pick=st.integers(0, 20))
+def test_blocked_mode_rows_match_whole_grid(v_name, m, q_offset, pick):
+    # the column-blocked pass over V gives the whole-grid einsum's rows bit for
+    # bit, signed zeros included, with V's support straddling a block edge
+    prob = replace(PROBLEM, V=V_CASES[v_name], m=m)
+    q = m_minus(m) + q_offset
+    bound = _window_ground_state()
+    x = WINDOW_GRID.interior
+    qs = BASIS.landau_indices(m)
+    want = _whole_grid_rows(prob, BASIS, qs, q, x)
+    nz = np.flatnonzero(want.any(axis=0))
+    if v_name != "power_radial_no_x3":
+        assert nz[0] // _COLUMN_BLOCK < nz[-1] // _COLUMN_BLOCK < len(x) // _COLUMN_BLOCK
+    assert np.array_equal(_bits(_mode_factors(prob, BASIS, qs, q, x)), _bits(want))
+    row = pick % len(qs)  # single rows, as the first-order and channel integrals ask
+    assert np.array_equal(_bits(_mode_factors(prob, BASIS, [qs[row]], q, x)),
+                          _bits(want[row:row + 1]))
+    got_qs, w, _ = _mode_rows(prob, BASIS, q, bound)
+    assert np.array_equal(got_qs, qs)
+    assert np.array_equal(_bits(w), _bits(want * bound.psi[1:-1]))
+
+
+def test_zero_perturbation_skips_every_block():
+    calls = []
+
+    def zero(rho, x3):
+        calls.append(np.shape(x3))
+        return np.zeros(np.broadcast(np.asarray(rho), np.asarray(x3)).shape)
+
+    prob = replace(PROBLEM, V=replace(zero_v(), evaluate=zero))
+    x = WINDOW_GRID.interior
+    c = _mode_factors(prob, BASIS, BASIS.landau_indices(0), 1, x)
+    assert len(calls) == -(-len(x) // _COLUMN_BLOCK)  # one sample per block
+    assert c.shape == (BASIS.J, len(x))
+    assert not np.any(c) and not np.any(np.signbit(c))  # +0.0, as the einsum gives
