@@ -372,6 +372,7 @@ def _run_dynamics(run):
     imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
     tables = {}
     fit_rows = []
+    surrogate = []
     for kappa in kappas:
         gamma_est = 2.0 * kappa**2 * imf
         t0, t1 = default_fit_window(delta_window, gamma_est)
@@ -379,6 +380,8 @@ def _run_dynamics(run):
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
                               method=method, theta=theta)
         fit = fit_decay(ser, (t0, t1))
+        surrogate.append({"kappa": kappa, "resolvent_solves": ser.resolvent_solves,
+                          "held_out_error": ser.held_out_error})
         tag = f"{kappa:g}".replace(".", "p").replace("-", "m")
         tables[f"series_kappa_{tag}"] = (
             ["t", "re_v", "im_v", "abs_v"],
@@ -394,7 +397,10 @@ def _run_dynamics(run):
          "abs_a_minus_1_over_k2", "omega", "background_norm", "t_fit_lo", "t_fit_hi"],
         fit_rows,
     )
-    return tables, {"im_F": imf, "method": method}
+    diag = {"im_F": imf, "method": method}
+    if method == "resolvent":
+        diag["resolvent_surrogate"] = surrogate
+    return tables, diag
 
 
 def _run_toeplitz(run):

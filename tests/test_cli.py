@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau import cli, fgr, operators, potentials
+from landau import cli, dynamics, fgr, operators, potentials
 from landau.cli import Config, main
 from landau.errors import AccuracyError, ConfigError, DomainError
 
@@ -366,6 +366,32 @@ def test_dynamics_subcommand(tmp_path, monkeypatch):
     fits = dict(zip(doc["tables"]["decay_fits"]["columns"],
                     doc["tables"]["decay_fits"]["rows"][0]))
     assert abs(fits["rate_ratio"] - 1.0) < 0.10
+
+
+def test_dynamics_uncertified_surrogate_exit_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "_SURROGATE_NODES", 4)
+    cfg = _write(tmp_path, DYN_CFG)
+    assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "dyn")]) == 1
+    diag = (tmp_path / "dyn" / "dynamics_diagnostics.txt").read_text()
+    assert diag.startswith("AccuracyError: kappa = 0.05: resolvent surrogate not "
+                           "certified")
+
+
+def test_dynamics_three_couplings_background_decays(tmp_path):
+    # a direct energy scan that subtracts the pole from sampled G (of size
+    # 1/|Im w| near the pole) leaves the solves' noise in the background; for
+    # these couplings its tail at the time cap read 1.02e-9 > 1e-9 (exit 1)
+    text = DYN_CFG.replace("numerics.n = 601", "numerics.n = 1201").replace(
+        "numerics.J = 5", "numerics.J = 7").replace(
+        "task.kappa_values = 0.05", "task.kappa_values = 0.02397, 0.04322, 0.07743")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "dynamics_manifest.json").read_text())
+    counters = manifest["diagnostics"]["resolvent_surrogate"]
+    assert [c["kappa"] for c in counters] == [0.02397, 0.04322, 0.07743]
+    assert all(c["resolvent_solves"] == 48 for c in counters)
+    assert all(0.0 < c["held_out_error"] < 1e-9 for c in counters)
 
 
 # -- potentials from the family registries

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 import refcase
+from landau import dynamics
 from landau.dynamics import (
     AutocorrelationSeries,
     autocorrelation,
@@ -182,6 +184,39 @@ def test_series_stability_under_refinement():
     early = times <= 500.0
     assert np.max(np.abs(s1.values[early] - s2.values[early])) < 1e-6
     assert np.max(np.abs(np.abs(s1.values) - np.abs(s2.values))) < 2e-6
+
+
+@pytest.mark.parametrize("kappa", [0.02, 0.08])
+def test_surrogate_matches_direct_solves(kappa):
+    # oracle: the direct scan the surrogate replaced, one banded solve per energy
+    op, pair, phi, w_h, alpha = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
+    h, center, delta = SMALL.grid.h, pair.energy, 0.25
+    coef, err, solves = dynamics._pole_free_surrogate(op, phi, h, w_h, center, delta)
+    assert solves == dynamics._SURROGATE_NODES + dynamics._SURROGATE_NODES // 2
+    assert err < 1e-10
+    x = np.linspace(-0.97, 0.97, 12)  # off the Chebyshev nodes, across the window
+    energies = center + delta * x
+    g_direct = np.array([h * (op.factorized(en).solve(phi) @ phi) for en in energies])
+    f_cheb = chebyshev.chebval(x, coef)
+    # |f| is about |alpha| = 1; the solves carry about 1e-12
+    assert np.max(np.abs(f_cheb - (energies - w_h) * g_direct)) < 1e-10
+    # backgrounds: the surrogate's divided difference against direct G minus the
+    # eigenvector pole term, away from the pole where the latter cancels badly;
+    # the background itself is 1e-7 to 1e-5 here
+    bg_cheb = (f_cheb - chebyshev.chebval((w_h - center) / delta, coef)) / (
+        energies - w_h)
+    bg_direct = g_direct - alpha / (w_h - energies)
+    far = np.abs(energies - w_h.real) > 200 * abs(w_h.imag)
+    assert np.count_nonzero(far) >= 10
+    assert np.max(np.abs(bg_cheb - bg_direct)[far]) < 1e-9
+
+
+def test_uncertified_surrogate_raises(monkeypatch):
+    # four nodes cannot resolve f to 1e-9: the held-out check must refuse it
+    monkeypatch.setattr(dynamics, "_SURROGATE_NODES", 4)
+    times = np.linspace(0.0, 10.0, 20)
+    with pytest.raises(AccuracyError, match="not certified"):
+        autocorrelation(PROBLEM, SMALL, 1, 0.05, times, 0.25, method="resolvent")
 
 
 def test_fit_decay_zero_coupling():
