@@ -315,7 +315,8 @@ def _run_fgr(run):
                  "route_agreement", "flagged"], fgr_rows),
         "channels": (["l", "j", "re_amp", "im_amp", "abs2"], chan_rows),
     }
-    return tables, {"lambda": res.lam, "flagged": res.flagged}
+    return tables, {"lambda": res.lam, "flagged": res.flagged,
+                    "resolvent_route": res.resolvent_route}
 
 
 def _relative(diff, ref):

@@ -7,23 +7,22 @@ longitudinal operator H_par; its energy is E0 = 2bq + lambda.
 
 Route one (open channels): Im F = pi * sum over scattering channels of squared
 coupling integrals against the channel scattering states.  Route two
-(resolvent): F = <(H^(m) - E0 - i delta)^(-1) (I - P) V Phi, V Phi> extrapolated
-delta -> 0 on a long grid; the unperturbed operator is block-diagonal over the
-radial modes, so this costs J tridiagonal solves per delta.  Their agreement is
-the module's self-check and is reported, never silently resolved.
-
-A closed channel (2b q_a - E0 > -min v0) has a solution that decays
-exponentially away from the support of its right-hand side, so on the long grid
-most of it would be subnormal, and arithmetic on subnormals is several times
-slower.  Each closed channel is therefore solved only on its representable
-window, where that decay has not yet passed the smallest subnormal: the entries
-the window drops are ones the whole-grid solve leaves subnormal or zero, so F is
-bit-for-bit the whole-grid value.
+(resolvent): F = <(H^(m) - E0 - i0)^(-1) (I - P) V Phi, V Phi> on the working
+grid, at E0 = 2bq + lambda_h with the grid's own eigenvalue, and Richardson
+over (h, h/2).  The unperturbed operator is block-diagonal over the radial
+modes, so this costs J tridiagonal solves per grid.  Each mode a != q is closed
+at both grid ends by the outgoing root zeta of its channel energy (the exact
+discrete transparent boundary; Lent & Kirkner, J. Appl. Phys. 67 (1990) 6353),
+so the solve is the E + i0 boundary value itself, with no delta -> 0 limit and
+no long box.  Mode q is the reduced resolvent of the Dirichlet T - lambda_h,
+which has psi as its null vector.  The two routes share no scattering state;
+their agreement is the module's self-check and is reported, never silently
+resolved.
 
 The right-hand sides C_{a q}(x) psi(x) come from one pass over V per grid: V is
 sampled in column blocks for all radial modes at once, and a block where V is
-zero (most of the long grid, beyond its x3 decay) is skipped.  Each column sums
-in the order of a whole-grid contraction, so the skip changes no bit.
+zero (beyond its x3 decay) is skipped.  Each column sums in the order of a
+whole-grid contraction, so the skip changes no bit.
 """
 
 import math
@@ -33,8 +32,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
-from .numutil import neville_to_zero, richardson_h2
-from .schrodinger1d import Grid1D, ground_state, hamiltonian_tridiagonal, scattering_state
+from .numutil import richardson_h2
+from .schrodinger1d import ground_state, hamiltonian_tridiagonal, outgoing_solve, scattering_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -50,13 +49,11 @@ __all__ = [
     "fgr_positivity_scan",
 ]
 
-_DEFAULT_RESOLVENT_GRID = Grid1D(-4000.0, 4000.0, 160001)
-_DEFAULT_DELTAS = 0.1 * 0.5 ** np.arange(5)
 _ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
 
 
 # Columns of x per pass over V: one block's samples (about 28 quadrature nodes
-# by 4096 columns, 1 MB) stay small on the long resolvent grids.
+# by 4096 columns, 1 MB) stay small on long grids.
 _COLUMN_BLOCK = 4096
 
 
@@ -169,31 +166,11 @@ class FgrResult:
     lam: float
     route_agreement: float
     flagged: bool
+    resolvent_route: dict  # grid sizes, banded solves and open channels
 
     @property
     def im_from_channels(self):
         return im_from_amplitudes(self.channel_amplitudes)
-
-
-# Away from its right-hand side, a closed channel's solution decays at least
-# as fast as zeta^|j| with zeta + 1/zeta = 2 + h^2 kappa_a^2 (kappa_a^2 taken
-# at the bottom of v0).  800 such e-folds carry any entry past -ln(4.9e-324),
-# about 745, the smallest subnormal: beyond them the full-grid solve holds only
-# subnormals or zeros, which cannot reach the pairing with w.
-_REPRESENTABLE_EFOLDS = 800
-
-
-def _representable_window(rhs, kappa2, h):
-    """Index range [lo, hi): the nonzero support of ``rhs`` widened by the
-    representable decay at kappa2 = 2b q_a + min v0 - E0.  The whole grid when
-    kappa2 <= 0 (an open channel, the embedded mode, or a well deeper than the
-    gap) or when ``rhs`` is zero."""
-    n = len(rhs)
-    nz = np.flatnonzero(rhs)
-    if not (kappa2 > 0 and nz.size):
-        return 0, n
-    margin = math.ceil(_REPRESENTABLE_EFOLDS / math.acosh(1.0 + 0.5 * h * h * kappa2))
-    return max(int(nz[0]) - margin, 0), min(int(nz[-1]) + margin + 1, n)
 
 
 def _mode_rows(problem, basis, q, st):
@@ -210,46 +187,56 @@ def _mode_rows(problem, basis, q, st):
     return qs, w, w_proj
 
 
-def _resolvent_route(problem, basis, q, st, lam_star, deltas):
-    """F(E0 + i0) on the long grid of ``st``; H^(m) is block-diagonal, so the
-    solves are per mode, each on its representable window."""
-    grid = st.grid
-    h = grid.h
-    e0 = 2.0 * problem.b * q + lam_star
-    qs, w, w_proj = _mode_rows(problem, basis, q, st)
-    d, e = hamiltonian_tridiagonal(problem.v0, grid)
-    v_min = float(np.min(d)) - 2.0 / h**2
-    windows = [_representable_window(w_proj[a], 2.0 * problem.b * qa + v_min - e0, h)
-               for a, qa in enumerate(qs)]
+def _reduced_solve(v0, st, rhs):
+    """u = (H_par - lambda_h)^(-1) rhs on the complement of psi, for rhs
+    orthogonal to psi.  The Dirichlet H_par - lambda_h has the null vector psi,
+    so u is pinned to 0 where |psi| is largest, that equation dropped (it
+    follows from the others, as psi^T (H_par - lambda_h) = 0 = psi^T rhs), and
+    psi projected out."""
+    d, e = hamiltonian_tridiagonal(v0, st.grid)
+    psi = st.psi[1:-1]
+    k = int(np.argmax(np.abs(psi)))
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:] = e
+    ab[1] = d - st.lam
+    ab[2, :-1] = e
+    # u_k = 0: row and column k become those of the identity
+    ab[0, k:k + 2] = 0.0
+    ab[2, max(k - 1, 0):k + 1] = 0.0
+    ab[1, k] = 1.0
+    r = rhs.copy()
+    r[k] = 0.0
+    u = solve_banded((1, 1), ab, r)
+    return u - psi * (st.grid.h * float(np.dot(psi, u)))
 
-    n_int = len(d)
-    ab = np.zeros((3, n_int), dtype=complex)
-    u = np.zeros(n_int, dtype=complex)
-    vals = []
-    for delta in deltas:
-        z = e0 + 1j * delta
-        total = 0.0 + 0.0j
-        for a, qa in enumerate(qs):
-            lo, hi = windows[a]
-            ab[0, lo + 1:hi] = e[lo:hi - 1]
-            ab[1, lo:hi] = d[lo:hi] + 2.0 * problem.b * qa - z
-            ab[2, lo:hi - 1] = e[lo:hi - 1]
-            u[:] = 0.0
-            u[lo:hi] = solve_banded((1, 1), ab[:, lo:hi], w_proj[a, lo:hi])
-            # full length, so the pairing sums in the whole-grid order; w real:
-            # the pairing is linear in its first slot
-            total += h * np.dot(u, w[a])
-        vals.append(total)
-    value, _ = neville_to_zero(deltas, vals)
-    return complex(value)
+
+def _resolvent_route(problem, basis, q, st):
+    """F(E0 + i0) at E0 = 2bq + lambda_h on the grid of ``st``, and the number
+    of open channels.  H^(m) is block-diagonal over the radial modes, so this
+    is one tridiagonal solve per mode: the reduced resolvent for mode q, the
+    outgoing resolvent at the channel energy E0 - 2b q_a for every other."""
+    e0 = 2.0 * problem.b * q + st.lam
+    qs, w, w_proj = _mode_rows(problem, basis, q, st)
+    total = 0.0 + 0.0j
+    n_open = 0
+    for a, qa in enumerate(qs):
+        if qa == q:
+            u = _reduced_solve(problem.v0, st, w_proj[a])
+        else:
+            energy = e0 - 2.0 * problem.b * qa
+            n_open += int(energy > 0)
+            u = outgoing_solve(problem.v0, st.grid, energy, w_proj[a])
+        # w real: the pairing is linear in its first slot
+        total += st.grid.h * np.dot(u, w[a])
+    return complex(total), n_open
 
 
 def fgr_value(problem, basis, q, refine=1):
     """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check.
 
-    The resolvent route runs on ``_DEFAULT_RESOLVENT_GRID`` and extrapolates
-    over ``_DEFAULT_DELTAS``; a relative Im F disagreement above
-    ``_ROUTE_TOLERANCE`` flags the result.
+    The resolvent route runs on the grid of ``basis`` and, with ``refine``,
+    on its refinement, each at its own lambda_h, and is Richardson-combined;
+    a relative Im F disagreement above ``_ROUTE_TOLERANCE`` flags the result.
     """
     _check_refine(refine)
     first = first_order_shift(problem, basis, q, refine=refine)
@@ -257,18 +244,17 @@ def fgr_value(problem, basis, q, refine=1):
     amps = channel_amplitudes(problem, basis, q, refine=refine)
     im_channels = im_from_amplitudes(amps)
 
-    # each route takes its continuum-limit eigenvalue from its own grid and the
-    # next coarser one, so the grid of the first route serves both
-    g = _DEFAULT_RESOLVENT_GRID
-    coarse = ground_state(problem.v0, Grid1D(g.x_min, g.x_max, (g.n - 1) // 2 + 1))
-    st = ground_state(problem.v0, g)
-    lam_star = richardson_h2(coarse.lam, st.lam)
-    f_val = _resolvent_route(problem, basis, q, st, lam_star, _DEFAULT_DELTAS)
+    grids = [basis.grid, basis.grid.refined()] if refine else [basis.grid]
+    states = [ground_state(problem.v0, g) for g in grids]
+    routes = [_resolvent_route(problem, basis, q, st) for st in states]
+    f_val = routes[0][0]
+    lam = states[0].lam
     if refine:
-        fine = ground_state(problem.v0, g.refined())
-        f_fine = _resolvent_route(problem, basis, q, fine,
-                                  richardson_h2(st.lam, fine.lam), _DEFAULT_DELTAS)
-        f_val = complex(richardson_h2(f_val, f_fine))
+        f_val = complex(richardson_h2(f_val, routes[1][0]))
+        lam = richardson_h2(lam, states[1].lam)
+    counters = {"grid_n": [st.grid.n for st in states],
+                "banded_solves": basis.J * len(grids),
+                "open_channels": [n for _, n in routes]}
 
     scale = max(im_channels, abs(f_val.imag), 1e-12)
     agreement = abs(im_channels - f_val.imag) / scale
@@ -278,9 +264,10 @@ def fgr_value(problem, basis, q, refine=1):
         channel_amplitudes=amps,
         q=q,
         m=problem.m,
-        lam=float(lam_star),
+        lam=float(lam),
         route_agreement=agreement,
         flagged=agreement > _ROUTE_TOLERANCE,
+        resolvent_route=counters,
     )
 
 

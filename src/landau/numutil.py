@@ -3,8 +3,6 @@ minimiser."""
 
 import numpy as np
 
-from .errors import AccuracyError
-
 
 def neville_to_zero(xs, ys):
     """Polynomial extrapolation of samples (xs, ys) to x = 0 (Neville tableau).
@@ -45,15 +43,6 @@ def monotone_tail(values, slack=3.0):
     if len(v) < 3:
         return True
     return v[-1] <= v[-2] * slack and v[-2] <= v[-3] * slack
-
-
-def check_extrapolation(corrections, context=""):
-    """Raise AccuracyError when extrapolation corrections stop shrinking."""
-    if not monotone_tail(corrections):
-        raise AccuracyError(
-            f"extrapolation residuals not monotone{': ' + context if context else ''}: "
-            f"{np.asarray(corrections)[-3:]}"
-        )
 
 
 def minimize_bounded(func, lo, hi, xatol):

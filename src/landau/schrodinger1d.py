@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import AccuracyError, DomainError
-from .numutil import check_extrapolation, neville_to_zero, richardson_h2
+from .numutil import richardson_h2
 
 __all__ = [
     "Grid1D",
@@ -26,8 +26,9 @@ __all__ = [
     "richardson_ground_state",
     "jost_solutions",
     "scattering_state",
+    "outgoing_root",
+    "outgoing_solve",
     "limiting_resolvent",
-    "default_delta_schedule",
 ]
 
 _TAIL_FRACTION = 1e-8  # pre: |v0| at the grid ends relative to max|v0|
@@ -286,42 +287,43 @@ def scattering_state(v0, E, l, grid):
     return y * sol.T / math.sqrt(4.0 * math.pi * k)
 
 
-def default_delta_schedule(j_max=8, delta0=0.1):
-    """delta_j = delta0 * 2^(-j), j = 0..j_max."""
-    return delta0 * 0.5 ** np.arange(j_max + 1)
+def outgoing_root(eps, h):
+    """The root zeta of zeta + 1/zeta = 2 - h^2 eps with |zeta| <= 1 on the
+    E + i0 branch: beyond a grid end, the stencil's solutions at energy eps
+    above v0 there go as zeta^|j|.  Open (0 < h^2 eps < 4): zeta = e^(i k_h h)
+    with Im zeta > 0.  Closed (eps < 0): zeta in (0, 1).  A threshold
+    (zeta = +-1) raises DomainError."""
+    a = 0.5 * h * h * eps  # 1 - (zeta + 1/zeta) / 2, kept unrounded
+    if a < 0.0:
+        return 1.0 / (1.0 - a + math.sqrt(-a * (2.0 - a)))
+    if 0.0 < a < 2.0:
+        return complex(1.0 - a, math.sqrt(a * (2.0 - a)))
+    raise DomainError(f"channel energy {eps!r} at a threshold of the discrete band "
+                      f"[0, {4.0 / (h * h)!r}] or above it; move E or refine the grid")
 
 
-def limiting_resolvent(v0, E, f, g, grid, deltas=None):
-    """Boundary value <(H - E - i0)^(-1) f, g> by extrapolation over a delta sequence.
+def outgoing_solve(v0, grid, energy, rhs):
+    """(H - energy - i0)^(-1) rhs on the interior, with zeta/h^2 of
+    ``outgoing_root`` subtracted from each end's diagonal entry: the discrete
+    whole-line boundary value, exact when v0 keeps its end values outside the
+    grid (Lent & Kirkner, J. Appl. Phys. 67 (1990) 6353; Arnold, VLSI Design 6
+    (1998) 313)."""
+    d, e = hamiltonian_tridiagonal(v0, grid)
+    h = grid.h
+    v_ends = np.asarray(v0.evaluate(np.array([grid.x_min, grid.x_max])), dtype=float)
+    ab = np.zeros((3, len(d)), dtype=complex)
+    ab[0, 1:] = e
+    ab[1] = d - energy
+    ab[2, :-1] = e
+    ab[1, 0] -= outgoing_root(energy - v_ends[0], h) / h**2
+    ab[1, -1] -= outgoing_root(energy - v_ends[1], h) / h**2
+    return solve_banded((1, 1), ab, rhs)
 
-    f, g are samples on the full grid decaying like <x>^(-s), s > 1/2; the inner
-    product is linear in the first slot.  The delta values must stay a few grid
-    level spacings above zero for the finite box to mimic the half-line continuum;
-    the default schedule suits the default grids.
-    """
+
+def limiting_resolvent(v0, E, f, g, grid):
+    """Boundary value <(H - E - i0)^(-1) f, g> for f, g sampled on the full
+    grid; the inner product is linear in the first slot."""
     if not E > 0:
         raise DomainError("limiting absorption requires E > 0")
-    if deltas is None:
-        deltas = default_delta_schedule()
-    deltas = np.asarray(deltas, dtype=float)
-    if np.any(np.diff(deltas) >= 0) or np.any(deltas <= 0):
-        raise DomainError("delta schedule must be positive and strictly decreasing")
-    d, e = hamiltonian_tridiagonal(v0, grid)
-    f_int = np.asarray(f)[1:-1]
-    g_int = np.asarray(g)[1:-1]
-    h = grid.h
-    n_int = len(d)
-    ab = np.zeros((3, n_int), dtype=complex)
-    vals = []
-    for delta in deltas:
-        ab[0, 1:] = e
-        ab[1, :] = d - (E + 1j * delta)
-        ab[2, :-1] = e
-        u = solve_banded((1, 1), ab, f_int)
-        vals.append(h * np.dot(u, np.conj(g_int)))
-    value, _ = neville_to_zero(deltas, vals)
-    # residual trail of the Neville tableau: successive extrapolants must settle
-    trail = [neville_to_zero(deltas[: j + 1], vals[: j + 1])[0] for j in range(1, len(deltas))]
-    corrections = np.abs(np.diff(np.asarray(trail)))
-    check_extrapolation(corrections, context="limiting absorption delta -> 0")
-    return value
+    u = outgoing_solve(v0, grid, E, np.asarray(f)[1:-1])
+    return grid.h * np.dot(u, np.conj(np.asarray(g)[1:-1]))

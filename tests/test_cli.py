@@ -140,17 +140,44 @@ def test_resonance_comparisons_pass(tmp_path):
     assert diag["im_c2_rel"] < 0.1
 
 
-def test_gap_run_does_not_import_scipy_optimize(tmp_path):
-    # the tail fit's bounded minimisation is numutil's, not scipy.optimize's
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_fresh(subcommand, out, threads, module):
+    """``landau <subcommand>`` on its shipped config in a fresh interpreter, so
+    that ``--threads`` applies before numpy loads; returns the exit code and
+    whether ``module`` was loaded."""
     code = ("import sys\nfrom landau.cli import main\n"
-            f"rc = main(['gap', '--config', {str(root / 'configs' / 'gap.cfg')!r}, "
-            f"'--out', {str(tmp_path / 'gap')!r}, '--threads', '1'])\n"
-            "print(rc, 'scipy.optimize' in sys.modules)\n")
+            f"rc = main([{subcommand!r}, '--config', "
+            f"{str(ROOT / 'configs' / f'{subcommand}.cfg')!r}, "
+            f"'--out', {str(out)!r}, '--threads', {str(threads)!r}])\n"
+            f"print(rc, {module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    rc, loaded = done.stdout.split()
+    return int(rc), loaded == "True"
+
+
+def test_gap_run_does_not_import_scipy_optimize(tmp_path):
+    # the tail fit's bounded minimisation is numutil's, not scipy.optimize's
+    assert _run_fresh("gap", tmp_path / "gap", 1, "scipy.optimize") == (0, False)
+
+
+def test_fgr_run_does_not_import_scipy_sparse(tmp_path):
+    # the resolvent route's solves are scipy.linalg's tridiagonal ones
+    assert _run_fresh("fgr", tmp_path / "fgr", 1, "scipy.sparse") == (0, False)
+
+
+def test_fgr_output_independent_of_thread_count(tmp_path):
+    # the solves are short tridiagonal ones; no BLAS reduction splits by thread
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert _run_fresh("fgr", out, n, "scipy.sparse") == (0, False)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_toeplitz_run(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau.errors import AccuracyError, DomainError
 from landau.numutil import richardson_h2
@@ -12,6 +14,8 @@ from landau.schrodinger1d import (
     ground_state,
     jost_solutions,
     limiting_resolvent,
+    outgoing_root,
+    outgoing_solve,
     richardson_ground_state,
     scattering_state,
 )
@@ -184,7 +188,6 @@ def test_scattering_state_constant_modulus_tails():
 
 
 LAP_GRID = Grid1D(-3000.0, 3000.0, 120001)
-LAP_DELTAS = 0.1 * 0.5 ** np.arange(5)
 
 
 def _bump(grid, center=0.31):
@@ -198,8 +201,7 @@ def test_limiting_resolvent_free_green_oracle():
     E = 1.0
     vals = []
     for g in (LAP_GRID, LAP_GRID.refined()):
-        vals.append(limiting_resolvent(zero_potential(), E, _bump(g), _bump(g), g,
-                                       deltas=LAP_DELTAS))
+        vals.append(limiting_resolvent(zero_potential(), E, _bump(g), _bump(g), g))
     val = richardson_h2(vals[0], vals[1])
     xs = np.linspace(-9.0, 9.0, 2401)
     hh = xs[1] - xs[0]
@@ -214,7 +216,7 @@ def test_limiting_resolvent_free_green_oracle():
 def test_limiting_resolvent_positive_imaginary_part():
     for c in (-1.0, 0.0, 0.8):
         f = _bump(LAP_GRID, center=c)
-        val = limiting_resolvent(sech2(), 1.0, f, f, LAP_GRID, deltas=LAP_DELTAS)
+        val = limiting_resolvent(sech2(), 1.0, f, f, LAP_GRID)
         assert val.imag > 0
 
 
@@ -224,8 +226,7 @@ def test_limiting_resolvent_rank_two():
     G = np.zeros((5, 5), complex)
     for i in range(5):
         for j in range(5):
-            G[i, j] = limiting_resolvent(zero_potential(), E, fam[i], fam[j], LAP_GRID,
-                                         deltas=LAP_DELTAS)
+            G[i, j] = limiting_resolvent(zero_potential(), E, fam[i], fam[j], LAP_GRID)
     im_part = (G - G.conj().T) / 2j
     sv = np.linalg.svd(im_part, compute_uv=False)
     assert sv[1] > 1e-2 * sv[0]       # genuinely rank >= 2
@@ -234,17 +235,52 @@ def test_limiting_resolvent_rank_two():
 
 def test_limiting_resolvent_bounded_on_compact_interval():
     f = _bump(LAP_GRID)
-    vals = [abs(limiting_resolvent(sech2(), E, f, f, LAP_GRID, deltas=LAP_DELTAS))
+    vals = [abs(limiting_resolvent(sech2(), E, f, f, LAP_GRID))
             for E in (0.5, 0.8, 1.0, 1.5, 2.0)]
     assert max(vals) < 10.0
 
 
-def test_limiting_resolvent_detects_unresolved_delta():
-    # delta below the box level-spacing alias floor must be rejected, not returned
-    f = _bump(LAP_GRID)
-    with pytest.raises(AccuracyError):
-        limiting_resolvent(zero_potential(), 1.0, f, f, LAP_GRID,
-                           deltas=0.1 * 0.5 ** np.arange(9))
+OPEN = st.floats(1e-9, 4.0 - 1e-9)     # h^2 eps inside the discrete band
+CLOSED = st.floats(-40.0, -1e-9)       # h^2 eps below it
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(1e-3, 0.5), s=st.one_of(OPEN, CLOSED))
+def test_outgoing_root_branch(h, s):
+    eps = s / h**2
+    t = 1.0 - 0.5 * h * h * eps
+    zeta = outgoing_root(eps, h)
+    assert abs(zeta + 1.0 / zeta - 2.0 * t) <= 1e-14 * (1.0 + abs(t))
+    assert abs(zeta) <= 1.0 + 1e-15
+    if eps > 0:  # open: on the unit circle, outgoing
+        assert isinstance(zeta, complex) and zeta.imag > 0
+        assert abs(zeta) == pytest.approx(1.0, abs=1e-15)
+    else:  # closed: real and decaying
+        assert isinstance(zeta, float) and 0.0 < zeta < 1.0
+    # the E + i0 branch: the limit of the root inside the unit circle at
+    # eps + i delta, with delta well inside the distance to either threshold
+    tc = 1.0 - 0.5 * complex(s, 1e-6 * min(abs(s), 4.0 - s))
+    root = np.sqrt((tc - 1.0) * (tc + 1.0))
+    inside = 1.0 / max(tc + root, tc - root, key=abs)
+    assert abs(inside - zeta) <= 1e-4 * min(abs(1.0 - zeta), abs(1.0 + zeta))
+
+
+def test_outgoing_root_threshold_rejected():
+    for eps in (0.0, 16.0):  # zeta = 1 and zeta = -1 at h = 1/2
+        with pytest.raises(DomainError, match="threshold"):
+            outgoing_root(eps, 0.5)
+
+
+@pytest.mark.parametrize("eps", [-0.7, 0.9, 3.0])
+def test_outgoing_solve_is_whole_line_green_function(eps):
+    # v0 = 0: the closed box is exact, G_jk = h^2 zeta^|j-k| / (1/zeta - zeta)
+    grid = Grid1D(-3.0, 3.0, 61)
+    h = grid.h
+    zeta = outgoing_root(eps, h)
+    j = np.arange(grid.n - 2)
+    want = h * h * zeta ** np.abs(j[:, None] - j[None, :]) / (1.0 / zeta - zeta)
+    got = outgoing_solve(zero_potential(), grid, eps, np.eye(grid.n - 2))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_jost_tail_residual_accuracy_error():
