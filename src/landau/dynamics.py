@@ -38,7 +38,7 @@ from .errors import AccuracyError, DomainError
 from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
-from .schrodinger1d import ground_state
+from .schrodinger1d import ground_state, hamiltonian_tridiagonal, tridiagonal_band
 
 _BG_TIME_CAP = 6000.0  # beyond this the smooth-background Fourier tail is < 1e-12
 # f(E) = (E - w_h) G(E) is analytic around the window: for the reference
@@ -111,19 +111,13 @@ def dilated_bound_vector(problem, basis, theta):
     sign matched to psi.
     """
     grid = basis.grid
+    d, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     st = ground_state(problem.v0, grid)
-    x = grid.interior
     h = grid.h
-    scale = np.exp(-2 * theta)
-    d = 2.0 * scale / h**2 + problem.v0.evaluate(np.exp(theta) * x)
-    e = np.full(grid.n - 3, -scale / h**2, dtype=complex)
-    ab = np.zeros((3, len(d)), dtype=complex)
     u = st.psi[1:-1].astype(complex)
     w = complex(st.lam)
+    ab = tridiagonal_band(d, e, w)
     for _ in range(50):
-        ab[0, 1:] = e
-        ab[1, :] = d - w
-        ab[2, :-1] = e
         y = solve_banded((1, 1), ab, u)
         u = y / np.linalg.norm(y)
         mu = d * u
@@ -134,6 +128,7 @@ def dilated_bound_vector(problem, basis, theta):
             w = w_new
             break
         w = w_new
+        ab[1] = d - w
     norm = np.sqrt(h * (u @ u))
     u = u / norm
     if (h * np.sum(u * st.psi[1:-1])).real < 0:

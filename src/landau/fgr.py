@@ -33,7 +33,8 @@ from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
 from .numutil import richardson_h2
-from .schrodinger1d import ground_state, hamiltonian_tridiagonal, outgoing_solve, scattering_state
+from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
+                            scattering_state, tridiagonal_band)
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -196,10 +197,7 @@ def _reduced_solve(v0, st, rhs):
     d, e = hamiltonian_tridiagonal(v0, st.grid)
     psi = st.psi[1:-1]
     k = int(np.argmax(np.abs(psi)))
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:] = e
-    ab[1] = d - st.lam
-    ab[2, :-1] = e
+    ab = tridiagonal_band(d, e, st.lam)
     # u_k = 0: row and column k become those of the identity
     ab[0, k:k + 2] = 0.0
     ab[2, max(k - 1, 0):k + 1] = 0.0

@@ -1,5 +1,4 @@
-"""Small numerical helpers: extrapolation, stable sums and a bounded scalar
-minimiser."""
+"""Small numerical helpers: extrapolation and a bounded scalar minimiser."""
 
 import numpy as np
 
@@ -31,18 +30,6 @@ def richardson_h2(coarse, fine):
     if out.ndim == 0:
         return out[()]
     return out
-
-
-def monotone_tail(values, slack=3.0):
-    """True when |values| keeps settling over its last three entries.
-
-    A step may grow by at most ``slack``: once corrections reach the noise
-    floor they jitter, and only a genuine blow-up should be flagged.
-    """
-    v = np.abs(np.asarray(values, dtype=float))
-    if len(v) < 3:
-        return True
-    return v[-1] <= v[-2] * slack and v[-2] <= v[-3] * slack
 
 
 def minimize_bounded(func, lo, hi, xatol):

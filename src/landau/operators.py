@@ -10,14 +10,16 @@ coupled operator reads
     H_par(theta) = -e^(-2 theta) d^2/dx3^2 + v0(e^theta x3),
     C_ab(theta)(x3) = int phi_{q_a,m} phi_{q_b,m} V(rho, e^theta x3) rho drho.
 
-The matrix is complex symmetric (exactly, by construction) for Im theta > 0 and
-real symmetric for theta = 0.  In grid-major order it is block tridiagonal, and
-that is its one stored form: the J x J diagonal blocks
-D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the scalar kinetic coupling
-H_par,i,i+1 times I.  Everything else is derived from D: the dense matrix (small
-truncations and oracles), the LAPACK band of a banded LU (built once per
-operator, copied and factorized per shift), the symmetric band for eig_banded,
-and eigenvalue counts by Sylvester inertia of a block LDL^T sweep.
+H_par(theta) is the tridiagonal of ``schrodinger1d.hamiltonian_tridiagonal``,
+which also checks theta against v0.  The matrix is complex symmetric (exactly,
+by construction) for Im theta > 0 and real symmetric for theta = 0.  In
+grid-major order it is block tridiagonal, and that is its one stored form: the
+J x J diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the
+scalar kinetic coupling H_par,i,i+1 times I.  Everything else is derived from
+D: the dense matrix (small truncations and oracles), the LAPACK band of a
+banded LU (built once per operator, copied and factorized per shift), the
+symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia of a
+block LDL^T sweep.
 """
 
 import cmath
@@ -81,20 +83,6 @@ class BasisTruncation:
 
     def refined(self):
         return BasisTruncation(self.J, self.grid.refined(), self.quad_nodes)
-
-
-@dataclass(frozen=True)
-class DilationParams:
-    """Complex scaling parameter theta with its analyticity bound theta0."""
-
-    theta: complex
-    theta0: float
-
-    def __post_init__(self):
-        if not (0 <= self.theta.imag < self.theta0):
-            raise DomainError(
-                f"Im theta = {self.theta.imag} outside [0, theta0 = {self.theta0})"
-            )
 
 
 # A Schur block eigenvalue below this fraction of the operator norm means the
@@ -275,15 +263,6 @@ class AssembledOperator:
         return counts
 
 
-def _dilation_bound(problem, kappa):
-    bounds = []
-    if problem.v0.theta0 is not None:
-        bounds.append(problem.v0.theta0)
-    if kappa != 0 and problem.V.theta0 is not None:
-        bounds.append(problem.V.theta0)
-    return min(bounds) if bounds else None
-
-
 def inf_longitudinal_spectrum(v0, grid):
     """Smallest eigenvalue of the discretized longitudinal operator."""
     d, e = hamiltonian_tridiagonal(v0, grid)
@@ -298,35 +277,24 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
     and rotates the continuum strings into the lower half-plane.
     """
     theta = complex(theta)
-    if theta.imag < 0:
-        raise DomainError("assembly expects Im theta >= 0")
-    if theta.imag > 0:
-        if not problem.v0.dilatable:
-            raise DomainError("v0 is not dilatable; cannot take Im theta > 0")
-        if kappa != 0 and not problem.V.dilatable:
+    grid = basis.grid
+    hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
+    hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
+    if theta.imag > 0 and kappa != 0:
+        if not problem.V.dilatable:
             raise DomainError("V is not dilatable; cannot take Im theta > 0")
-        bound = _dilation_bound(problem, kappa)
-        DilationParams(theta, bound)  # validates Im theta < theta0
+        if not theta.imag < problem.V.theta0:
+            raise DomainError(
+                f"Im theta = {theta.imag} outside [0, V.theta0 = {problem.V.theta0})"
+            )
 
     # condition guard: inf spec(H_par) > -2b
-    lam_min = inf_longitudinal_spectrum(problem.v0, basis.grid)
+    lam_min = inf_longitudinal_spectrum(problem.v0, grid)
     if lam_min <= -2 * problem.b:
         raise DomainError(
             f"inf spec(H_par) = {lam_min:.6f} <= -2b = {-2 * problem.b}; "
             "the fibered analysis requires the bound-state band above -2b"
         )
-
-    grid = basis.grid
-    x = grid.interior
-    h = grid.h
-    scale = cmath.exp(-2 * theta)
-    arg = cmath.exp(theta)
-    real_case = theta.imag == 0.0
-    if real_case:
-        scale, arg = scale.real, arg.real
-    vpar = problem.v0.evaluate(arg * x)
-    hpar_diag = 2.0 * scale / h**2 + vpar
-    hpar_off = -scale / h**2
 
     qs = basis.landau_indices(problem.m)
     mode_shifts = 2.0 * problem.b * qs
@@ -340,7 +308,9 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
                 for q in qs
             ]
         )
-        vv = problem.V.evaluate(rule.nodes[:, None], arg * x[None, :])
+        arg = cmath.exp(theta)
+        x = (arg if theta.imag else arg.real) * grid.interior
+        vv = problem.V.evaluate(rule.nodes[:, None], x[None, :])
         coupling = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
         # bitwise (a,b) symmetry: the optimized contraction order rounds
         # asymmetrically at the last ulp, and complex symmetry must be exact
@@ -416,34 +386,40 @@ def commutator_coefficients(k):
     return c
 
 
+def _commutator_tridiagonal(v0, grid, k):
+    """Diagonal and scalar off-diagonal of i^k ad_A^k(H_par) =
+    2^k H_0par + sum_j c_{k,j} v_j on the interior points."""
+    if v0.derivative_order < k:
+        raise DomainError(
+            f"commutator order {k} needs v0 derivatives up to {k}, "
+            f"have {v0.derivative_order}"
+        )
+    x = grid.interior
+    h = grid.h
+    coeffs = commutator_coefficients(k)
+    diag = (2.0**k) * 2.0 / h**2 + sum(
+        cj * v0.weighted_derivative(j, x) for j, cj in coeffs.items()
+    )
+    return diag, -(2.0**k) / h**2
+
+
 def commutator_ad(problem, basis, k=1):
     """Matrix of i^k ad_A^k(H^(m)) = 2^k (I (x) H_0par) + sum_j c_{k,j} v_j.
 
     A is the longitudinal dilation generator; the transverse part commutes,
     so the result is the same in every radial block (no 2bq shifts).
     """
-    if problem.v0.derivative_order < k:
-        raise DomainError(
-            f"commutator order {k} needs v0 derivatives up to {k}, "
-            f"have {problem.v0.derivative_order}"
-        )
-    grid = basis.grid
-    x = grid.interior
-    h = grid.h
-    coeffs = commutator_coefficients(k)
-    diag = (2.0**k) * 2.0 / h**2 + sum(
-        cj * problem.v0.weighted_derivative(j, x) for j, cj in coeffs.items()
-    )
+    diag, off = _commutator_tridiagonal(problem.v0, basis.grid, k)
     return AssembledOperator(
         b=problem.b,
         m=problem.m,
         qs=basis.landau_indices(problem.m),
-        grid=grid,
+        grid=basis.grid,
         theta=0.0,
         kappa=0.0,
         mode_shifts=np.zeros(basis.J),
         hpar_diag=diag,
-        hpar_off=-(2.0**k) / h**2,
+        hpar_off=off,
         coupling=None,
     )
 
@@ -482,11 +458,7 @@ def mourre_quantity(problem, basis, q, delta, check_tails=True):
 
     grid = basis.grid
     d, e = hamiltonian_tridiagonal(problem.v0, grid)
-    x = grid.interior
-    h = grid.h
-    # commutator tridiagonal: 2 H_0par - v_1
-    wd = 4.0 / h**2 - problem.v0.weighted_derivative(1, x)
-    we = -2.0 / h**2
+    wd, we = _commutator_tridiagonal(problem.v0, grid, 1)  # 2 H_0par - v_1
 
     qs = basis.landau_indices(problem.m)
     blocks = []

@@ -5,8 +5,15 @@ Discretization: symmetric three-point stencil on a uniform grid with Dirichlet
 ends; eigenvalue errors are O(h^2) and Richardson extrapolation over (h, h/2)
 removes the leading term.  All discrete inner products are h * sum over grid
 values (ends carry zeros for Dirichlet eigenvectors).
+
+``hamiltonian_tridiagonal`` is the one discretization of the dilated operator
+H_par(theta) = -e^(-2 theta) d^2/dx^2 + v0(e^theta x): every tridiagonal,
+banded and block-tridiagonal matrix of H_par (theta = 0 or Im theta > 0) is
+built from its (d, e), and it alone checks theta against v0's analyticity
+sector.  ``tridiagonal_band`` lays (d, e) out for ``solve_banded((1, 1), ...)``.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +28,7 @@ __all__ = [
     "BoundState",
     "ScatteringSolution",
     "hamiltonian_tridiagonal",
+    "tridiagonal_band",
     "bound_states",
     "ground_state",
     "richardson_ground_state",
@@ -115,13 +123,41 @@ class ScatteringSolution:
         return self.y1 * self.dy2 - self.dy1 * self.y2
 
 
-def hamiltonian_tridiagonal(v0, grid):
-    """Interior three-point discretization: diagonal and off-diagonal arrays."""
-    x = grid.interior
+def hamiltonian_tridiagonal(v0, grid, theta=0.0):
+    """Interior three-point discretization of H_par(theta): diagonal d and
+    off-diagonal e, complex for Im theta > 0.
+
+    Im theta > 0 needs a dilatable v0 and Im theta < v0.theta0; Im theta < 0
+    is refused.  Real theta is an exact change of variables and stays real.
+    """
+    theta = complex(theta)
+    if theta.imag < 0:
+        raise DomainError("dilation expects Im theta >= 0")
+    if theta.imag > 0:
+        if not v0.dilatable:
+            raise DomainError("v0 is not dilatable; cannot take Im theta > 0")
+        if not theta.imag < v0.theta0:
+            raise DomainError(
+                f"Im theta = {theta.imag} outside [0, theta0 = {v0.theta0})"
+            )
+    scale = cmath.exp(-2 * theta)
+    arg = cmath.exp(theta)
+    if theta.imag == 0.0:
+        scale, arg = scale.real, arg.real
     h = grid.h
-    d = 2.0 / h**2 + np.asarray(v0.evaluate(x), dtype=float)
-    e = np.full(grid.n - 3, -1.0 / h**2)
+    d = 2.0 * scale / h**2 + np.asarray(v0.evaluate(arg * grid.interior))
+    e = np.full(grid.n - 3, -scale / h**2)
     return d, e
+
+
+def tridiagonal_band(d, e, shift):
+    """The tridiagonal (d - shift, e) as the (3, n) band of
+    ``solve_banded((1, 1), ...)``; complex when any input is."""
+    ab = np.zeros((3, len(d)), dtype=np.result_type(d, e, shift))
+    ab[0, 1:] = e
+    ab[1] = d - shift
+    ab[2, :-1] = e
+    return ab
 
 
 def _check_tails(v0, grid, exc=DomainError):
@@ -311,10 +347,7 @@ def outgoing_solve(v0, grid, energy, rhs):
     d, e = hamiltonian_tridiagonal(v0, grid)
     h = grid.h
     v_ends = np.asarray(v0.evaluate(np.array([grid.x_min, grid.x_max])), dtype=float)
-    ab = np.zeros((3, len(d)), dtype=complex)
-    ab[0, 1:] = e
-    ab[1] = d - energy
-    ab[2, :-1] = e
+    ab = tridiagonal_band(d, e, complex(energy))  # complex: the ends take zeta
     ab[1, 0] -= outgoing_root(energy - v_ends[0], h) / h**2
     ab[1, -1] -= outgoing_root(energy - v_ends[1], h) / h**2
     return solve_banded((1, 1), ab, rhs)

@@ -215,7 +215,21 @@ def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):
 
     With m_max = None the range grows until the eigenvalue falls below
     eta_min / 10 (capped at ``_M_CAP``; power-law tails take large m_max).
+    A power-law profile that plainly cannot get there by the cap is refused
+    with DomainError before any eigenvalue is computed.
     """
+    d = profile.decay
+    if m_max is None and eta_min is not None and isinstance(d, PowerDecay):
+        # eigenvalue m sits near U(rho) at b rho^2 / 2 = m: for the tail
+        # u0 rho^-alpha this is within 0.1% of the computed value at the cap
+        # (alpha = 2, 4, 8), and the factor 2 below is the margin
+        at_cap = d.u0 * (2.0 * _M_CAP / profile.b) ** (-d.alpha / 2.0)
+        if at_cap > 2.0 * eta_min / 10.0:
+            raise DomainError(
+                f"power-law profile (alpha = {d.alpha:.3g}) reaches only about "
+                f"{at_cap:.2e} by the m cap {_M_CAP}, above eta_min/10; "
+                "raise eta_min"
+            )
     ms = []
     vals = []
     m = -q

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau import cli, dynamics, fgr, operators, potentials
+from landau import cli, dynamics, fgr, operators, potentials, toeplitz_ssf
 from landau.cli import Config, main
 from landau.errors import AccuracyError, ConfigError, DomainError
 
@@ -192,6 +192,19 @@ def test_toeplitz_run(tmp_path):
     assert 0.9 < doc["diagnostics"]["last_decade_mean"] < 1.1
     ratios = [row[3] for row in doc["tables"]["counting"]["rows"]]
     assert all(0.5 < r < 1.5 for r in ratios)
+
+
+def test_toeplitz_power_law_out_of_reach_exit_2(tmp_path, monkeypatch, capsys):
+    # a power-law profile cannot fall to eta_min/10 = 1e-9 within the m cap;
+    # the run is refused before any eigenvalue is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("an eigenvalue was computed")
+
+    monkeypatch.setattr(toeplitz_ssf, "toeplitz_eigenvalue", computed)
+    cfg = _write(tmp_path, TOEPLITZ_CFG.replace("gaussian_product", "power_radial")
+                 .replace("eta_min = 1e-7", "eta_min = 1e-8"))
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "m cap" in capsys.readouterr().err
 
 
 def test_mourre_run(tmp_path):

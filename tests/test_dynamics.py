@@ -18,7 +18,7 @@ from landau.dynamics import (
 )
 from landau.errors import AccuracyError, DomainError
 from landau.operators import BasisTruncation
-from landau.potentials import zero_potential
+from landau.potentials import sech2, square_well, zero_potential
 from landau.schrodinger1d import Grid1D
 
 PROBLEM = refcase.problem()
@@ -56,6 +56,17 @@ def test_dilated_bound_vector_no_bound_state():
     prob = dataclasses.replace(PROBLEM, v0=zero_potential())
     with pytest.raises(DomainError, match="no bound state"):
         dilated_bound_vector(prob, SMALL, 0.3j)
+
+
+@pytest.mark.parametrize("v0, im_theta", [
+    (square_well(), 0.3),  # not dilatable
+    (sech2(), 1.7),        # past its analyticity angle pi/2
+    (sech2(), -0.3),       # the wrong half-plane
+], ids=["square_well", "past_theta0", "negative"])
+def test_dilated_bound_vector_rejects_theta_outside_sector(v0, im_theta):
+    prob = dataclasses.replace(PROBLEM, v0=v0)
+    with pytest.raises(DomainError):
+        dilated_bound_vector(prob, SMALL, complex(0.0, im_theta))
 
 
 def test_eigh_kappa_zero_constant_modulus():

@@ -2,7 +2,9 @@
 
 Inertia counting is checked against dense eigenvalues on random real
 operators; the cached-band factorization against dense solves on dilated
-operators, and against itself (the cached band must never be modified).
+operators, and against itself (the cached band must never be modified); the
+assembled diagonal blocks are exactly complex symmetric and carry the shared
+longitudinal stencil bit for bit.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from landau import toeplitz_ssf
 from landau.errors import SolverError
 from landau.operators import AssembledOperator, BasisTruncation, LandauProblem, assemble
 from landau.potentials import gaussian_product, sech2
-from landau.schrodinger1d import Grid1D, bound_states
+from landau.schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal
 from landau.specfun import m_minus
 from landau.toeplitz_ssf import gap_accumulation_check
 
@@ -85,6 +87,21 @@ def test_cached_band_solve_matches_dense(J, n, im_theta, kappa, re_shift, im_shi
     x_band = op.factorized(shift).solve(rhs)
     x_dense = np.linalg.solve(op.dense() - shift * np.eye(op.dim), rhs)
     assert np.max(np.abs(x_band - x_dense)) <= 1e-9 * np.max(np.abs(x_dense))
+
+
+@SETTINGS
+@given(J=st.integers(1, 3), n=st.integers(41, 121),
+       im_theta=st.floats(0.0, 0.45, exclude_min=True, exclude_max=True),
+       kappa=st.floats(-0.1, 0.1))
+def test_dilated_blocks_symmetric_and_share_the_stencil(J, n, im_theta, kappa):
+    problem = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
+    basis = BasisTruncation(J=J, grid=Grid1D(-18.0, 18.0, n))
+    theta = 1j * im_theta
+    op = assemble(problem, basis, theta=theta, kappa=kappa)
+    assert op.D.tobytes() == op.D.transpose(0, 2, 1).tobytes()
+    d, e = hamiltonian_tridiagonal(problem.v0, basis.grid, theta)
+    assert op.hpar_diag.tobytes() == d.tobytes()
+    assert np.full_like(e, op.hpar_off).tobytes() == e.tobytes()
 
 
 @SETTINGS
