@@ -328,12 +328,16 @@ def _relative(diff, ref):
 def _run_resonance(run):
     import numpy as np
 
-    from .resonance import fit_expansion, richardson_branch
+    from .resonance import MIN_BRANCH_POINTS, fit_expansion, richardson_branch
 
     cfg = run.cfg
     problem, basis, q = run.problem, run.basis, run.q
     kmax = cfg.get_float("task.kappa_max", 0.08, positive=True)
     steps = cfg.get_int("task.kappa_steps", 9, positive=True)
+    if steps < MIN_BRANCH_POINTS:
+        raise ConfigError(
+            f"'task.kappa_steps' must be at least {MIN_BRANCH_POINTS} to fit the "
+            f"expansion, got {steps}", line=cfg.entries["task.kappa_steps"][1])
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
     branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps))
     fit = fit_expansion(branch)
@@ -342,19 +346,25 @@ def _run_resonance(run):
     rows = [[r.kappa, r.w.real, r.w.imag, r.residual, r.iterations] for r in branch]
     c1_rel = _relative(fit.c1 - res.first_order, res.first_order)
     imc2_rel = _relative(fit.c2.imag + res.im_from_channels, res.im_from_channels)
+    rec2_rel = _relative(fit.c2.real + res.F.real, res.F.real)
+    f_rel = _relative(fit.c2 + res.F, res.F)
     fit_rows = [[
         fit.c0.real, fit.c0.imag, fit.c1.real, fit.c1.imag, fit.c2.real, fit.c2.imag,
         fit.fit_residual, fit.degree, fit.kappa_window[0], fit.kappa_window[1],
         res.first_order, res.im_from_channels, c1_rel, imc2_rel,
+        res.F.real, fit.c2_uncertainty, rec2_rel, f_rel,
     ]]
     tables = {
         "branch": (["kappa", "re_w", "im_w", "residual", "iterations"], rows),
         "fit": (["c0_re", "c0_im", "c1_re", "c1_im", "c2_re", "c2_im",
                  "fit_residual", "degree", "kappa_min", "kappa_max",
                  "first_order_quadrature", "im_F_channels",
-                 "c1_rel_disagreement", "im_c2_rel_disagreement"], fit_rows),
+                 "c1_rel_disagreement", "im_c2_rel_disagreement",
+                 "re_F", "c2_uncertainty", "re_c2_rel_disagreement",
+                 "F_rel_disagreement"], fit_rows),
     }
-    diag = {"fit_degree": fit.degree, "c1_rel": c1_rel, "im_c2_rel": imc2_rel}
+    diag = {"fit_degree": fit.degree, "c1_rel": c1_rel, "im_c2_rel": imc2_rel,
+            "re_c2_rel": rec2_rel, "F_rel": f_rel, "c2_uncertainty": fit.c2_uncertainty}
     return tables, diag
 
 

@@ -1,7 +1,11 @@
 """Resonances of the dilated operator: locate the complex eigenvalue near an
 embedded energy, continue it in the coupling, and fit the small-coupling
-expansion w(kappa) ~ c0 + c1 kappa + c2 kappa^2 (with c2 = -F, the golden-rule
-quantity, checked against the independent quadrature routes in fgr)."""
+expansion w(kappa) = c0 + c1 kappa + c2 kappa^2 + ... (with c2 = -F, the complex
+golden-rule quantity, checked against the independent routes in fgr).
+
+The perturbed eigenvalue is isolated, so w(kappa) is analytic near 0 and the
+fit is a polynomial whose degree is the lowest that reproduces the branch to
+its own inverse-iteration residual: the fit has no tuning parameter."""
 
 import cmath
 import math
@@ -16,6 +20,8 @@ from .operators import assemble, embedded_eigenpair
 _EPS = np.finfo(float).eps
 _TOL = 1e-10
 _MAXITER = 40
+# fewest branch points fit_expansion accepts: degrees 2 and 3 both fit
+MIN_BRANCH_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,7 @@ class AsymptoticFit:
     c0: complex
     c1: complex
     c2: complex
+    c2_uncertainty: float  # |c2(degree) - c2(degree + 1)|: the fit's, not the grid's
     fit_residual: float
     kappa_window: tuple
     degree: int
@@ -173,8 +180,9 @@ def richardson_branch(problem, basis, theta, q, kappa_grid):
     coarse = continue_in_kappa(problem, basis, theta, q, kappa_grid)
     fine = continue_in_kappa(problem, basis.refined(), theta, q, kappa_grid)
     return [
-        ResonanceResult(c.kappa, (4.0 * f.w - c.w) / 3.0, max(c.residual, f.residual),
-                        c.iterations + f.iterations, c.theta_used)
+        ResonanceResult(c.kappa, complex(richardson_h2(c.w, f.w)),
+                        max(c.residual, f.residual), c.iterations + f.iterations,
+                        c.theta_used)
         for c, f in zip(coarse, fine)
     ]
 
@@ -186,48 +194,33 @@ def _lsq_poly(kappas, ws, degree):
     return coef, resid
 
 
-def fit_expansion(branch, cubic_fraction=0.1):
-    """Least-squares expansion of a branch in kappa.
+def fit_expansion(branch):
+    """Least-squares polynomial expansion of a branch in kappa, over all its points.
 
-    The window shrinks until the estimated cubic contribution at kappa_max is
-    below ``cubic_fraction`` of the quadratic one (the expansion has an O(kappa^3)
-    remainder with an unknown constant).  When enough points remain, a cubic
-    model is fitted as well; if its quadratic coefficient differs visibly, the
-    cubic model's low-order coefficients are reported (removes the O(kappa^3)
-    projection bias onto c2).
+    The floor is the largest inverse-iteration residual on the branch.  The
+    degree d = 2, 3, ..., n - 2 (n points) is the first whose max |fit - w|
+    reaches the floor, or n - 2 when none does.  ``c2_uncertainty`` is
+    |c2(d) - c2(d + 1)|.
     """
-    if len(branch) < 5:
-        raise DomainError("need at least 5 branch points to fit the expansion")
+    if len(branch) < MIN_BRANCH_POINTS:
+        raise DomainError(f"a fit needs at least {MIN_BRANCH_POINTS} branch points")
     pts = sorted(branch, key=lambda r: r.kappa)
     kappas = np.array([p.kappa for p in pts])
     ws = np.array([p.w for p in pts])
+    floor = max(p.residual for p in pts)
 
-    n = len(kappas)
-    while True:
-        kk, ww = kappas[:n], ws[:n]
-        coef2, resid2 = _lsq_poly(kk, ww, 2)
-        coef3 = None
-        if n >= 7:
-            coef3, resid3 = _lsq_poly(kk, ww, 3)
-            kmax = kk[-1]
-            cubic_part = abs(coef3[3]) * kmax**3
-            quad_part = abs(coef3[2]) * kmax**2
-            if cubic_part > cubic_fraction * quad_part and n > 7:
-                n -= 1
-                continue
-        break
-
-    degree = 2
-    coef = coef2
-    resid = resid2
-    if coef3 is not None and abs(coef3[2] - coef2[2]) > 0.02 * abs(coef2[2]):
-        coef, resid, degree = coef3, resid3, 3
+    for degree in range(2, len(pts) - 1):
+        coef, resid = _lsq_poly(kappas, ws, degree)
+        if resid <= floor:
+            break
+    above, _ = _lsq_poly(kappas, ws, degree + 1)
     return AsymptoticFit(
         c0=complex(coef[0]),
         c1=complex(coef[1]),
         c2=complex(coef[2]),
+        c2_uncertainty=float(abs(coef[2] - above[2])),
         fit_residual=resid,
-        kappa_window=(float(kappas[0]), float(kappas[n - 1])),
+        kappa_window=(float(kappas[0]), float(kappas[-1])),
         degree=degree,
     )
 
@@ -245,15 +238,11 @@ def theta_independence(problem, basis, q, kappa, thetas):
     over (h, h/2), which removes the theta-dependent O(h^2) discretization bias
     and certifies genuine theta-independence.
     """
-    grids = [basis, basis.refined()]
     kappas = [0.0] if kappa == 0 else [0.0, 0.5 * kappa, kappa]
-    values = {}
-    for theta in thetas:
-        ws = []
-        for bas in grids:
-            branch = continue_in_kappa(problem, bas, theta, q, kappas)
-            ws.append(branch[-1].w)
-        values[complex(theta)] = richardson_h2(ws[0], ws[1])
+    values = {
+        complex(theta): richardson_branch(problem, basis, theta, q, kappas)[-1].w
+        for theta in thetas
+    }
     vals = list(values.values())
     spread = max(
         (abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]), default=0.0

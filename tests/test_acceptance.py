@@ -19,8 +19,7 @@ from landau.operators import (
     commutator_ad,
 )
 from landau.potentials import gaussian_product, sech2, square_well, zero_potential
-from landau.resonance import ResonanceResult, continue_in_kappa, fit_expansion, \
-    theta_independence
+from landau.resonance import fit_expansion, richardson_branch, theta_independence
 from landau.schrodinger1d import Grid1D, bound_states, jost_solutions, \
     richardson_ground_state
 from landau.toeplitz_ssf import (
@@ -47,16 +46,6 @@ def _report(num, desc, ok, elapsed, budget):
     print(f"[criterion {num:2d}] {desc}: {verdict} ({elapsed:.1f}s of {budget:.0f}s)")
     assert ok, f"criterion {num} failed: {desc}"
     assert elapsed < budget, f"criterion {num} overran: {elapsed:.1f}s >= {budget}s"
-
-
-def _richardson_branch(problem, basis, theta, q, kappas):
-    coarse = continue_in_kappa(problem, basis, theta, q, kappas)
-    fine = continue_in_kappa(problem, basis.refined(), theta, q, kappas)
-    return [
-        ResonanceResult(c.kappa, (4.0 * f.w - c.w) / 3.0, max(c.residual, f.residual),
-                        c.iterations + f.iterations, c.theta_used)
-        for c, f in zip(coarse, fine)
-    ]
 
 
 def test_criterion_01_bound_state():
@@ -127,7 +116,7 @@ def test_criterion_05_power_law():
 def test_criterion_06_resonance_expansion():
     t0 = time.monotonic()
     problem, basis = _problem(), _basis()
-    branch = _richardson_branch(problem, basis, 0.3j, 1, np.linspace(0.0, 0.08, 9))
+    branch = richardson_branch(problem, basis, 0.3j, 1, np.linspace(0.0, 0.08, 9))
     fit = fit_expansion(branch)
     res = fgr_value(problem, basis, 1)
     ok_c0 = abs(fit.c0 - 1.0) < 1e-6

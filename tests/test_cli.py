@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau import cli, dynamics, fgr, operators, potentials, toeplitz_ssf
+from landau import cli, dynamics, fgr, operators, potentials, resonance, toeplitz_ssf
 from landau.cli import Config, main
 from landau.errors import AccuracyError, ConfigError, DomainError
 
@@ -371,9 +371,10 @@ def test_all_subcommand(tmp_path, monkeypatch):
 @pytest.mark.parametrize("subcommand,text", [("resonance", RES_CFG), ("all", ALL_CFG)],
                          ids=["resonance", "all"])
 @pytest.mark.parametrize("change,undefined", [
-    (("problem.q = 1", "problem.q = 0"), {"im_c2_rel"}),  # q = m_-: no open channel
+    # q = m_-: no open channel, so Im F = 0 but F itself is real and nonzero
+    (("problem.q = 1", "problem.q = 0"), {"im_c2_rel"}),
     (("problem.b = 1.0", "problem.b = 1.0\nproblem.V.amplitude = 0"),
-     {"c1_rel", "im_c2_rel"}),
+     {"c1_rel", "im_c2_rel", "re_c2_rel", "F_rel"}),
 ], ids=["no_open_channel", "zero_V"])
 def test_resonance_zero_reference_reports_nan(tmp_path, subcommand, text, change,
                                                undefined):
@@ -389,9 +390,22 @@ def test_resonance_zero_reference_reports_nan(tmp_path, subcommand, text, change
         diag = diag["resonance"]
     fit = dict(zip(fit_table["columns"], fit_table["rows"][0]))
     for key, column in (("c1_rel", "c1_rel_disagreement"),
-                        ("im_c2_rel", "im_c2_rel_disagreement")):
+                        ("im_c2_rel", "im_c2_rel_disagreement"),
+                        ("re_c2_rel", "re_c2_rel_disagreement"),
+                        ("F_rel", "F_rel_disagreement")):
         assert np.isnan(diag[key]) == (key in undefined)
         assert np.isnan(fit[column]) == (key in undefined)
+
+
+def test_resonance_short_branch_refused_before_continuation(tmp_path, monkeypatch,
+                                                            capsys):
+    calls = _counting(monkeypatch, resonance, "continue_in_kappa")
+    cfg = _write(tmp_path, RES_CFG.replace("task.kappa_steps = 7",
+                                           "task.kappa_steps = 4"))
+    assert main(["resonance", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 10: 'task.kappa_steps' must be at least" in err
+    assert calls == []
 
 
 def test_dynamics_subcommand(tmp_path, monkeypatch):

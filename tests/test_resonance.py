@@ -2,12 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refcase
 from landau.errors import DomainError
 from landau.operators import BasisTruncation, assemble, embedded_eigenpair
 from landau.potentials import gaussian_product
 from landau.resonance import (
+    ResonanceResult,
+    _lsq_poly,
     continue_in_kappa,
     find_eigenvalue_near,
     fit_expansion,
@@ -94,8 +98,8 @@ def test_sign_flip_of_coupling():
     neg = replace(PROBLEM, V=gaussian_product(amplitude=-1.0))
     branch_neg = continue_in_kappa(neg, BASIS, 0.3j, 1, [0.0, 0.02, 0.04, 0.06, 0.08])
     branch_pos = refcase.branch_pair()[0]
-    fit_pos = fit_expansion(branch_pos, cubic_fraction=1.0)
-    fit_neg = fit_expansion(branch_neg, cubic_fraction=1.0)
+    fit_pos = fit_expansion(branch_pos)
+    fit_neg = fit_expansion(branch_neg)
     assert fit_neg.c1.real == pytest.approx(-fit_pos.c1.real, rel=1e-6)
     assert fit_neg.c2.imag == pytest.approx(fit_pos.c2.imag, rel=2e-2)
     assert all(r.w.imag <= 1e-10 for r in branch_neg)
@@ -104,8 +108,6 @@ def test_sign_flip_of_coupling():
 def test_fit_zero_perturbation_branch():
     branch = continue_in_kappa(PROBLEM, BASIS, 0.3j, 1,
                                [0.0, 0.01, 0.02, 0.03, 0.04])
-    from landau.resonance import ResonanceResult
-
     flat = [ResonanceResult(r.kappa, branch[0].w, r.residual, r.iterations,
                             r.theta_used) for r in branch]
     fit = fit_expansion(flat)
@@ -125,6 +127,49 @@ def test_reference_expansion_coefficients():
     # c2 = -F: imaginary part against the channel-sum golden rule
     assert fit.c2.imag <= 0
     assert abs(fit.c2.imag + res.im_from_channels) / res.im_from_channels < 5e-2
+
+
+def test_reference_fit_matches_complex_golden_rule():
+    # c2 = -F in full: Re F (second-order shift) and Im F (golden-rule width)
+    fit = refcase.reference_fit()
+    F = refcase.reference_fgr().F
+    assert abs(fit.c2 + F) / abs(F) < 1e-3
+    assert fit.c2_uncertainty < 1e-3 * abs(F)
+    # the degree is the lowest whose fit reaches the branch's residual floor
+    branch = refcase.richardson_branch()
+    kappas = np.array([r.kappa for r in branch])
+    ws = np.array([r.w for r in branch])
+    floor = max(r.residual for r in branch)
+    resids = {d: _lsq_poly(kappas, ws, d)[1] for d in range(2, fit.degree + 1)}
+    assert resids[fit.degree] <= floor
+    assert all(resids[d] > floor for d in range(2, fit.degree))
+    assert fit.fit_residual == resids[fit.degree]
+
+
+_COEF = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefs=st.lists(_COEF, min_size=3, max_size=6),
+       npts=st.integers(7, 11),
+       kmax=st.floats(0.02, 0.1))
+def test_fit_degree_rule_recovers_polynomial(coefs, npts, kmax):
+    # an exact polynomial of degree 2-5 with every residual at 1e-12; a fit that
+    # stops at the floor errs in c_i by at most 1e-12 times the l1 norm of row i
+    # of the Vandermonde pseudo-inverse: 1.7e-12, 3.5e-9 and 1.4e-6 on these grids
+    kappas = np.linspace(0.0, kmax, npts)
+    ws = np.polynomial.polynomial.polyval(kappas, coefs)
+
+    def fit(sign):
+        return fit_expansion([ResonanceResult(sign * k, complex(w), 1e-12, 1, 0.3j)
+                              for k, w in zip(kappas, ws)])
+
+    # kappa -> -kappa flips c1 and leaves c0 and c2
+    for f, c1 in ((fit(1.0), coefs[1]), (fit(-1.0), -coefs[1])):
+        assert f.degree <= npts - 2
+        assert abs(f.c0 - coefs[0]) < 1e-11
+        assert abs(f.c1 - c1) < 1e-8
+        assert abs(f.c2 - coefs[2]) < 1e-5
 
 
 def test_isolation_radius_sane():
