@@ -190,6 +190,7 @@ class _Run:
     def __init__(self, cfg):
         self.cfg = cfg
         self._fgr = {}
+        self._ground = []
 
     @cached_property
     def v0(self):
@@ -239,6 +240,17 @@ class _Run:
             raise DomainError("longitudinal operator has no bound state")
         return self.states[0]
 
+    def ground_states(self, levels):
+        """H_par ground states on the run's grid and its refinements h/2, h/4,
+        ... (``levels`` grids), each grid solved once per run."""
+        from .schrodinger1d import ground_state
+
+        if not self._ground:
+            self._ground.append(self.state)
+        while len(self._ground) < levels:
+            self._ground.append(ground_state(self.v0, self._ground[-1].grid.refined()))
+        return self._ground[:levels]
+
     @cached_property
     def profile(self):
         from .toeplitz_ssf import transverse_profile
@@ -250,8 +262,9 @@ class _Run:
         if refine not in self._fgr:
             from .fgr import fgr_value
 
+            # the (h, h/2) states; refine is checked by fgr_value
             self._fgr[refine] = fgr_value(self.problem, self.basis, self.q,
-                                          refine=refine)
+                                          refine=refine, states=self.ground_states(2))
         return self._fgr[refine]
 
 
@@ -302,7 +315,8 @@ def _run_fgr(run):
     for m in m_values:
         pm = replace(problem, m=m)
         for qq in range(m_minus(m), q_max + 1):
-            shift_rows.append([qq, m, first_order_shift(pm, basis, qq, refine=refine)])
+            shift_rows.append([qq, m, first_order_shift(pm, basis, qq, refine=refine,
+                                                        states=run.ground_states(2))])
 
     res = run.fgr(refine)
     fgr_rows = [[res.q, res.m, res.F.real, res.F.imag, res.im_from_channels,
@@ -379,8 +393,10 @@ def _run_dynamics(run):
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
     method = cfg.get_str("task.method", "resolvent")
 
-    # the golden-rule rate needs only Im F: the channel route, no resolvent
-    imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
+    # the (h, h/2, h/4) grids of the pole extrapolation; the first two also
+    # serve the golden-rule rate, which needs only Im F: the channel route
+    states = run.ground_states(3)
+    imf = im_from_amplitudes(channel_amplitudes(problem, basis, q, states=states))
     tables = {}
     fit_rows = []
     surrogate = []
@@ -389,9 +405,10 @@ def _run_dynamics(run):
         t0, t1 = default_fit_window(delta_window, gamma_est)
         times = default_times(t1)
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
-                              method=method, theta=theta)
+                              method=method, theta=theta, states=states)
         fit = fit_decay(ser, (t0, t1))
-        surrogate.append({"kappa": kappa, "resolvent_solves": ser.resolvent_solves,
+        surrogate.append({"kappa": kappa, "nodes": ser.surrogate_nodes,
+                          "resolvent_solves": ser.resolvent_solves,
                           "held_out_error": ser.held_out_error})
         tag = f"{kappa:g}".replace(".", "p").replace("-", "m")
         tables[f"series_kappa_{tag}"] = (

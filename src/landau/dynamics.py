@@ -19,12 +19,15 @@ Two routes build the series ⟨e^(-iHt) g(H) Phi, Phi⟩:
   come from inverse iteration on the base grid (alpha from the eigenvector);
   the pole used in the series is extrapolated over (h, h/2, h/4).  The pole is
   then multiplied out: f(E) = (E - w_h) G(E) is analytic around the window
-  [E0 - delta, E0 + delta], so it is interpolated from 32 Chebyshev samples
-  (one banded solve each) and certified against direct solves at 16 held-out
-  Chebyshev points; a held-out error above 1e-9 raises AccuracyError.  The
+  [E0 - delta, E0 + delta], so it is interpolated at N Chebyshev-Lobatto points
+  (one banded solve each) and certified against direct solves at the N - 1
+  midpoints that complete the 2N - 1 Lobatto grid.  The grids nest, so a rung
+  that fails reuses all its solves in the next, N <- 2N - 1, from N = 9 up to
+  65; a held-out error still above 1e-9 there raises AccuracyError.  The
   background is the divided difference (f(E) - f(w_h)) / (E - w_h), which
-  removes the interpolant's own pole exactly, evaluated on a uniform
-  1401-point quadrature grid.
+  removes the interpolant's own pole exactly, on a uniform 1401-point
+  quadrature grid; its Fourier sum is a polynomial in e^(-i t dE), summed by
+  Horner's rule.
 """
 
 import math
@@ -38,16 +41,20 @@ from .errors import AccuracyError, DomainError
 from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
-from .schrodinger1d import ground_state, hamiltonian_tridiagonal, tridiagonal_band
+from .schrodinger1d import (ground_state, hamiltonian_tridiagonal,
+                            refined_ground_states, tridiagonal_band)
 
 _BG_TIME_CAP = 6000.0  # beyond this the smooth-background Fourier tail is < 1e-12
 # f(E) = (E - w_h) G(E) is analytic around the window: for the reference
 # problem the nearest singularities (thresholds 0 and 2, rotated continua near
-# Im E = -0.7) are 3 half-widths away, its Chebyshev coefficients reach the
-# solve noise (about 1e-13) by degree 12 and the held-out error is 1e-12 to
-# 4e-11 for 16 to 64 nodes.  32 nodes leave a margin; inputs that need more
-# fail the held-out check rather than return a wrong background.
-_SURROGATE_NODES = 32
+# Im E = -0.7) are 3 half-widths away and its Chebyshev coefficients reach the
+# solve noise by degree 8, so 9 Lobatto nodes certify at held-out errors of
+# 1.5e-11 to 4.5e-11 (5 nodes reach 6e-9).  Chebyshev-Lobatto grids nest,
+# chebpts2(2N - 1)[::2] == chebpts2(N), so each rung N -> 2N - 1 reuses every
+# solve; inputs that need more than the top rung fail the held-out check
+# rather than return a wrong background.
+_SURROGATE_START = 9  # nodes of the first rung: 9, 17, 33, 65
+_SURROGATE_TOP = 65
 _SURROGATE_TOL = 1e-9  # held-out error of f (|f| is about |alpha|, about 1)
 _QUADRATURE_POINTS = 1401  # uniform; g * Im(background) is smooth on the window
 
@@ -80,13 +87,15 @@ class AutocorrelationSeries:
     horizon: float  # math.inf for the resolvent route
     horizon_exceeded: bool
     # resolvent route: banded solves behind the surrogate, held-out error of f
+    # and the number of Lobatto nodes of the rung that certified it
     resolvent_solves: int = 0
     held_out_error: float = math.nan
+    surrogate_nodes: int = 0
 
 
-def _series_eigh(problem, basis, q, kappa, times, delta_window):
+def _series_eigh(problem, basis, q, kappa, times, delta_window, state):
     op = assemble(problem, basis, theta=0.0, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q)
+    pair = embedded_eigenpair(problem, basis, q, state=state)
     h = basis.grid.h
     m = op.dense()
     energies, vecs = np.linalg.eigh(m)
@@ -101,18 +110,18 @@ def _series_eigh(problem, basis, q, kappa, times, delta_window):
     return values, pair.energy, horizon
 
 
-def dilated_bound_vector(problem, basis, theta):
+def dilated_bound_vector(problem, basis, theta, state=None):
     """Bilinear-normalized ground-state eigenvector of the dilated longitudinal
     operator.
 
     Under exact dilation this is the analytic continuation U(theta) psi; on the
     grid it comes from inverse iteration on the complex tridiagonal (until the
     eigenvalue moves by less than 1e-12), normalized by h * sum(u^2) = 1 with
-    sign matched to psi.
+    sign matched to psi.  ``state``: psi on ``basis.grid``, solved here if None.
     """
     grid = basis.grid
     d, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
-    st = ground_state(problem.v0, grid)
+    st = ground_state(problem.v0, grid) if state is None else state
     h = grid.h
     u = st.psi[1:-1].astype(complex)
     w = complex(st.lam)
@@ -136,12 +145,13 @@ def dilated_bound_vector(problem, basis, theta):
     return complex(w), u
 
 
-def _dilated_pole(problem, basis, q, kappa, theta):
-    """Resonance pole and residue of the dilated resolvent on one grid."""
+def _dilated_pole(problem, basis, q, kappa, theta, state=None):
+    """Resonance pole and residue of the dilated resolvent on one grid, whose
+    H_par ground state ``state`` is solved here if None."""
     op = assemble(problem, basis, theta=theta, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q)
+    pair = embedded_eigenpair(problem, basis, q, state=state)
     h = basis.grid.h
-    _, u_th = dilated_bound_vector(problem, basis, theta)
+    _, u_th = dilated_bound_vector(problem, basis, theta, state=pair.bound_state)
     phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
     a_idx = int(np.where(op.qs == q)[0][0])
     phi_th[a_idx] = u_th
@@ -153,55 +163,80 @@ def _dilated_pole(problem, basis, q, kappa, theta):
 
 def _pole_free_surrogate(op, phi, h, w_h, center, delta):
     """Chebyshev coefficients, in x = (E - center) / delta, of
-    f(E) = (E - w_h) h phi^T (M - E)^(-1) phi from ``_SURROGATE_NODES`` solves,
-    with the held-out error max|f_cheb - f| / max|f| at ``_SURROGATE_NODES // 2``
-    Chebyshev points of the second kind (window ends included) and the number
-    of solves.
+    f(E) = (E - w_h) h phi^T (M - E)^(-1) phi interpolated at N Lobatto points,
+    with the held-out error max|f_cheb - f| / max|f| at the N - 1 midpoints of
+    chebpts2(2N - 1), the number of solves and N.
+
+    N climbs 9, 17, 33, 65 until the held-out error is at most
+    ``_SURROGATE_TOL``; each rung's nodes are the previous rung's nodes and
+    held-out points, matched by index, so no energy is solved twice.  The
+    ``_SURROGATE_TOP`` rung is returned whatever its error; the caller refuses
+    an uncertified one.
     """
     def f(x):
         energies = center + delta * x
         return np.array([(en - w_h) * h * (op.factorized(en).solve(phi) @ phi)
                          for en in energies])
 
-    coef = chebyshev.chebinterpolate(f, _SURROGATE_NODES - 1)
-    x_out = chebyshev.chebpts2(_SURROGATE_NODES // 2)
-    f_out = f(x_out)
-    err = float(np.max(np.abs(chebyshev.chebval(x_out, coef) - f_out))
-                / np.max(np.abs(f_out)))
-    return coef, err, _SURROGATE_NODES + len(x_out)
+    n = _SURROGATE_START
+    f_nodes = f(chebyshev.chebpts2(n))
+    while True:
+        x_out = chebyshev.chebpts2(2 * n - 1)[1::2]
+        f_out = f(x_out)
+        coef = chebyshev.chebfit(chebyshev.chebpts2(n), f_nodes, n - 1)
+        err = float(np.max(np.abs(chebyshev.chebval(x_out, coef) - f_out))
+                    / np.max(np.abs(f_out)))
+        if err <= _SURROGATE_TOL or n >= _SURROGATE_TOP:
+            return coef, err, 2 * n - 1, n
+        f_next = np.empty(2 * n - 1, dtype=complex)
+        f_next[::2] = f_nodes
+        f_next[1::2] = f_out
+        f_nodes, n = f_next, 2 * n - 1
 
 
-def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
+def _horner_phase_sum(fw, e0, d_e, times):
+    """sum_k fw[k] e^(-i t (e0 + k d_e)) at each t: a polynomial in
+    z = e^(-i t d_e), summed by Horner's rule over k with O(len(times)) memory."""
+    z = np.exp(-1j * d_e * times)
+    acc = np.full(len(times), fw[-1], dtype=complex)
+    for c in fw[-2::-1]:
+        acc *= z
+        acc += c
+    return np.exp(-1j * e0 * times) * acc
+
+
+def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, states):
     from .numutil import neville_to_zero
 
-    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
+    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta,
+                                                 states[0])
     h = basis.grid.h
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     b2 = basis.refined()
-    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta)
-    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta)
+    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta, states[1])
+    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta, states[2])
     w_pole, _ = neville_to_zero([h**2, h**2 / 4.0, h**2 / 16.0], [w_h, w_2, w_4])
 
     center = pair.energy
-    coef, err, solves = _pole_free_surrogate(op, phi_th, h, w_h, center,
-                                             delta_window)
+    coef, err, solves, nodes = _pole_free_surrogate(op, phi_th, h, w_h, center,
+                                                    delta_window)
     if not err <= _SURROGATE_TOL:
         raise AccuracyError(
             f"kappa = {kappa:g}: resolvent surrogate not certified: held-out "
-            f"error {err:.2e} > {_SURROGATE_TOL:.0e} with {_SURROGATE_NODES} nodes"
+            f"error {err:.2e} > {_SURROGATE_TOL:.0e} with {nodes} nodes"
         )
     # G = f(w_h) / (E - w_h) + (f(E) - f(w_h)) / (E - w_h): the divided difference
     # is the background with the surrogate's own pole removed exactly
-    energies = np.linspace(center - delta_window, center + delta_window,
-                           _QUADRATURE_POINTS)
+    energies, d_e = np.linspace(center - delta_window, center + delta_window,
+                                _QUADRATURE_POINTS, retstep=True)
     x = (energies - center) / delta_window
     f_pole = chebyshev.chebval((w_h - center) / delta_window, coef)
     background = (chebyshev.chebval(x, coef) - f_pole) / (energies - w_h)
     # g vanishes at both window ends, so the trapezoid rule is the plain sum
     fw = (smooth_cutoff(energies, center, delta_window) * background.imag / math.pi
-          * (energies[1] - energies[0]))
+          * d_e)
 
     times = np.asarray(times)
     values = alpha * float(smooth_cutoff(w_pole.real, center, delta_window)) * (
@@ -210,28 +245,27 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
     t_bg = times <= _BG_TIME_CAP
     if np.any(t_bg):
         tb = times[t_bg]
-        chunk = max(1, 4_000_000 // len(energies))
-        bg = np.empty(len(tb), dtype=complex)
-        for i0 in range(0, len(tb), chunk):
-            tt = tb[i0 : i0 + chunk]
-            bg[i0 : i0 + chunk] = np.exp(-1j * np.outer(tt, energies)) @ fw
+        bg = _horner_phase_sum(fw, energies[0], d_e, tb)
         values[t_bg] += bg
         tail = np.abs(bg[-3:]).max() if len(tb) > 3 else 0.0
         if times[-1] > _BG_TIME_CAP and tail > 1e-9:
             raise AccuracyError(
                 f"background not decayed at the time cap: |b| = {tail:.2e}"
             )
-    return values, center, solves, err
+    return values, center, solves, err, nodes
 
 
 def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh",
-                    theta=0.3j):
+                    theta=0.3j, states=None):
     """Smoothed autocorrelation of the embedded state.
 
     eigh: exact spectral sum on the (self-adjoint, theta = 0) truncation;
     beyond the recurrence horizon the series is flagged, not trusted.
     resolvent: complex-scaled spectral density (pole + smooth background); no
     recurrence, valid at all times; requires dilatable inputs.
+    ``states``: the H_par ground states on the grid of ``basis`` and its
+    refinements h/2, h/4 of the pole extrapolation (``refined_ground_states``),
+    solved here if None; eigh reads only the first.
     """
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -239,8 +273,9 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
     if not delta_window > 0:
         raise DomainError("delta_window must be positive")
     if method == "eigh":
+        state = states[0] if states else None
         values, center, horizon = _series_eigh(problem, basis, q, kappa, times,
-                                               delta_window)
+                                               delta_window, state)
         return AutocorrelationSeries(
             times=times,
             values=values,
@@ -251,8 +286,10 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
             horizon_exceeded=bool(times[-1] > horizon),
         )
     if method == "resolvent":
-        values, center, solves, err = _series_resolvent(
-            problem, basis, q, kappa, times, delta_window, theta)
+        if states is None:
+            states = refined_ground_states(problem.v0, basis.grid, 3)
+        values, center, solves, err, nodes = _series_resolvent(
+            problem, basis, q, kappa, times, delta_window, theta, states)
         return AutocorrelationSeries(
             times=times,
             values=values,
@@ -263,6 +300,7 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
             horizon_exceeded=False,
             resolvent_solves=solves,
             held_out_error=err,
+            surrogate_nodes=nodes,
         )
     raise DomainError(f"unknown method {method!r}")
 

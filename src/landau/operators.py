@@ -349,16 +349,17 @@ class EmbeddedEigenpair:
         return self.coefficients.reshape(-1)
 
 
-def embedded_eigenpair(problem, basis, q):
+def embedded_eigenpair(problem, basis, q, state=None):
     """Exact tensor eigenvector of the truncated unperturbed operator.
 
     The longitudinal factor is the ground state of H_par, so the energy is
-    2bq + lambda_0.
+    2bq + lambda_0.  ``state``: that ground state on ``basis.grid``, solved
+    here if None.
     """
     qs = basis.landau_indices(problem.m)
     if q not in qs:
         raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
-    st = ground_state(problem.v0, basis.grid)
+    st = ground_state(problem.v0, basis.grid) if state is None else state
     coeff = np.zeros((basis.J, basis.grid.n - 2))
     a = int(np.where(qs == q)[0][0])
     coeff[a, :] = st.psi[1:-1]

@@ -31,6 +31,7 @@ __all__ = [
     "tridiagonal_band",
     "bound_states",
     "ground_state",
+    "refined_ground_states",
     "richardson_ground_state",
     "jost_solutions",
     "scattering_state",
@@ -207,6 +208,16 @@ def ground_state(v0, grid, check_tails=True):
     if not states:
         raise DomainError("longitudinal operator has no bound state")
     return states[0]
+
+
+def refined_ground_states(v0, grid, levels):
+    """Ground states on ``grid`` and its first ``levels - 1`` refinements
+    (h, h/2, h/4, ...): solved once by a caller that hands them to every
+    computation on those grids."""
+    states = [ground_state(v0, grid)]
+    while len(states) < levels:
+        states.append(ground_state(v0, states[-1].grid.refined()))
+    return states
 
 
 def richardson_ground_state(v0, grid, which=0):

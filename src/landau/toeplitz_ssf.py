@@ -222,9 +222,11 @@ def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):
     if m_max is None and eta_min is not None and isinstance(d, PowerDecay):
         # eigenvalue m sits near U(rho) at b rho^2 / 2 = m: for the tail
         # u0 rho^-alpha this is within 0.1% of the computed value at the cap
-        # (alpha = 2, 4, 8), and the factor 2 below is the margin
+        # (alpha = 2, 4, 8).  The spectrum decreases in m, so an estimate 1%
+        # above eta_min/10 (ten times that accuracy) means the scan would end
+        # at the cap with every eigenvalue still above eta_min/10
         at_cap = d.u0 * (2.0 * _M_CAP / profile.b) ** (-d.alpha / 2.0)
-        if at_cap > 2.0 * eta_min / 10.0:
+        if at_cap > 1.01 * eta_min / 10.0:
             raise DomainError(
                 f"power-law profile (alpha = {d.alpha:.3g}) reaches only about "
                 f"{at_cap:.2e} by the m cap {_M_CAP}, above eta_min/10; "

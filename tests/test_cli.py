@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau
-from landau import cli, dynamics, fgr, operators, potentials, resonance, toeplitz_ssf
+from landau import (cli, dynamics, fgr, operators, potentials, resonance,
+                    schrodinger1d, toeplitz_ssf)
 from landau.cli import Config, main
 from landau.errors import AccuracyError, ConfigError, DomainError
 
@@ -203,6 +204,21 @@ def test_toeplitz_power_law_out_of_reach_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(toeplitz_ssf, "toeplitz_eigenvalue", computed)
     cfg = _write(tmp_path, TOEPLITZ_CFG.replace("gaussian_product", "power_radial")
                  .replace("eta_min = 1e-7", "eta_min = 1e-8"))
+    assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "m cap" in capsys.readouterr().err
+
+
+def test_toeplitz_power_law_just_out_of_reach_exit_2(tmp_path, monkeypatch, capsys):
+    # the shipped config with a power-law V and eta_min = 1e-7: the eigenvalue
+    # at the m cap is about 1.56e-8, within 0.1% of its estimate, above
+    # eta_min/10 = 1e-8, so the scan could only end at the cap; it is refused
+    def computed(*args, **kwargs):
+        raise AssertionError("an eigenvalue was computed")
+
+    monkeypatch.setattr(toeplitz_ssf, "toeplitz_eigenvalue", computed)
+    text = (ROOT / "configs" / "toeplitz.cfg").read_text()
+    cfg = _write(tmp_path, text.replace("gaussian_product", "power_radial")
+                 .replace("task.eta_min = 1e-8", "task.eta_min = 1e-7"))
     assert main(["toeplitz", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "m cap" in capsys.readouterr().err
 
@@ -422,8 +438,24 @@ def test_dynamics_subcommand(tmp_path, monkeypatch):
     assert abs(fits["rate_ratio"] - 1.0) < 0.10
 
 
+@pytest.mark.parametrize("subcommand, text, grids", [
+    ("fgr", FGR_CFG + "task.q_max = 2\ntask.m_values = -1, 0, 1\n", 2),
+    ("dynamics", DYN_CFG.replace("kappa_values = 0.05", "kappa_values = 0.05, 0.08"),
+     3),
+], ids=["fgr", "dynamics"])
+def test_each_grid_bound_state_solved_once(tmp_path, monkeypatch, subcommand, text,
+                                          grids):
+    # fgr: the (h, h/2) states serve every first-order shift, channel and
+    # resolvent route; dynamics: the (h, h/2, h/4) states serve every kappa
+    calls = _counting(monkeypatch, schrodinger1d, "bound_states")
+    cfg = _write(tmp_path, text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    assert sorted(args[1].n for args in calls) == [600 * 2**k + 1 for k in range(grids)]
+
+
 def test_dynamics_uncertified_surrogate_exit_1(tmp_path, monkeypatch):
-    monkeypatch.setattr(dynamics, "_SURROGATE_NODES", 4)
+    monkeypatch.setattr(dynamics, "_SURROGATE_START", 3)
+    monkeypatch.setattr(dynamics, "_SURROGATE_TOP", 3)
     cfg = _write(tmp_path, DYN_CFG)
     assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "dyn")]) == 1
     diag = (tmp_path / "dyn" / "dynamics_diagnostics.txt").read_text()
@@ -444,7 +476,7 @@ def test_dynamics_three_couplings_background_decays(tmp_path):
     manifest = json.loads((out / "dynamics_manifest.json").read_text())
     counters = manifest["diagnostics"]["resolvent_surrogate"]
     assert [c["kappa"] for c in counters] == [0.02397, 0.04322, 0.07743]
-    assert all(c["resolvent_solves"] == 48 for c in counters)
+    assert all(c["nodes"] == 9 and c["resolvent_solves"] == 17 for c in counters)
     assert all(0.0 < c["held_out_error"] < 1e-9 for c in counters)
 
 

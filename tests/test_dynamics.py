@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 import refcase
@@ -202,8 +204,10 @@ def test_surrogate_matches_direct_solves(kappa):
     # oracle: the direct scan the surrogate replaced, one banded solve per energy
     op, pair, phi, w_h, alpha = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
     h, center, delta = SMALL.grid.h, pair.energy, 0.25
-    coef, err, solves = dynamics._pole_free_surrogate(op, phi, h, w_h, center, delta)
-    assert solves == dynamics._SURROGATE_NODES + dynamics._SURROGATE_NODES // 2
+    coef, err, solves, nodes = dynamics._pole_free_surrogate(op, phi, h, w_h, center,
+                                                             delta)
+    # the first rung certifies: 9 Lobatto nodes and 8 held-out midpoints
+    assert (nodes, solves) == (dynamics._SURROGATE_START, 17)
     assert err < 1e-10
     x = np.linspace(-0.97, 0.97, 12)  # off the Chebyshev nodes, across the window
     energies = center + delta * x
@@ -222,12 +226,63 @@ def test_surrogate_matches_direct_solves(kappa):
     assert np.max(np.abs(bg_cheb - bg_direct)[far]) < 1e-9
 
 
+def test_surrogate_ladder_climbs_without_repeating_a_solve(monkeypatch):
+    # 5 Lobatto nodes leave a held-out error above 1e-9 at kappa = 0.08, so the
+    # ladder steps to 9 nodes and reuses the first rung's 9 solves there
+    monkeypatch.setattr(dynamics, "_SURROGATE_START", 5)
+    kappa = 0.08
+    op, pair, phi, w_h, _ = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
+    h, center, delta = SMALL.grid.h, pair.energy, 0.25
+    shifts = []
+    factorized = op.factorized
+
+    def counting(shift=0.0):
+        shifts.append(shift)
+        return factorized(shift)
+
+    monkeypatch.setattr(op, "factorized", counting)
+    coef, err, solves, nodes = dynamics._pole_free_surrogate(op, phi, h, w_h, center,
+                                                             delta)
+    assert nodes == 9
+    assert solves == 2 * nodes - 1 == len(shifts) == len(set(shifts))
+    assert err < 1e-10
+    x = np.linspace(-0.97, 0.97, 12)
+    energies = center + delta * x
+    g_direct = np.array([h * (factorized(en).solve(phi) @ phi) for en in energies])
+    assert np.max(np.abs(chebyshev.chebval(x, coef) - (energies - w_h) * g_direct)) < 1e-10
+
+
 def test_uncertified_surrogate_raises(monkeypatch):
-    # four nodes cannot resolve f to 1e-9: the held-out check must refuse it
-    monkeypatch.setattr(dynamics, "_SURROGATE_NODES", 4)
+    # a top rung of three nodes cannot resolve f to 1e-9: the held-out check
+    # must refuse it
+    monkeypatch.setattr(dynamics, "_SURROGATE_START", 3)
+    monkeypatch.setattr(dynamics, "_SURROGATE_TOP", 3)
     times = np.linspace(0.0, 10.0, 20)
-    with pytest.raises(AccuracyError, match="not certified"):
+    with pytest.raises(AccuracyError, match="not certified.*with 3 nodes"):
         autocorrelation(PROBLEM, SMALL, 1, 0.05, times, 0.25, method="resolvent")
+
+
+def _dense_phase_sum(fw, energies, times):
+    # the background sum before Horner's rule: one dense phase matrix
+    return np.exp(-1j * np.outer(times, energies)) @ fw
+
+
+# Both sums round each phase t E to half an ulp, which stays below 4.6e-13 while
+# t E < 2^13: windows around E0 = 1 (the reference problem) of half-width up to
+# 0.25, at times up to the cap.
+@settings(max_examples=60, deadline=None)
+@given(fw=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=1401),
+       center=st.floats(0.5, 1.0), delta=st.floats(0.01, 0.25),
+       times=st.lists(st.floats(0.0, dynamics._BG_TIME_CAP), min_size=1,
+                      max_size=40, unique=True))
+def test_horner_background_matches_dense_phase_sum(fw, center, delta, times):
+    fw = np.asarray(fw)
+    times = np.sort(np.asarray(times))
+    energies, d_e = np.linspace(center - delta, center + delta, len(fw),
+                                retstep=True)
+    horner = dynamics._horner_phase_sum(fw, energies[0], d_e, times)
+    dense = _dense_phase_sum(fw, energies, times)
+    assert np.max(np.abs(horner - dense)) <= 1e-12 * np.sum(np.abs(fw))
 
 
 def test_fit_decay_zero_coupling():
