@@ -190,7 +190,7 @@ class _Run:
     def __init__(self, cfg):
         self.cfg = cfg
         self._fgr = {}
-        self._ground = []
+        self._states = []  # bound states on the run's grid refined 0, 1, ... times
 
     @cached_property
     def v0(self):
@@ -228,28 +228,32 @@ class _Run:
     def q(self):
         return self.cfg.get_int("problem.q", 1)
 
-    @cached_property
-    def states(self):
+    def states(self, level=0):
+        """All H_par bound states on the run's grid refined ``level`` times
+        (h, h/2, h/4, ...); each grid is solved once per run."""
         from .schrodinger1d import bound_states
 
-        return bound_states(self.v0, self.basis.grid)
-
-    @cached_property
-    def state(self):
-        if not self.states:
-            raise DomainError("longitudinal operator has no bound state")
-        return self.states[0]
+        while len(self._states) <= level:
+            grid = self.basis.grid
+            for _ in self._states:
+                grid = grid.refined()
+            self._states.append(bound_states(self.v0, grid))
+        return self._states[level]
 
     def ground_states(self, levels):
         """H_par ground states on the run's grid and its refinements h/2, h/4,
-        ... (``levels`` grids), each grid solved once per run."""
-        from .schrodinger1d import ground_state
+        ... (``levels`` grids)."""
+        grounds = []
+        for level in range(levels):
+            states = self.states(level)
+            if not states:
+                raise DomainError("longitudinal operator has no bound state")
+            grounds.append(states[0])
+        return grounds
 
-        if not self._ground:
-            self._ground.append(self.state)
-        while len(self._ground) < levels:
-            self._ground.append(ground_state(self.v0, self._ground[-1].grid.refined()))
-        return self._ground[:levels]
+    @property
+    def state(self):
+        return self.ground_states(1)[0]
 
     @cached_property
     def profile(self):
@@ -280,10 +284,11 @@ def _run_bound(run):
     grid = run.basis.grid
     ks = cfg.get_floats("task.k_values", required=True)
 
-    states = run.states
+    states = run.states()
     rows = []
     for i, st in enumerate(states):
-        lam_r, _ = richardson_ground_state(v0, grid, which=i)
+        lam_r, _ = richardson_ground_state(v0, grid, which=i,
+                                           states=(states, run.states(1)))
         rows.append([i, st.lam, lam_r])
     scat = []
     for k in ks:
@@ -353,7 +358,8 @@ def _run_resonance(run):
             f"'task.kappa_steps' must be at least {MIN_BRANCH_POINTS} to fit the "
             f"expansion, got {steps}", line=cfg.entries["task.kappa_steps"][1])
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
-    branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps))
+    branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps),
+                               states=run.ground_states(2))
     fit = fit_expansion(branch)
     res = run.fgr()
 
@@ -493,7 +499,8 @@ def _run_gap(run):
     diag = {"m_used": rep.m_used, "lambda": rep.lam, "sign": sign,
             "inertia_sweeps": rep.inertia_sweeps,
             "inertia_shifts": rep.inertia_shifts,
-            "eig_banded_fallbacks": rep.eig_banded_fallbacks}
+            "eig_banded_fallbacks": rep.eig_banded_fallbacks,
+            "inertia_eigh_steps": rep.inertia_eigh_steps}
     return tables, diag
 
 

@@ -18,8 +18,10 @@ J x J diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the
 scalar kinetic coupling H_par,i,i+1 times I.  Everything else is derived from
 D: the dense matrix (small truncations and oracles), the LAPACK band of a
 banded LU (built once per operator, copied and factorized per shift), the
-symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia of a
-block LDL^T sweep.
+symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia:
+``inertia_counts`` sweeps a stack of real operators on one grid (the
+angular-momentum fibers of one problem) and every shift at once, with a
+Cholesky certificate per step; ``count_below`` runs it on one operator.
 """
 
 import cmath
@@ -87,7 +89,8 @@ class BasisTruncation:
 
 # A Schur block eigenvalue below this fraction of the operator norm means the
 # shift sits (numerically) on the spectrum of a leading section, where the
-# block LDL^T sweep loses its backward stability; the count is then refused.
+# block LDL^T sweep loses its backward stability; that operator's count is then
+# refused.
 _INERTIA_RTOL = 1e-12
 
 
@@ -223,44 +226,83 @@ class AssembledOperator:
             raise SolverError(f"zgbtrf failed with info={info}")
         return _BandSolver(lu, piv, J, self.n_int)
 
-    def symmetric_band_lower(self):
-        """Lower band storage (for scipy.eig_banded) of the real-symmetric case."""
-        if not self.is_real:
-            raise DomainError("symmetric band storage requires a real operator")
-        J, n, N = self.J, self.n_int, self.dim
-        ab = np.zeros((J + 1, N))
-        a, b = np.tril_indices(J)
-        ab[a - b, np.arange(n)[:, None] * J + b] = self.D[:, a, b]
-        ab[J, : N - J] = self.hpar_off
-        return ab
-
     def count_below(self, sigmas):
-        """Number of eigenvalues below each sigma, by Sylvester inertia.
-
-        One block LDL^T sweep, vectorized over sigma, takes the Schur blocks
-        S_i = D_i - sigma I - hpar_off^2 S_(i-1)^(-1); by Haynsworth's inertia
-        additivity the count is the number of negative eigenvalues of all S_i.
-        Real-symmetric operators only.  Raises SolverError when a Schur block
-        is numerically singular (sigma on the spectrum of a leading section).
+        """Number of eigenvalues below each sigma: ``inertia_counts`` on this
+        operator alone.  Real-symmetric operators only.  Raises SolverError
+        when a Schur block is numerically singular (sigma on the spectrum of a
+        leading section).
         """
-        if not self.is_real:
-            raise DomainError("inertia counting requires a real operator")
-        sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        floor = (_INERTIA_RTOL * (self.norm_estimate() + np.abs(sig)))[:, None]
-        shifted = sig[:, None, None] * np.eye(self.J)
-        off2 = self.hpar_off**2
-        counts = np.zeros(sig.shape, dtype=int)
-        s_inv = None
-        for blk in self.D:
-            s = blk - shifted
-            if s_inv is not None:
-                s -= off2 * s_inv
+        counts, singular, _ = inertia_counts(self.D[None], self.hpar_off, sigmas,
+                                             [self.norm_estimate()])
+        if singular[0]:
+            raise SolverError("Schur block singular: shift on the spectrum")
+        return counts[0]
+
+
+def symmetric_band_lower(D, hpar_off):
+    """Lower band storage (for scipy.eig_banded) of the real block-tridiagonal
+    matrix with diagonal blocks D (n, J, J) and off-diagonal blocks hpar_off I."""
+    if np.iscomplexobj(D):
+        raise DomainError("symmetric band storage requires a real operator")
+    n, J = D.shape[:2]
+    N = n * J
+    ab = np.zeros((J + 1, N))
+    a, b = np.tril_indices(J)
+    ab[a - b, np.arange(n)[:, None] * J + b] = D[:, a, b]
+    ab[J, : N - J] = hpar_off
+    return ab
+
+
+def inertia_counts(D, hpar_off, sigmas, norms):
+    """Eigenvalue counts below each sigma for a stack of block-tridiagonal operators.
+
+    ``D`` (M, n, J, J): the real diagonal blocks of M operators on one grid,
+    all with off-diagonal blocks ``hpar_off`` I; ``norms`` (M,): their
+    ``norm_estimate()``.  One block LDL^T sweep takes the Schur blocks
+    S_i = D_i - sigma I - hpar_off^2 S_(i-1)^(-1) of every operator and sigma
+    at once; by Haynsworth's inertia additivity a count is the number of
+    negative eigenvalues of all its S_i.
+
+    One Cholesky factorization of S_i - floor I, floor = ``_INERTIA_RTOL``
+    (norm + |sigma|), certifies a whole step: no eigenvalue is negative or
+    within the floor, and S_i^(-1) comes from ``inv``.  A step that fails is
+    diagonalized; an eigenvalue within the floor there flags its operator
+    singular (its counts are void) and leaves the others exact.
+
+    Returns (counts (M, len(sigmas)), singular (M,) bool, the number of steps
+    that failed the certificate).
+    """
+    D = np.asarray(D)
+    if np.iscomplexobj(D):
+        raise DomainError("inertia counting requires a real operator")
+    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    M, n, J = D.shape[:3]
+    floor = _INERTIA_RTOL * (np.asarray(norms, dtype=float)[:, None] + np.abs(sig))
+    eye = np.eye(J)
+    shifted = sig[:, None, None] * eye
+    certified_above = floor[..., None, None] * eye
+    off2 = hpar_off**2
+    counts = np.zeros((M, len(sig)), dtype=int)
+    singular = np.zeros(M, dtype=bool)
+    eigh_steps = 0
+    s_inv = None
+    for i in range(n):
+        s = D[:, i, None] - shifted
+        if s_inv is not None:
+            s -= off2 * s_inv
+        try:
+            np.linalg.cholesky(s - certified_above)
+        except np.linalg.LinAlgError:
+            eigh_steps += 1
             w, vecs = np.linalg.eigh(s)
-            if np.any(np.abs(w) < floor):
-                raise SolverError("Schur block singular: shift on the spectrum")
-            counts += np.count_nonzero(w < 0, axis=1)
-            s_inv = (vecs / w[:, None, :]) @ vecs.transpose(0, 2, 1)
-        return counts
+            small = np.abs(w) < floor[..., None]
+            singular |= small.any(axis=(1, 2))
+            counts += np.count_nonzero(w < 0, axis=2)
+            w[small] = 1.0  # keeps a flagged operator's sweep finite
+            s_inv = (vecs / w[..., None, :]) @ vecs.swapaxes(-1, -2)
+        else:
+            s_inv = np.linalg.inv(s)
+    return counts, singular, eigh_steps
 
 
 def inf_longitudinal_spectrum(v0, grid):

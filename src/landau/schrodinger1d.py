@@ -220,13 +220,16 @@ def refined_ground_states(v0, grid, levels):
     return states
 
 
-def richardson_ground_state(v0, grid, which=0):
+def richardson_ground_state(v0, grid, which=0, states=None):
     """Bound-state eigenvalue extrapolated over (h, h/2); O(h^4) accurate.
 
-    Returns (lam_extrapolated, BoundState on the refined grid).
+    ``states``: the ``bound_states`` of ``grid`` and of ``grid.refined()``, a
+    pair of lists; solved here if None.  Returns (lam_extrapolated, BoundState
+    on the refined grid).
     """
-    coarse = bound_states(v0, grid)
-    fine = bound_states(v0, grid.refined())
+    if states is None:
+        states = bound_states(v0, grid), bound_states(v0, grid.refined())
+    coarse, fine = states
     if which >= len(coarse) or which >= len(fine):
         raise DomainError(f"bound state #{which} not present on both grids")
     lam = richardson_h2(coarse[which].lam, fine[which].lam)

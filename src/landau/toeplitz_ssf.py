@@ -11,20 +11,21 @@ exponential and compact profiles).
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.linalg import eig_banded
 
-from .errors import DomainError, RangeError, SolverError
+from .errors import DomainError, RangeError
 from .numutil import minimize_bounded
-from .operators import assemble
+from .operators import assemble, inertia_counts, symmetric_band_lower
 from .schrodinger1d import ground_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 _SMALL_M_CUTOFF = 64
 _M_CAP = 4000  # largest m an automatic spectrum range may reach
 _GAP_M_CAP = 200  # largest m the accumulation check aggregates over
+_GAP_BATCH = 16  # most m blocks one inertia sweep of the accumulation check holds
 
 
 @lru_cache(maxsize=64)
@@ -356,18 +357,53 @@ class GapAccumulationReport:
     rows: list  # dict per eta
     m_used: int
     lam: float
-    inertia_sweeps: int  # block LDL^T sweeps, one per counted m
-    inertia_shifts: int  # shifts counted over those sweeps
+    inertia_sweeps: int  # m blocks counted by the inertia sweep
+    inertia_shifts: int  # shifts counted over those blocks
     eig_banded_fallbacks: int  # m blocks recounted with eig_banded
+    inertia_eigh_steps: int  # sweep steps that failed the Cholesky certificate
 
 
-def _count_below_eig_banded(op, sigmas):
-    """Fallback for ``op.count_below``: eigenvalues in (lower bound, sigma]."""
-    band = op.symmetric_band_lower()
-    lo = min(-op.norm_estimate(), float(np.min(sigmas))) - 1.0
-    return np.array([len(eig_banded(band, lower=True, eigvals_only=True, select="v",
-                                    select_range=(lo, float(s))))
-                     for s in sigmas])
+def _count_below_eig_banded(blocks, hpar_off, norm, sigmas):
+    """Fallback for a flagged inertia count: the eigenvalues in (lower bound,
+    max sigma] from one ``eig_banded`` call, counted up to each sigma."""
+    lo = min(-norm, float(np.min(sigmas))) - 1.0
+    ev = eig_banded(symmetric_band_lower(blocks, hpar_off), lower=True,
+                    eigvals_only=True, select="v", select_range=(lo, float(np.max(sigmas))))
+    return np.searchsorted(ev, sigmas, side="right")
+
+
+def _block_counts(problem, basis, kappa, shifts, batch_end, tally):
+    """Yields (m, eigenvalue counts below each shift) for m = 0 .. ``_GAP_M_CAP``.
+
+    When m is asked for, the blocks m .. ``batch_end(m)`` (at most
+    ``_GAP_BATCH``) are assembled, kept as diagonal blocks and norm estimates
+    only, and counted in one ``inertia_counts`` sweep; a block it flags is
+    recounted with ``eig_banded``.  ``tally`` adds up the sweeps, fallbacks
+    and eigh steps.
+    """
+    m = 0
+    while m <= _GAP_M_CAP:
+        ms = range(m, min(batch_end(m), m + _GAP_BATCH - 1) + 1)
+        blocks = None
+        norms = np.empty(len(ms))
+        for k, mk in enumerate(ms):
+            op = assemble(replace(problem, m=mk), basis, theta=0.0, kappa=kappa)
+            if blocks is None:
+                blocks = np.empty((len(ms),) + op.D.shape)
+                hpar_off = op.hpar_off
+            blocks[k] = op.D
+            norms[k] = op.norm_estimate()
+            del op  # one operator alive at a time, next to the stack
+        below, singular, eigh_steps = inertia_counts(blocks, hpar_off, shifts, norms)
+        tally["eigh_steps"] += eigh_steps
+        for k, mk in enumerate(ms):
+            if singular[k]:
+                tally["fallbacks"] += 1
+                yield mk, _count_below_eig_banded(blocks[k], hpar_off, norms[k], shifts)
+            else:
+                tally["sweeps"] += 1
+                yield mk, below[k]
+        m = ms[-1] + 1
 
 
 def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
@@ -382,9 +418,12 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
     ``state`` (the ground state) and its transverse ``profile`` are built here
     unless given.
 
-    Each m is counted by one inertia sweep over all eta (see
-    ``AssembledOperator.count_below``); an m whose sweep breaks down is
-    recounted with ``eig_banded``.
+    The aggregation stops at the first m with two zero counts in a row and
+    mu_m < eta_min / 4, mu_m the m-th compression eigenvalue.  It cannot stop
+    before the first m' with mu_m' < eta_min / 4, so the blocks m .. m' are
+    counted together in one ``operators.inertia_counts`` sweep over all eta
+    (see ``_block_counts``); past m' the blocks go one at a time.  A block the
+    sweep flags singular is recounted with ``eig_banded``.
     """
     if sign not in ("+", "-"):
         raise DomainError("sign must be '+' or '-'")
@@ -411,20 +450,19 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
     else:
         shifts = np.append(lam + eta_grid, -1e-9)
         open_window = lam + eta_grid < -1e-9
+    mu = cache(lambda m: toeplitz_eigenvalue(profile, 0, m))
+    mu_stop = float(eta_grid[-1]) / 4.0
+
+    def batch_end(m):
+        while mu(m) >= mu_stop and m < _GAP_M_CAP:
+            m += 1
+        return m
+
+    tally = {"sweeps": 0, "fallbacks": 0, "eigh_steps": 0}
     counts = np.zeros(len(eta_grid), dtype=int)
-    sweeps = fallbacks = 0
-    m = 0
     m_used = 0
     zero_streak = 0
-    while m <= _GAP_M_CAP:
-        op = assemble(replace(problem, m=m), basis, theta=0.0, kappa=kappa)
-        try:
-            below = op.count_below(shifts)
-        except SolverError:
-            below = _count_below_eig_banded(op, shifts)
-            fallbacks += 1
-        else:
-            sweeps += 1
+    for m, below in _block_counts(problem, basis, kappa, shifts, batch_end, tally):
         if sign == "-":
             found = below
         else:
@@ -432,10 +470,8 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
         counts += found
         m_used = m
         zero_streak = 0 if found.any() else zero_streak + 1
-        mu_m = toeplitz_eigenvalue(profile, 0, m)
-        if zero_streak >= 2 and mu_m < float(eta_grid[-1]) / 4.0:
+        if zero_streak >= 2 and mu(m) < mu_stop:
             break
-        m += 1
     else:
         raise RangeError(f"aggregation did not close by m = {_GAP_M_CAP}")
 
@@ -455,6 +491,7 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
             }
         )
     return GapAccumulationReport(rows=rows, m_used=m_used, lam=lam,
-                                 inertia_sweeps=sweeps,
-                                 inertia_shifts=sweeps * len(shifts),
-                                 eig_banded_fallbacks=fallbacks)
+                                 inertia_sweeps=tally["sweeps"],
+                                 inertia_shifts=tally["sweeps"] * len(shifts),
+                                 eig_banded_fallbacks=tally["fallbacks"],
+                                 inertia_eigh_steps=tally["eigh_steps"])

@@ -181,6 +181,18 @@ def test_fgr_output_independent_of_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_gap_output_independent_of_thread_count(tmp_path):
+    # the counts are integers, and the sweep's certificate and inverses act on
+    # 6 x 6 blocks, too small for a BLAS call to split them by thread
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert _run_fresh("gap", out, n, "scipy.optimize") == (0, False)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_toeplitz_run(tmp_path):
     cfg = _write(tmp_path, TOEPLITZ_CFG)
     out = tmp_path / "toe"

@@ -1,10 +1,11 @@
 """Property tests of the block-tridiagonal operator core.
 
 Inertia counting is checked against dense eigenvalues on random real
-operators; the cached-band factorization against dense solves on dilated
-operators, and against itself (the cached band must never be modified); the
-assembled diagonal blocks are exactly complex symmetric and carry the shared
-longitudinal stencil bit for bit.
+operators, one at a time and in stacks on one grid; the cached-band
+factorization against dense solves on dilated operators, and against itself
+(the cached band must never be modified); the assembled diagonal blocks are
+exactly complex symmetric and carry the shared longitudinal stencil bit for
+bit.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import refcase
-from landau import toeplitz_ssf
+from landau import operators, toeplitz_ssf
 from landau.errors import SolverError
 from landau.operators import AssembledOperator, BasisTruncation, LandauProblem, assemble
 from landau.potentials import gaussian_product, sech2
@@ -25,11 +26,7 @@ SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
 
 
-@st.composite
-def real_operators(draw):
-    """Random real block-tridiagonal operators with the assembled layout."""
-    J = draw(st.integers(1, 4))
-    n = draw(st.integers(20, 80))
+def _real_operator(draw, J, n):
     m = draw(st.integers(-2, 3))
     kappa = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -43,6 +40,20 @@ def real_operators(draw):
         mode_shifts=2.0 * qs, hpar_diag=2.0 / h**2 + rng.uniform(-2.0, 0.0, n - 2),
         hpar_off=-1.0 / h**2, coupling=coupling,
     )
+
+
+@st.composite
+def real_operators(draw):
+    """Random real block-tridiagonal operators with the assembled layout."""
+    return _real_operator(draw, draw(st.integers(1, 4)), draw(st.integers(20, 80)))
+
+
+@st.composite
+def real_operator_stacks(draw):
+    """One to four random real operators on one grid (different m and kappa)."""
+    J = draw(st.integers(1, 4))
+    n = draw(st.integers(20, 80))
+    return [_real_operator(draw, J, n) for _ in range(draw(st.integers(1, 4)))]
 
 
 @SETTINGS
@@ -70,6 +81,34 @@ def test_count_below_guard_on_singular_schur_block():
                            coupling=None)
     with pytest.raises(SolverError):
         op.count_below([diag[0]])  # S_0 = D_0 - sigma = 0 exactly
+
+
+@SETTINGS
+@given(ops=real_operator_stacks(),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10**6)),
+                      min_size=1, max_size=3),
+       side=st.sampled_from([-1.0, 1.0]), singular=st.integers(0, 3))
+def test_inertia_counts_on_a_stack_equal_dense_counts(ops, fracs, picks, side, singular):
+    evs = [np.linalg.eigvalsh(op.dense()) for op in ops]
+    lo = min(ev[0] for ev in evs)
+    hi = max(ev[-1] for ev in evs)
+    across = lo - 1.0 + (hi - lo + 2.0) * np.array(fracs)
+    near = [evs[k % len(ops)][i % len(evs[0])] + side * 1e-9 for k, i in picks]
+    sigmas = np.concatenate([across, near])
+    D = np.stack([op.D for op in ops])
+    norms = [op.norm_estimate() for op in ops]
+    counts, flagged, _ = operators.inertia_counts(D, ops[0].hpar_off, sigmas, norms)
+    assume(not flagged.any())  # the guard refused a member; the gap check recounts it
+    for k, ev in enumerate(evs):
+        assert np.array_equal(counts[k], [np.count_nonzero(ev < s) for s in sigmas])
+
+    bad = singular % len(ops)
+    D[bad, 0] = sigmas[0] * np.eye(ops[0].J)  # S_0 = D_0 - sigma = 0 exactly
+    again, flagged, _ = operators.inertia_counts(D, ops[0].hpar_off, sigmas, norms)
+    assert np.array_equal(flagged, np.arange(len(ops)) == bad)
+    others = np.arange(len(ops)) != bad
+    assert np.array_equal(again[others], counts[others])
 
 
 @SETTINGS
@@ -136,11 +175,13 @@ def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
         assert fast.inertia_shifts == fast.inertia_sweeps * shifts_per_m
         assert fast.eig_banded_fallbacks == 0
 
-        def refuse(self, sigmas):
-            raise SolverError("forced")
+        def refuse(D, hpar_off, sigmas, norms):
+            # every block flagged singular
+            return (np.zeros((len(D), len(sigmas)), dtype=int),
+                    np.ones(len(D), dtype=bool), 0)
 
         with monkeypatch.context() as mp:
-            mp.setattr(AssembledOperator, "count_below", refuse)
+            mp.setattr(toeplitz_ssf, "inertia_counts", refuse)
             slow = gap_accumulation_check(problem, basis, sign, etas, state=state,
                                           profile=profile)
         assert slow.rows == fast.rows
