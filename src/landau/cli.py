@@ -9,8 +9,9 @@ schema-versioned JSON document.  Identical configs produce bitwise-identical
 output files; wall-clock timing goes to stderr only.
 
 Each invocation has one run object, which builds the problem, the basis, the
-bound state, the transverse profile and the golden-rule data at most once and
-shares them among the runners: the golden-rule data are computed once per run.
+transverse profile and the golden-rule data at most once and shares them among
+the runners: the golden-rule data are computed once per run.  The H_par bound
+states of each grid are solved once in ``schrodinger1d.solved_bound_states``.
 v0 and V are families of ``landau.potentials``; ``problem.v0.<param>`` and
 ``problem.V.<param>`` set the keyword parameters of the selected family.
 
@@ -190,7 +191,6 @@ class _Run:
     def __init__(self, cfg):
         self.cfg = cfg
         self._fgr = {}
-        self._states = []  # bound states on the run's grid refined 0, 1, ... times
 
     @cached_property
     def v0(self):
@@ -228,47 +228,21 @@ class _Run:
     def q(self):
         return self.cfg.get_int("problem.q", 1)
 
-    def states(self, level=0):
-        """All H_par bound states on the run's grid refined ``level`` times
-        (h, h/2, h/4, ...); each grid is solved once per run."""
-        from .schrodinger1d import bound_states
-
-        while len(self._states) <= level:
-            grid = self.basis.grid
-            for _ in self._states:
-                grid = grid.refined()
-            self._states.append(bound_states(self.v0, grid))
-        return self._states[level]
-
-    def ground_states(self, levels):
-        """H_par ground states on the run's grid and its refinements h/2, h/4,
-        ... (``levels`` grids)."""
-        grounds = []
-        for level in range(levels):
-            states = self.states(level)
-            if not states:
-                raise DomainError("longitudinal operator has no bound state")
-            grounds.append(states[0])
-        return grounds
-
-    @property
-    def state(self):
-        return self.ground_states(1)[0]
-
     @cached_property
     def profile(self):
+        from .schrodinger1d import ground_state
         from .toeplitz_ssf import transverse_profile
 
-        return transverse_profile(self.problem.V, self.state, self.problem.b)
+        state = ground_state(self.v0, self.basis.grid)
+        return transverse_profile(self.problem.V, state, self.problem.b)
 
     def fgr(self, refine=1):
         """The golden-rule data at this run's q, computed once per ``refine``."""
         if refine not in self._fgr:
             from .fgr import fgr_value
 
-            # the (h, h/2) states; refine is checked by fgr_value
             self._fgr[refine] = fgr_value(self.problem, self.basis, self.q,
-                                          refine=refine, states=self.ground_states(2))
+                                          refine=refine)
         return self._fgr[refine]
 
 
@@ -277,18 +251,18 @@ class _Run:
 
 
 def _run_bound(run):
-    from .schrodinger1d import jost_solutions, richardson_ground_state
+    from .schrodinger1d import (jost_solutions, richardson_ground_state,
+                                solved_bound_states)
 
     cfg = run.cfg
     v0 = run.v0
     grid = run.basis.grid
     ks = cfg.get_floats("task.k_values", required=True)
 
-    states = run.states()
+    states = solved_bound_states(v0, grid)
     rows = []
     for i, st in enumerate(states):
-        lam_r, _ = richardson_ground_state(v0, grid, which=i,
-                                           states=(states, run.states(1)))
+        lam_r, _ = richardson_ground_state(v0, grid, which=i)
         rows.append([i, st.lam, lam_r])
     scat = []
     for k in ks:
@@ -320,8 +294,7 @@ def _run_fgr(run):
     for m in m_values:
         pm = replace(problem, m=m)
         for qq in range(m_minus(m), q_max + 1):
-            shift_rows.append([qq, m, first_order_shift(pm, basis, qq, refine=refine,
-                                                        states=run.ground_states(2))])
+            shift_rows.append([qq, m, first_order_shift(pm, basis, qq, refine=refine)])
 
     res = run.fgr(refine)
     fgr_rows = [[res.q, res.m, res.F.real, res.F.imag, res.im_from_channels,
@@ -358,8 +331,7 @@ def _run_resonance(run):
             f"'task.kappa_steps' must be at least {MIN_BRANCH_POINTS} to fit the "
             f"expansion, got {steps}", line=cfg.entries["task.kappa_steps"][1])
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
-    branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps),
-                               states=run.ground_states(2))
+    branch = richardson_branch(problem, basis, theta, q, np.linspace(0.0, kmax, steps))
     fit = fit_expansion(branch)
     res = run.fgr()
 
@@ -399,10 +371,8 @@ def _run_dynamics(run):
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
     method = cfg.get_str("task.method", "resolvent")
 
-    # the (h, h/2, h/4) grids of the pole extrapolation; the first two also
-    # serve the golden-rule rate, which needs only Im F: the channel route
-    states = run.ground_states(3)
-    imf = im_from_amplitudes(channel_amplitudes(problem, basis, q, states=states))
+    # the golden-rule rate needs only Im F: the channel route
+    imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
     tables = {}
     fit_rows = []
     surrogate = []
@@ -411,7 +381,7 @@ def _run_dynamics(run):
         t0, t1 = default_fit_window(delta_window, gamma_est)
         times = default_times(t1)
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
-                              method=method, theta=theta, states=states)
+                              method=method, theta=theta)
         fit = fit_decay(ser, (t0, t1))
         surrogate.append({"kappa": kappa, "nodes": ser.surrogate_nodes,
                           "resolvent_solves": ser.resolvent_solves,
@@ -448,10 +418,6 @@ def _run_toeplitz(run):
     eta_min = cfg.get_float("task.eta_min", 1e-8, positive=True)
     eta_max = cfg.get_float("task.eta_max", 1e-3, positive=True)
     eta_points = cfg.get_int("task.eta_points", 21, positive=True)
-
-    source = cfg.get_str("task.source", "derived")
-    if source != "derived":
-        raise ConfigError(f"unknown profile source {source!r}")
     profile = run.profile
     spec = toeplitz_eigenvalues(profile, q, eta_min=eta_min)
     cf = CountingFunction(spec)
@@ -491,8 +457,7 @@ def _run_gap(run):
     profile = run.profile
     top = float(toeplitz_eigenvalues(profile, 0, m_max=12).eigenvalues.max())
     etas = [top * f for f in fracs]
-    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps, state=run.state,
-                                 profile=profile)
+    rep = gap_accumulation_check(problem, basis, sign, etas, eps=eps, profile=profile)
     rows = [[r["eta"], r["count"], r["n_plus_lower"], r["n_plus_upper"], r["slack"]]
             for r in rep.rows]
     tables = {"gap": (["eta", "count", "n_plus_lower", "n_plus_upper", "slack"], rows)}

@@ -41,8 +41,7 @@ from .errors import AccuracyError, DomainError
 from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
-from .schrodinger1d import (ground_state, hamiltonian_tridiagonal,
-                            refined_ground_states, tridiagonal_band)
+from .schrodinger1d import ground_state, hamiltonian_tridiagonal, tridiagonal_band
 
 _BG_TIME_CAP = 6000.0  # beyond this the smooth-background Fourier tail is < 1e-12
 # f(E) = (E - w_h) G(E) is analytic around the window: for the reference
@@ -93,9 +92,9 @@ class AutocorrelationSeries:
     surrogate_nodes: int = 0
 
 
-def _series_eigh(problem, basis, q, kappa, times, delta_window, state):
+def _series_eigh(problem, basis, q, kappa, times, delta_window):
     op = assemble(problem, basis, theta=0.0, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q, state=state)
+    pair = embedded_eigenpair(problem, basis, q)
     h = basis.grid.h
     m = op.dense()
     energies, vecs = np.linalg.eigh(m)
@@ -110,18 +109,18 @@ def _series_eigh(problem, basis, q, kappa, times, delta_window, state):
     return values, pair.energy, horizon
 
 
-def dilated_bound_vector(problem, basis, theta, state=None):
+def dilated_bound_vector(problem, basis, theta):
     """Bilinear-normalized ground-state eigenvector of the dilated longitudinal
     operator.
 
     Under exact dilation this is the analytic continuation U(theta) psi; on the
     grid it comes from inverse iteration on the complex tridiagonal (until the
     eigenvalue moves by less than 1e-12), normalized by h * sum(u^2) = 1 with
-    sign matched to psi.  ``state``: psi on ``basis.grid``, solved here if None.
+    sign matched to psi.
     """
     grid = basis.grid
     d, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
-    st = ground_state(problem.v0, grid) if state is None else state
+    st = ground_state(problem.v0, grid)
     h = grid.h
     u = st.psi[1:-1].astype(complex)
     w = complex(st.lam)
@@ -145,13 +144,12 @@ def dilated_bound_vector(problem, basis, theta, state=None):
     return complex(w), u
 
 
-def _dilated_pole(problem, basis, q, kappa, theta, state=None):
-    """Resonance pole and residue of the dilated resolvent on one grid, whose
-    H_par ground state ``state`` is solved here if None."""
+def _dilated_pole(problem, basis, q, kappa, theta):
+    """Resonance pole and residue of the dilated resolvent on one grid."""
     op = assemble(problem, basis, theta=theta, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q, state=state)
+    pair = embedded_eigenpair(problem, basis, q)
     h = basis.grid.h
-    _, u_th = dilated_bound_vector(problem, basis, theta, state=pair.bound_state)
+    _, u_th = dilated_bound_vector(problem, basis, theta)
     phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
     a_idx = int(np.where(op.qs == q)[0][0])
     phi_th[a_idx] = u_th
@@ -205,18 +203,17 @@ def _horner_phase_sum(fw, e0, d_e, times):
     return np.exp(-1j * e0 * times) * acc
 
 
-def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, states):
+def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
     from .numutil import neville_to_zero
 
-    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta,
-                                                 states[0])
+    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
     h = basis.grid.h
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     b2 = basis.refined()
-    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta, states[1])
-    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta, states[2])
+    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta)
+    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta)
     w_pole, _ = neville_to_zero([h**2, h**2 / 4.0, h**2 / 16.0], [w_h, w_2, w_4])
 
     center = pair.energy
@@ -256,16 +253,13 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, stat
 
 
 def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh",
-                    theta=0.3j, states=None):
+                    theta=0.3j):
     """Smoothed autocorrelation of the embedded state.
 
     eigh: exact spectral sum on the (self-adjoint, theta = 0) truncation;
     beyond the recurrence horizon the series is flagged, not trusted.
     resolvent: complex-scaled spectral density (pole + smooth background); no
     recurrence, valid at all times; requires dilatable inputs.
-    ``states``: the H_par ground states on the grid of ``basis`` and its
-    refinements h/2, h/4 of the pole extrapolation (``refined_ground_states``),
-    solved here if None; eigh reads only the first.
     """
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -273,9 +267,8 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
     if not delta_window > 0:
         raise DomainError("delta_window must be positive")
     if method == "eigh":
-        state = states[0] if states else None
         values, center, horizon = _series_eigh(problem, basis, q, kappa, times,
-                                               delta_window, state)
+                                               delta_window)
         return AutocorrelationSeries(
             times=times,
             values=values,
@@ -286,10 +279,8 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh"
             horizon_exceeded=bool(times[-1] > horizon),
         )
     if method == "resolvent":
-        if states is None:
-            states = refined_ground_states(problem.v0, basis.grid, 3)
         values, center, solves, err, nodes = _series_resolvent(
-            problem, basis, q, kappa, times, delta_window, theta, states)
+            problem, basis, q, kappa, times, delta_window, theta)
         return AutocorrelationSeries(
             times=times,
             values=values,

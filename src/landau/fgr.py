@@ -34,8 +34,7 @@ from scipy.linalg import solve_banded
 from .errors import AccuracyError, DomainError
 from .numutil import richardson_h2
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
-                            refined_ground_states, scattering_state,
-                            tridiagonal_band)
+                            scattering_state, tridiagonal_band)
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -88,36 +87,32 @@ def _check_refine(refine):
         raise DomainError(f"refine must be >= 0 and <= 1, got {refine}")
 
 
-def _first_order_on_grid(problem, basis, q, st):
+def _first_order_on_grid(problem, basis, q):
+    st = ground_state(problem.v0, basis.grid)
     x = basis.grid.interior
     cqq = _mode_factors(problem, basis, [q], q, x)[0]
     psi2 = st.psi[1:-1] ** 2
     return basis.grid.h * float(np.dot(cqq, psi2))
 
 
-def first_order_shift(problem, basis, q, refine=1, states=None):
+def first_order_shift(problem, basis, q, refine=1):
     """<V Phi_{q,m}, Phi_{q,m}> in L^2(R_+ x R; rho drho dx3).
 
     ``refine`` = 1 Richardson-extrapolates over the (h, h/2) grid pair to remove
     the O(h^2) bias of the discretized bound state; 0 keeps the grid value.
-    ``states``: H_par ground states on the grid of ``basis`` and its successive
-    refinements (``refined_ground_states``), at least 1 + ``refine`` of them;
-    solved here if None.
     """
     _check_refine(refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    if states is None:
-        states = refined_ground_states(problem.v0, basis.grid, 1 + refine)
-    val = _first_order_on_grid(problem, basis, q, states[0])
+    val = _first_order_on_grid(problem, basis, q)
     if refine:
-        val = richardson_h2(val, _first_order_on_grid(problem, basis.refined(), q,
-                                                      states[1]))
+        val = richardson_h2(val, _first_order_on_grid(problem, basis.refined(), q))
     return float(val)
 
 
-def _channel_amplitude(problem, basis, q, j, l, st):
+def _channel_amplitude(problem, basis, q, j, l):
     """int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda) V(rho, x) dx rho drho."""
+    st = ground_state(problem.v0, basis.grid)
     energy = 2.0 * problem.b * (q - j) + st.lam
     psi_l = scattering_state(problem.v0, energy, l, basis.grid)
     x = basis.grid.interior
@@ -126,41 +121,25 @@ def _channel_amplitude(problem, basis, q, j, l, st):
     return basis.grid.h * complex(np.sum(integrand))
 
 
-def fgr_channel(problem, basis, q, j, l, refine=1, states=None):
-    """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q).
-
-    ``states``: H_par ground states on the grid of ``basis`` and its successive
-    refinements (``refined_ground_states``), at least 1 + ``refine`` of them;
-    solved here if None.
-    """
+def fgr_channel(problem, basis, q, j, l, refine=1):
+    """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q)."""
     _check_refine(refine)
     if not (m_minus(problem.m) <= j < q):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    if states is None:
-        states = refined_ground_states(problem.v0, basis.grid, 1 + refine)
-    val = _channel_amplitude(problem, basis, q, j, l, states[0])
+    val = _channel_amplitude(problem, basis, q, j, l)
     if refine:
-        val = richardson_h2(val, _channel_amplitude(problem, basis.refined(), q, j, l,
-                                                    states[1]))
+        val = richardson_h2(val, _channel_amplitude(problem, basis.refined(), q, j, l))
     return complex(val)
 
 
-def channel_amplitudes(problem, basis, q, refine=1, states=None):
-    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2.
-
-    ``states``: H_par ground states on the grid of ``basis`` and its successive
-    refinements (``refined_ground_states``), at least 1 + ``refine`` of them;
-    solved here if None.
-    """
+def channel_amplitudes(problem, basis, q, refine=1):
+    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2."""
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    channels = [(l, j) for j in range(m_minus(problem.m), q) for l in (1, 2)]
-    if channels and states is None:
-        states = refined_ground_states(problem.v0, basis.grid, 1 + refine)
-    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine, states=states)
-            for l, j in channels}
+    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine)
+            for j in range(m_minus(problem.m), q) for l in (1, 2)}
 
 
 def im_from_amplitudes(amps):
@@ -248,25 +227,21 @@ def _resolvent_route(problem, basis, q, st):
     return complex(total), n_open
 
 
-def fgr_value(problem, basis, q, refine=1, states=None):
+def fgr_value(problem, basis, q, refine=1):
     """F_{q,m}(2bq + lambda) with the dual-route imaginary-part self-check.
 
     The resolvent route runs on the grid of ``basis`` and, with ``refine``,
     on its refinement, each at its own lambda_h, and is Richardson-combined;
     a relative Im F disagreement above ``_ROUTE_TOLERANCE`` flags the result.
-    ``states``: H_par ground states on the grid of ``basis`` and its successive
-    refinements (``refined_ground_states``), at least 1 + ``refine`` of them;
-    solved here if None.
     """
     _check_refine(refine)
-    if states is None:
-        states = refined_ground_states(problem.v0, basis.grid, 1 + refine)
-    first = first_order_shift(problem, basis, q, refine=refine, states=states)
+    first = first_order_shift(problem, basis, q, refine=refine)
 
-    amps = channel_amplitudes(problem, basis, q, refine=refine, states=states)
+    amps = channel_amplitudes(problem, basis, q, refine=refine)
     im_channels = im_from_amplitudes(amps)
 
-    states = states[:1 + refine]
+    states = [ground_state(problem.v0, grid)
+              for grid in (basis.grid, basis.grid.refined())[:1 + refine]]
     routes = [_resolvent_route(problem, basis, q, st) for st in states]
     f_val = routes[0][0]
     lam = states[0].lam

@@ -21,7 +21,7 @@ banded LU (built once per operator, copied and factorized per shift), the
 symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia:
 ``inertia_counts`` sweeps a stack of real operators on one grid (the
 angular-momentum fibers of one problem) and every shift at once, with a
-Cholesky certificate per step; ``count_below`` runs it on one operator.
+Cholesky certificate per step.
 """
 
 import cmath
@@ -226,18 +226,6 @@ class AssembledOperator:
             raise SolverError(f"zgbtrf failed with info={info}")
         return _BandSolver(lu, piv, J, self.n_int)
 
-    def count_below(self, sigmas):
-        """Number of eigenvalues below each sigma: ``inertia_counts`` on this
-        operator alone.  Real-symmetric operators only.  Raises SolverError
-        when a Schur block is numerically singular (sigma on the spectrum of a
-        leading section).
-        """
-        counts, singular, _ = inertia_counts(self.D[None], self.hpar_off, sigmas,
-                                             [self.norm_estimate()])
-        if singular[0]:
-            raise SolverError("Schur block singular: shift on the spectrum")
-        return counts[0]
-
 
 def symmetric_band_lower(D, hpar_off):
     """Lower band storage (for scipy.eig_banded) of the real block-tridiagonal
@@ -391,17 +379,16 @@ class EmbeddedEigenpair:
         return self.coefficients.reshape(-1)
 
 
-def embedded_eigenpair(problem, basis, q, state=None):
+def embedded_eigenpair(problem, basis, q):
     """Exact tensor eigenvector of the truncated unperturbed operator.
 
-    The longitudinal factor is the ground state of H_par, so the energy is
-    2bq + lambda_0.  ``state``: that ground state on ``basis.grid``, solved
-    here if None.
+    The longitudinal factor is the ground state of H_par on ``basis.grid``, so
+    the energy is 2bq + lambda_0.
     """
     qs = basis.landau_indices(problem.m)
     if q not in qs:
         raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
-    st = ground_state(problem.v0, basis.grid) if state is None else state
+    st = ground_state(problem.v0, basis.grid)
     coeff = np.zeros((basis.J, basis.grid.n - 2))
     a = int(np.where(qs == q)[0][0])
     coeff[a, :] = st.psi[1:-1]

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ContinuationError, DomainError, SolverError
 from .numutil import richardson_h2
 from .operators import assemble, embedded_eigenpair
-from .schrodinger1d import refined_ground_states
 
 _EPS = np.finfo(float).eps
 _TOL = 1e-10
@@ -141,20 +140,18 @@ def isolation_radius(problem, basis, theta, q, lam):
     return 0.5 * min(dists)
 
 
-def continue_in_kappa(problem, basis, theta, q, kappa_grid, state=None):
+def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     """Track the resonance branch w(kappa) from the embedded energy at kappa = 0.
 
     Each converged eigenvalue seeds the next shift; a step that leaves the
     isolation radius aborts with the partial branch attached to the error.
-    ``state``: the H_par ground state on the grid of ``basis``, solved here if
-    None.
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     if kappa_grid[0] != 0.0:
         raise DomainError("kappa grid must start at 0")
     if np.any(np.diff(kappa_grid) <= 0):
         raise DomainError("kappa grid must be strictly increasing")
-    pair = embedded_eigenpair(problem, basis, q, state=state)
+    pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
     shift = complex(pair.energy)
@@ -178,17 +175,10 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid, state=None):
     return results
 
 
-def richardson_branch(problem, basis, theta, q, kappa_grid, states=None):
-    """The branch on the (h, h/2) grid pair, Richardson-combined pointwise.
-
-    ``states``: the H_par ground states on those two grids
-    (``refined_ground_states``); solved here if None.
-    """
-    if states is None:
-        states = refined_ground_states(problem.v0, basis.grid, 2)
-    coarse = continue_in_kappa(problem, basis, theta, q, kappa_grid, state=states[0])
-    fine = continue_in_kappa(problem, basis.refined(), theta, q, kappa_grid,
-                             state=states[1])
+def richardson_branch(problem, basis, theta, q, kappa_grid):
+    """The branch on the (h, h/2) grid pair, Richardson-combined pointwise."""
+    coarse = continue_in_kappa(problem, basis, theta, q, kappa_grid)
+    fine = continue_in_kappa(problem, basis.refined(), theta, q, kappa_grid)
     return [
         ResonanceResult(c.kappa, complex(richardson_h2(c.w, f.w)),
                         max(c.residual, f.residual), c.iterations + f.iterations,

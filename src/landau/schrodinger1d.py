@@ -16,6 +16,7 @@ sector.  ``tridiagonal_band`` lays (d, e) out for ``solve_banded((1, 1), ...)``.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -30,8 +31,8 @@ __all__ = [
     "hamiltonian_tridiagonal",
     "tridiagonal_band",
     "bound_states",
+    "solved_bound_states",
     "ground_state",
-    "refined_ground_states",
     "richardson_ground_state",
     "jost_solutions",
     "scattering_state",
@@ -199,37 +200,43 @@ def bound_states(v0, grid, check_tails=True):
     return out
 
 
+@lru_cache(maxsize=8)
+def solved_bound_states(v0, grid):
+    """``bound_states(v0, grid)`` solved once and shared: a tuple whose psi
+    arrays are read-only.
+
+    Every embedded energy 2bq + lambda, on the grids h, h/2, h/4 of a run,
+    reads its state here.  Potentials compare their closures by identity, so
+    separately built v0 never share an entry, and the cache holds its keys,
+    so an id is not reused while its entry lives.  A run uses at most 3 grids.
+    """
+    states = tuple(bound_states(v0, grid))
+    for st in states:
+        st.psi.flags.writeable = False
+    return states
+
+
 def ground_state(v0, grid, check_tails=True):
     """The lowest bound state: the one every embedded eigenvalue 2bq + lambda uses.
 
-    Raises DomainError when the discrete spectrum is empty.
+    Read from ``solved_bound_states``; ``check_tails=False`` solves afresh
+    without the grid-width precondition.  Raises DomainError when the discrete
+    spectrum is empty.
     """
-    states = bound_states(v0, grid, check_tails=check_tails)
+    states = (solved_bound_states(v0, grid) if check_tails
+              else bound_states(v0, grid, check_tails=False))
     if not states:
         raise DomainError("longitudinal operator has no bound state")
     return states[0]
 
 
-def refined_ground_states(v0, grid, levels):
-    """Ground states on ``grid`` and its first ``levels - 1`` refinements
-    (h, h/2, h/4, ...): solved once by a caller that hands them to every
-    computation on those grids."""
-    states = [ground_state(v0, grid)]
-    while len(states) < levels:
-        states.append(ground_state(v0, states[-1].grid.refined()))
-    return states
-
-
-def richardson_ground_state(v0, grid, which=0, states=None):
+def richardson_ground_state(v0, grid, which=0):
     """Bound-state eigenvalue extrapolated over (h, h/2); O(h^4) accurate.
 
-    ``states``: the ``bound_states`` of ``grid`` and of ``grid.refined()``, a
-    pair of lists; solved here if None.  Returns (lam_extrapolated, BoundState
-    on the refined grid).
+    Returns (lam_extrapolated, BoundState on the refined grid).
     """
-    if states is None:
-        states = bound_states(v0, grid), bound_states(v0, grid.refined())
-    coarse, fine = states
+    coarse = solved_bound_states(v0, grid)
+    fine = solved_bound_states(v0, grid.refined())
     if which >= len(coarse) or which >= len(fine):
         raise DomainError(f"bound state #{which} not present on both grids")
     lam = richardson_h2(coarse[which].lam, fine[which].lam)

@@ -331,7 +331,7 @@ def law_prediction(profile, eta):
 class LawReport:
     rows: list  # (eta, n_plus, prediction, ratio)
     last_decade_mean: float
-    slope: float  # d ratio / d ln eta over the grid
+    slope: float  # d ratio / d ln eta over the grid; NaN with one distinct eta
 
 
 def law_convergence_report(profile, q, eta_grid):
@@ -348,8 +348,10 @@ def law_convergence_report(profile, q, eta_grid):
     ratios = np.array([r[3] for r in rows])
     last = etas <= etas.min() * 10.0
     mean = float(np.mean(ratios[last]))
-    coef = np.polynomial.polynomial.polyfit(np.log(etas), ratios, 1)
-    return LawReport(rows=rows, last_decade_mean=mean, slope=float(coef[1]))
+    slope = math.nan  # a line through one distinct eta has no slope
+    if len(np.unique(etas)) > 1:
+        slope = float(np.polynomial.polynomial.polyfit(np.log(etas), ratios, 1)[1])
+    return LawReport(rows=rows, last_decade_mean=mean, slope=slope)
 
 
 @dataclass(frozen=True)
@@ -406,17 +408,16 @@ def _block_counts(problem, basis, kappa, shifts, batch_end, tally):
         m = ms[-1] + 1
 
 
-def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
-                           profile=None):
+def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, profile=None):
     """Eigenvalue accumulation at the isolated embedded energy vs the counting law.
 
     The embedded energy is lambda, the ground-state eigenvalue of H_par in the
     bottom Landau level.  For sign '-' counts eigenvalues of H^(m) - V below
     lambda - eta, aggregated over m = 0 .. ``_GAP_M_CAP``, and sandwiches the
-    total by n_+((1 +- eps) eta) of the transverse compression at that level.
-    sign '+' mirrors to (lambda + eta, 0).  Requires sign-definite V.
-    ``state`` (the ground state) and its transverse ``profile`` are built here
-    unless given.
+    total by n_+((1 +- eps) eta) of the transverse compression at that level,
+    0 < eps < 1.  sign '+' mirrors to (lambda + eta, 0).  Requires sign-definite
+    V.  The transverse ``profile`` of the ground state is built here unless
+    given.
 
     The aggregation stops at the first m with two zero counts in a row and
     mu_m < eta_min / 4, mu_m the m-th compression eigenvalue.  It cannot stop
@@ -432,9 +433,10 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
     eta_grid = np.sort(np.asarray(eta_grid, dtype=float))[::-1]
     if np.any(eta_grid <= 0):
         raise DomainError("eta grid must be positive")
+    if not 0 < eps < 1:
+        raise DomainError(f"eps must lie in (0, 1), got {eps}")
 
-    if state is None:
-        state = ground_state(problem.v0, basis.grid)
+    state = ground_state(problem.v0, basis.grid)
     lam = state.lam
     if profile is None:
         profile = transverse_profile(problem.V, state, problem.b)
@@ -444,7 +446,8 @@ def gap_accumulation_check(problem, basis, sign, eta_grid, eps=0.1, state=None,
     kappa = -1.0 if sign == "-" else 1.0
     # the box continuum starts at the first free kinetic eigenvalue; counting
     # windows must stay clear of it on the '+' side, so '+' counts in
-    # (lambda + eta, -1e-9] as count_below(-1e-9) - count_below(lambda + eta)
+    # (lambda + eta, -1e-9] as the count below -1e-9 minus the count below
+    # lambda + eta
     if sign == "-":
         shifts = lam - eta_grid
     else:

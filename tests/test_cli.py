@@ -1,9 +1,11 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +209,23 @@ def test_toeplitz_run(tmp_path):
     assert all(0.5 < r < 1.5 for r in ratios)
 
 
+@pytest.mark.parametrize("change", [
+    ("task.eta_points = 9", "task.eta_points = 1"),
+    ("task.eta_max = 1e-3", "task.eta_max = 1e-7"),
+], ids=["one_point", "eta_min_equals_eta_max"])
+def test_toeplitz_single_eta_slope_is_nan(tmp_path, change):
+    # a line through one distinct eta has no slope
+    cfg = _write(tmp_path, TOEPLITZ_CFG.replace(*change))
+    out = tmp_path / "toe"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        assert main(["toeplitz", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+    diag = json.loads((out / "toeplitz.json").read_text())["diagnostics"]
+    assert math.isnan(diag["slope"])
+    assert math.isfinite(diag["last_decade_mean"])
+
+
 def test_toeplitz_power_law_out_of_reach_exit_2(tmp_path, monkeypatch, capsys):
     # a power-law profile cannot fall to eta_min/10 = 1e-9 within the m cap;
     # the run is refused before any eigenvalue is computed
@@ -251,6 +270,17 @@ def test_gap_run(tmp_path):
     doc = json.loads((out / "gap.json").read_text())
     rows = doc["tables"]["gap"]["rows"]
     assert all(row[4] <= 3 for row in rows)  # slack column
+
+
+@pytest.mark.parametrize("eps", ["1", "1.5"])
+def test_gap_eps_outside_unit_interval_exit_2(tmp_path, monkeypatch, capsys, eps):
+    # the count is sandwiched between n_+((1 +- eps) eta), void unless eps < 1;
+    # the run is refused before any m block is assembled
+    assembled = _counting(monkeypatch, toeplitz_ssf, "assemble")
+    cfg = _write(tmp_path, GAP_CFG + f"task.eps = {eps}\n")
+    assert main(["gap", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "eps must lie in (0, 1)" in capsys.readouterr().err
+    assert assembled == []
 
 
 def test_unknown_key_exit_2(tmp_path):
@@ -454,11 +484,13 @@ def test_dynamics_subcommand(tmp_path, monkeypatch):
     ("fgr", FGR_CFG + "task.q_max = 2\ntask.m_values = -1, 0, 1\n", 2),
     ("dynamics", DYN_CFG.replace("kappa_values = 0.05", "kappa_values = 0.05, 0.08"),
      3),
-], ids=["fgr", "dynamics"])
+    ("fgr", FGR_CFG + "task.q_max = 2\ntask.m_values = -1, 0, 1\ntask.refine = 0\n", 1),
+], ids=["fgr", "dynamics", "fgr_refine0"])
 def test_each_grid_bound_state_solved_once(tmp_path, monkeypatch, subcommand, text,
                                           grids):
     # fgr: the (h, h/2) states serve every first-order shift, channel and
-    # resolvent route; dynamics: the (h, h/2, h/4) states serve every kappa
+    # resolvent route; dynamics: the (h, h/2, h/4) states serve every kappa;
+    # fgr with refine = 0 never reads the h/2 grid
     calls = _counting(monkeypatch, schrodinger1d, "bound_states")
     cfg = _write(tmp_path, text)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "x")]) == 0

@@ -9,7 +9,6 @@ bit.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -65,10 +64,10 @@ def test_count_below_equals_dense_count(op, fracs, picks, side):
     across = ev[0] - 1.0 + (ev[-1] - ev[0] + 2.0) * np.array(fracs)
     near = ev[np.array(picks) % len(ev)] + side * 1e-9  # 1e-9 off an eigenvalue
     sigmas = np.concatenate([across, near])
-    try:
-        got = op.count_below(sigmas)
-    except SolverError:
-        assume(False)  # the guard refused the sweep; the gap check recounts then
+    counts, singular, _ = operators.inertia_counts(op.D[None], op.hpar_off, sigmas,
+                                                   [op.norm_estimate()])
+    assume(not singular[0])  # the guard refused the sweep; the gap check recounts then
+    got = counts[0]
     want = np.array([np.count_nonzero(ev < s) for s in sigmas])
     assert np.array_equal(got, want)
 
@@ -79,8 +78,9 @@ def test_count_below_guard_on_singular_schur_block():
     op = AssembledOperator(b=1.0, m=0, qs=[0], grid=grid, theta=0.0, kappa=0.0,
                            mode_shifts=[0.0], hpar_diag=diag, hpar_off=-0.1,
                            coupling=None)
-    with pytest.raises(SolverError):
-        op.count_below([diag[0]])  # S_0 = D_0 - sigma = 0 exactly
+    _, singular, _ = operators.inertia_counts(op.D[None], op.hpar_off, [diag[0]],
+                                              [op.norm_estimate()])
+    assert singular[0]  # S_0 = D_0 - sigma = 0 exactly
 
 
 @SETTINGS
@@ -168,8 +168,7 @@ def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
     top = toeplitz_ssf.toeplitz_eigenvalues(profile, 0, m_max=10).eigenvalues.max()
     for sign in ("-", "+"):
         etas = top * np.array([0.1, 0.03])
-        fast = gap_accumulation_check(problem, basis, sign, etas, state=state,
-                                      profile=profile)
+        fast = gap_accumulation_check(problem, basis, sign, etas, profile=profile)
         shifts_per_m = len(etas) + (sign == "+")
         assert fast.inertia_sweeps == fast.m_used + 1
         assert fast.inertia_shifts == fast.inertia_sweeps * shifts_per_m
@@ -182,8 +181,7 @@ def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(toeplitz_ssf, "inertia_counts", refuse)
-            slow = gap_accumulation_check(problem, basis, sign, etas, state=state,
-                                          profile=profile)
+            slow = gap_accumulation_check(problem, basis, sign, etas, profile=profile)
         assert slow.rows == fast.rows
         assert slow.m_used == fast.m_used
         assert (slow.inertia_sweeps, slow.inertia_shifts) == (0, 0)

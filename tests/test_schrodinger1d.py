@@ -18,6 +18,7 @@ from landau.schrodinger1d import (
     outgoing_solve,
     richardson_ground_state,
     scattering_state,
+    solved_bound_states,
 )
 
 GRID = Grid1D(-20.0, 20.0, 4001)
@@ -31,6 +32,19 @@ def test_grid_invariants():
     g = Grid1D(-2.0, 2.0, 5)
     assert g.h == 1.0
     assert g.refined().n == 9
+
+
+def test_ground_state_solved_once_per_potential_and_grid():
+    grid = Grid1D(-20.0, 20.0, 401)
+    v = sech2(2.0)
+    st = ground_state(v, grid)
+    assert ground_state(v, grid) is st
+    assert solved_bound_states(v, grid)[0] is st
+    with pytest.raises(ValueError):
+        st.psi[1] = 0.0  # shared by every computation on the grid
+    # separately built potentials never share an entry
+    assert ground_state(sech2(3.0), grid).lam != st.lam
+    assert ground_state(sech2(2.0), grid) is not st
 
 
 def test_free_potential_no_bound_states():
