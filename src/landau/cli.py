@@ -37,6 +37,10 @@ SCHEMA_VERSION = 1
 # config parsing
 
 
+def _float_list(raw):
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
 class Config:
     """Flat dotted-key config with line tracking and consumption accounting."""
 
@@ -64,6 +68,12 @@ class Config:
                 raise ConfigError("empty key or value", line=lineno)
             if key in entries:
                 raise ConfigError(f"duplicate key {key!r}", line=lineno)
+            try:  # get_floats checks lists, _build_potential family parameters
+                finite = math.isfinite(float(value))
+            except ValueError:
+                finite = True
+            if not (finite or key.startswith(("problem.v0.", "problem.V."))):
+                raise ConfigError(f"{key!r} must be finite, got {value!r}", line=lineno)
             entries[key] = (value, lineno)
         return cls(entries, source=str(path))
 
@@ -104,18 +114,14 @@ class Config:
         return self.raw(key, default=default, required=required)
 
     def get_floats(self, key, default=None, required=False):
-        raw = self.raw(key, default=None, required=required)
-        if raw is None:
-            return default
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse list {key!r} = {raw!r}", line=self.entries[key][1]
-            )
+        vals = self._typed(key, _float_list, default, required)
+        if not all(map(math.isfinite, vals or ())):
+            raise ConfigError(f"{key!r} must be finite, got {self.entries[key][0]!r}",
+                              line=self.entries[key][1])
+        return vals
 
     def get_ints(self, key, default=None):
-        vals = self.get_floats(key)
+        vals = self._typed(key, _float_list, None, False)
         if vals is None:
             return default
         if not all(v.is_integer() for v in vals):
@@ -154,7 +160,7 @@ def _build_potential(cfg, part):
     """The ``problem.<part>.family`` member of its registry in ``potentials``.
 
     Its keyword parameters are read from ``problem.<part>.<param>``; absent keys
-    keep the family's defaults, and the family validates the values.
+    keep the family's defaults, and the family validates the finite values.
     """
     key = f"problem.{part}.family"
     family = cfg.get_str(key, required=True)
@@ -166,6 +172,9 @@ def _build_potential(cfg, part):
               for name in inspect.signature(build).parameters
               if cfg.has(f"problem.{part}.{name}")}
     try:
+        bad = [name for name, val in kwargs.items() if not math.isfinite(val)]
+        if bad:
+            raise DomainError(f"{bad[0]} must be finite, got {kwargs[bad[0]]}")
         return build(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"{family}: {exc}", line=line)

@@ -151,7 +151,7 @@ def _dilated_pole(problem, basis, q, kappa, theta):
     h = basis.grid.h
     _, u_th = dilated_bound_vector(problem, basis, theta)
     phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
-    a_idx = int(np.where(op.qs == q)[0][0])
+    a_idx = basis.mode_index(problem.m, q)
     phi_th[a_idx] = u_th
     phi_th = phi_th.reshape(-1)
     w, v, _, _ = find_eigenvalue_near(op, pair.energy, x0=phi_th)

@@ -175,12 +175,12 @@ class FgrResult:
 def _mode_rows(problem, basis, q, st):
     """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w."""
     grid = st.grid
+    a_idx = basis.mode_index(problem.m, q)
     qs = basis.landau_indices(problem.m)
     psi = st.psi[1:-1]
     w = _mode_factors(problem, basis, qs, q, grid.interior)
     w *= psi
     # (I - P) w: remove the embedded eigenvector component exactly
-    a_idx = int(np.where(qs == q)[0][0])
     w_proj = w.copy()
     w_proj[a_idx] -= psi * (grid.h * float(np.dot(w[a_idx], psi)))
     return qs, w, w_proj

@@ -75,6 +75,12 @@ class BasisTruncation:
         lo = m_minus(m)
         return np.arange(lo, lo + self.J)
 
+    def mode_index(self, m, q):
+        qs = self.landau_indices(m)
+        if q not in qs:
+            raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
+        return int(q - qs[0])
+
     def rule(self, b, m):
         if self.quad_nodes:
             from .specfun import gauss_laguerre_rule
@@ -385,12 +391,9 @@ def embedded_eigenpair(problem, basis, q):
     The longitudinal factor is the ground state of H_par on ``basis.grid``, so
     the energy is 2bq + lambda_0.
     """
-    qs = basis.landau_indices(problem.m)
-    if q not in qs:
-        raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
+    a = basis.mode_index(problem.m, q)
     st = ground_state(problem.v0, basis.grid)
     coeff = np.zeros((basis.J, basis.grid.n - 2))
-    a = int(np.where(qs == q)[0][0])
     coeff[a, :] = st.psi[1:-1]
     return EmbeddedEigenpair(
         energy=2.0 * problem.b * q + st.lam,

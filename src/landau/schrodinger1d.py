@@ -38,7 +38,6 @@ __all__ = [
     "scattering_state",
     "outgoing_root",
     "outgoing_solve",
-    "limiting_resolvent",
 ]
 
 _TAIL_FRACTION = 1e-8  # pre: |v0| at the grid ends relative to max|v0|
@@ -373,11 +372,3 @@ def outgoing_solve(v0, grid, energy, rhs):
     ab[1, -1] -= outgoing_root(energy - v_ends[1], h) / h**2
     return solve_banded((1, 1), ab, rhs)
 
-
-def limiting_resolvent(v0, E, f, g, grid):
-    """Boundary value <(H - E - i0)^(-1) f, g> for f, g sampled on the full
-    grid; the inner product is linear in the first slot."""
-    if not E > 0:
-        raise DomainError("limiting absorption requires E > 0")
-    u = outgoing_solve(v0, grid, E, np.asarray(f)[1:-1])
-    return grid.h * np.dot(u, np.conj(np.asarray(g)[1:-1]))

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import eig_banded
 
 from .errors import DomainError, RangeError
-from .numutil import minimize_bounded
 from .operators import assemble, inertia_counts, symmetric_band_lower
 from .schrodinger1d import ground_state
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
@@ -26,6 +25,9 @@ _SMALL_M_CUTOFF = 64
 _M_CAP = 4000  # largest m an automatic spectrum range may reach
 _GAP_M_CAP = 200  # largest m the accumulation check aggregates over
 _GAP_BATCH = 16  # most m blocks one inertia sweep of the accumulation check holds
+_GN_STEPS = 8  # Gauss-Newton steps polishing the closed-form tail-fit start
+_BETA_SNAP = 5e-3  # a fitted beta this close to 1 is taken as exactly 1
+_NO_BEND = (0.0, math.nan, math.inf)  # tail-fit result for a tail that does not bend
 
 
 @lru_cache(maxsize=64)
@@ -75,31 +77,39 @@ def _power_fit(rho, lu):
     return cp, resid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _exp_fit(rho, lu):
-    """Profile scan over beta of the model ln U = ln c - mu rho^(2 beta).
+    """Fit of ln U = ln c - mu rho^(2 beta) to a tail: (beta, mu, rms residual).
 
-    Linear in (ln c, mu) at fixed beta, so a coarse-then-fine beta scan plus
-    least squares recovers amplitude offsets exactly (a pure Gaussian fits with
-    zero residual and beta = 1 to machine precision).
+    On the model ln(-d ln U / d ln rho) = ln(2 beta mu) + 2 beta ln rho, so a
+    line fit gives the starting beta; Gauss-Newton steps on (ln c, -mu, beta)
+    refine it, and least squares at the final beta gives mu and the residual.
+    A tail whose ln U does not fall at every sample, or whose beta leaves
+    (0, inf) (a power law starts near 0), does not bend: (0, nan, inf).
     """
     def solve(beta):
         a = np.stack([np.ones_like(rho), rho ** (2.0 * beta)], axis=1)
+        if not np.all(np.isfinite(a)):
+            return math.inf, np.full(2, math.nan)
         coef, *_ = np.linalg.lstsq(a, lu, rcond=None)
         r = lu - a @ coef
         return float(np.sqrt(np.mean(r * r))), coef
 
-    betas = np.geomspace(0.1, 4.0, 60)
-    scans = [solve(b)[0] for b in betas]
-    i0 = int(np.argmin(scans))
-    lo = betas[max(i0 - 1, 0)]
-    hi = betas[min(i0 + 1, len(betas) - 1)]
-    beta = minimize_bounded(lambda b: solve(b)[0], lo, hi, xatol=1e-9)
+    lr = np.log(rho)
+    slope = -np.gradient(lu, lr)
+    if not np.all(slope > 0):
+        return _NO_BEND
+    beta = 0.5 * np.polynomial.polynomial.polyfit(lr, np.log(slope), 1)[1]
+    p = np.append(solve(beta)[1], beta)  # (ln c, -mu, beta)
+    for _ in range(_GN_STEPS):
+        pw = rho ** (2.0 * p[2])
+        jac = np.stack([np.ones_like(rho), pw, 2.0 * p[1] * lr * pw], axis=1)
+        if not (p[2] > 0 and np.all(np.isfinite(jac))):
+            return _NO_BEND
+        p += np.linalg.lstsq(jac, lu - p[0] - p[1] * pw, rcond=None)[0]
+    beta = 1.0 if abs(p[2] - 1.0) < _BETA_SNAP else float(p[2])
     resid, coef = solve(beta)
-    if abs(beta - 1.0) < 5e-3:
-        beta = 1.0
-        resid, coef = solve(beta)
-    mu = float(-coef[1])
-    return beta, mu, resid
+    return (beta, float(-coef[1]), resid) if math.isfinite(resid) else _NO_BEND
 
 
 def _classify_tail(u, samples_rho, samples_u):

@@ -339,6 +339,23 @@ def test_fgr_refine_above_one_exit_2(tmp_path, capsys):
     assert "config error: refine must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand,text,key,value", [
+    ("bound", BOUND_CFG, "task.k_values", "inf"),
+    ("bound", BOUND_CFG, "numerics.x_max", "inf"),
+    ("bound", BOUND_CFG, "problem.b", "inf"),
+    ("gap", GAP_CFG, "task.eta_fractions", "inf"),
+    ("gap", GAP_CFG, "task.eta_fractions", "nan"),
+], ids=["bound-k_values", "bound-x_max", "bound-b", "gap-eta_inf", "gap-eta_nan"])
+def test_non_finite_config_number_exit_2(tmp_path, capsys, subcommand, text, key, value):
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    cfg = _write(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line {len(lines) + 1}: {key!r} must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["run", "run/mourre.json"])
 def test_computation_failure_exit_1(tmp_path, monkeypatch, out):
     def fail(*args, **kwargs):
@@ -424,6 +441,19 @@ def test_all_subcommand(tmp_path, monkeypatch):
     names = set(doc["tables"])
     assert {"bound_bound_states", "fgr_fgr", "resonance_branch",
             "toeplitz_counting"} <= names
+
+
+@pytest.mark.parametrize("subcommand,text", [("fgr", FGR_CFG + "task.m_values = 0\n"),
+                                             ("all", ALL_CFG)],
+                         ids=["fgr", "all"])
+def test_q_outside_truncation_exit_2(tmp_path, capsys, subcommand, text):
+    # J = 1 keeps only q = m_- = 0; the default q = 1 falls outside
+    lines = [line for line in text.splitlines() if not line.startswith("numerics.J ")]
+    cfg = _write(tmp_path, "\n".join(lines + ["numerics.J = 1"]) + "\n")
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert "Landau index q=1 outside truncation 0..0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand,text", [("resonance", RES_CFG), ("all", ALL_CFG)],
@@ -565,6 +595,14 @@ def test_family_rejects_non_positive(tmp_path, capsys, part, family, param, valu
     family_line = 1 if part == "v0" else 2
     assert f"config error: line {family_line}: {family}: " in err
     assert param in err
+
+
+def test_family_rejects_non_finite(tmp_path, capsys):
+    # refused at the family line, before the family function sees the value
+    cfg = _write(tmp_path, FGR_CFG + "problem.V.amplitude = inf\ntask.m_values = 0\n")
+    assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 2: gaussian_product: amplitude must be finite" in err
 
 
 def _same_potential(part, a, b):

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from landau.errors import DomainError
-from landau.numutil import minimize_bounded, neville_to_zero, richardson_h2
+from landau.numutil import neville_to_zero, richardson_h2
 from landau.potentials import (
     compact_radial,
     gaussian_product,
@@ -110,21 +107,3 @@ def test_richardson_pair():
     L, c, h = 1.37, 0.81, 0.1
     assert richardson_h2(L + c * h**2, L + c * (h / 2) ** 2) == pytest.approx(L)
 
-
-_FINITE = st.floats(-3.0, 3.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(coef=st.lists(_FINITE, min_size=5, max_size=5), lo=_FINITE,
-       width=st.floats(1e-6, 4.0), log_xatol=st.floats(-12.0, -2.0))
-def test_minimize_bounded_matches_scipy_bitwise(coef, lo, width, log_xatol):
-    # the port must give scipy's own answer, bit for bit, not just a minimiser
-    c0, c1, c2, c3, c4 = coef
-
-    def f(x):
-        return float(c0 * np.sin(c1 * x) + c2 * x * x + c3 * abs(x - c4))
-
-    hi, xatol = lo + width, 10.0 ** log_xatol
-    want = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                           options={"xatol": xatol}).x
-    assert minimize_bounded(f, lo, hi, xatol) == float(want)

@@ -13,7 +13,6 @@ from landau.schrodinger1d import (
     bound_states,
     ground_state,
     jost_solutions,
-    limiting_resolvent,
     outgoing_root,
     outgoing_solve,
     richardson_ground_state,
@@ -208,6 +207,11 @@ def _bump(grid, center=0.31):
     x = grid.points
     f = np.exp(-((x - center) ** 2)) / np.sqrt(1 + x**2)
     return f / math.sqrt(grid.h * np.dot(f, f))
+
+
+def limiting_resolvent(v0, E, f, g, grid):
+    # boundary value <(H - E - i0)^(-1) f, g>, linear in the first slot
+    return grid.h * np.dot(outgoing_solve(v0, grid, E, f[1:-1]), np.conj(g[1:-1]))
 
 
 def test_limiting_resolvent_free_green_oracle():

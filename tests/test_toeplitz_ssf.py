@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refcase
 from landau.errors import DomainError, RangeError
@@ -21,6 +23,7 @@ from landau.toeplitz_ssf import (
     ExponentialDecay,
     PowerDecay,
     TransverseProfile,
+    _exp_fit,
     counting,
     gap_accumulation_check,
     law_convergence_report,
@@ -61,6 +64,29 @@ def test_decay_classification():
     assert isinstance(d, PowerDecay) and d.alpha == pytest.approx(4.0, abs=1e-4)
     d = transverse_profile(compact_radial(radius=1.0), PSI, 1.0).decay
     assert isinstance(d, CompactSupport) and d.radius == pytest.approx(1.0, abs=1e-2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.3, 3.0).filter(lambda b: abs(b - 1.0) >= 5e-3),
+       mu=st.floats(0.05, 3.0), ln_c=st.floats(-5.0, 3.0), depth=st.floats(1.0, 400.0))
+def test_exp_fit_recovers_stretched_exponential(beta, mu, ln_c, depth):
+    # one decade of rho ending where mu rho^(2 beta) = depth, so U > 1e-200
+    end = (depth / mu) ** (0.5 / beta)
+    rho = np.geomspace(end / 10.0, end, 400)
+    lu = ln_c - mu * rho ** (2.0 * beta)
+    assert np.all(np.exp(lu) > 1e-200)
+    fit_beta, fit_mu, _ = _exp_fit(rho, lu)
+    assert fit_beta == pytest.approx(beta, rel=1e-10)
+    assert fit_mu == pytest.approx(mu, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, 8.0])
+def test_exp_fit_power_law_does_not_bend(alpha):
+    # U = rho^-alpha (1 + rho^-2): its log-slope falls toward alpha, so the
+    # closed-form start is beta <= 0
+    rho = np.geomspace(2.0, 20.0, 400)
+    beta, mu, resid = _exp_fit(rho, -alpha * np.log(rho) + np.log1p(rho**-2.0))
+    assert beta == 0.0 and math.isnan(mu) and resid == math.inf
 
 
 def test_unclassified_profile_still_computes():
