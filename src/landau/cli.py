@@ -15,7 +15,10 @@ states of each grid are solved once in ``schrodinger1d.solved_bound_states``.
 v0 and V are families of ``landau.potentials``; ``problem.v0.<param>`` and
 ``problem.V.<param>`` set the keyword parameters of the selected family.
 
-Exit codes: 0 success, 1 accuracy/solver failure, 2 usage/config error.
+Exit codes: 0 success, 1 accuracy/solver failure or any other exception in a
+runner (both write `<subcommand>_diagnostics.txt` naming the exception type;
+an exception outside landau's own errors adds its traceback),
+2 usage/config error.
 """
 
 import argparse
@@ -608,15 +611,21 @@ def main(argv=None):
     except (ConfigError, DomainError) as exc:
         print(f"landau: config error: {exc}", file=sys.stderr)
         return 2
-    except LandauError as exc:
-        print(f"landau: computation failed: {exc}", file=sys.stderr)
+    except Exception as exc:  # a LandauError, or an unexpected one such as LinAlgError
+        print(f"landau: computation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        report = [f"{type(exc).__name__}: {exc}\n"]
+        if not isinstance(exc, LandauError):
+            import traceback
+
+            report += traceback.format_exception(exc)
         diag_dir = ((os.path.dirname(args.out) or ".") if args.out.endswith(".json")
                     else args.out)
         try:
             os.makedirs(diag_dir, exist_ok=True)
             diag_path = os.path.join(diag_dir, f"{args.subcommand}_diagnostics.txt")
             with open(diag_path, "w", encoding="utf-8") as fh:
-                fh.write(f"{type(exc).__name__}: {exc}\n")
+                fh.writelines(report)
         except OSError:
             pass
         return 1

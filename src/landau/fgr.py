@@ -34,7 +34,8 @@ from scipy.linalg import solve_banded
 from .errors import AccuracyError, DomainError
 from .numutil import richardson_h2
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
-                            scattering_state, tridiagonal_band)
+                            scattering_state, scattering_states,
+                            tridiagonal_band)
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -110,15 +111,23 @@ def first_order_shift(problem, basis, q, refine=1):
     return float(val)
 
 
-def _channel_amplitude(problem, basis, q, j, l):
-    """int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda) V(rho, x) dx rho drho."""
+def _channel_pair_on_grid(problem, basis, q, j):
+    """(a_1, a_2) with a_l = int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda)
+    V(rho, x) dx rho drho on the grid of ``basis``, from one Jost solve."""
     st = ground_state(problem.v0, basis.grid)
     energy = 2.0 * problem.b * (q - j) + st.lam
-    psi_l = scattering_state(problem.v0, energy, l, basis.grid)
     x = basis.grid.interior
-    cjq = _mode_factors(problem, basis, [j], q, x)[0]
-    integrand = cjq * st.psi[1:-1] * psi_l[1:-1]
-    return basis.grid.h * complex(np.sum(integrand))
+    weight = _mode_factors(problem, basis, [j], q, x)[0] * st.psi[1:-1]
+    return [basis.grid.h * complex(np.sum(weight * psi_l[1:-1]))
+            for psi_l in scattering_states(problem.v0, energy, basis.grid)]
+
+
+def _channel_pair(problem, basis, q, j, refine):
+    pair = _channel_pair_on_grid(problem, basis, q, j)
+    if refine:
+        fine = _channel_pair_on_grid(problem, basis.refined(), q, j)
+        pair = [richardson_h2(a, b) for a, b in zip(pair, fine)]
+    return [complex(a) for a in pair]
 
 
 def fgr_channel(problem, basis, q, j, l, refine=1):
@@ -128,18 +137,17 @@ def fgr_channel(problem, basis, q, j, l, refine=1):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    val = _channel_amplitude(problem, basis, q, j, l)
-    if refine:
-        val = richardson_h2(val, _channel_amplitude(problem, basis.refined(), q, j, l))
-    return complex(val)
+    return _channel_pair(problem, basis, q, j, refine)[l - 1]
 
 
 def channel_amplitudes(problem, basis, q, refine=1):
-    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2."""
+    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2;
+    one Jost solve per channel and grid serves both l."""
+    _check_refine(refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    return {(l, j): fgr_channel(problem, basis, q, j, l, refine=refine)
-            for j in range(m_minus(problem.m), q) for l in (1, 2)}
+    return {(l, j): a for j in range(m_minus(problem.m), q)
+            for l, a in zip((1, 2), _channel_pair(problem, basis, q, j, refine))}
 
 
 def im_from_amplitudes(amps):

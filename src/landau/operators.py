@@ -22,12 +22,18 @@ symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia:
 ``inertia_counts`` sweeps a stack of real operators on one grid (the
 angular-momentum fibers of one problem) and every shift at once, with a
 Cholesky certificate per step.
+
+Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
+(problem, basis, theta) is shared by every live operator built from it, and
+the guard inf spec(H_par) > -2b is cached per grid, so a kappa-continuation
+assembles each step from D = kappa C + ... alone.
 """
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -305,12 +311,59 @@ def inf_longitudinal_spectrum(v0, grid):
     return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
 
 
+@lru_cache(maxsize=3)
+def _checked_floor(v0, grid, b):
+    """inf spec(H_par) on the grid, refused unless it lies above -2b."""
+    lam_min = inf_longitudinal_spectrum(v0, grid)
+    if lam_min <= -2 * b:
+        raise DomainError(
+            f"inf spec(H_par) = {lam_min:.6f} <= -2b = {-2 * b}; "
+            "the fibered analysis requires the bound-state band above -2b"
+        )
+    return lam_min
+
+
+# Couplings shared by the live operators of one (problem, basis, theta): an
+# entry lasts while an operator holds it, so a kappa-continuation computes C
+# once per grid, and gap's m blocks, each dropped after counting, keep none.
+_COUPLINGS = weakref.WeakValueDictionary()
+
+
+def _coupling(problem, basis, theta):
+    """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int),
+    shared as a read-only array.  Keys compare potentials by identity, as in
+    ``schrodinger1d.solved_bound_states``."""
+    key = (problem, basis, theta)
+    coupling = _COUPLINGS.get(key)
+    if coupling is not None:
+        return coupling
+    rule = basis.rule(problem.b, problem.m)
+    B = np.stack(
+        [
+            radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
+            for q in basis.landau_indices(problem.m)
+        ]
+    )
+    arg = cmath.exp(theta)
+    x = (arg if theta.imag else arg.real) * basis.grid.interior
+    vv = problem.V.evaluate(rule.nodes[:, None], x[None, :])
+    coupling = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
+    # bitwise (a,b) symmetry: the optimized contraction order rounds
+    # asymmetrically at the last ulp, and complex symmetry must be exact
+    coupling = 0.5 * (coupling + coupling.transpose(1, 0, 2))
+    coupling.flags.writeable = False
+    _COUPLINGS[key] = coupling
+    return coupling
+
+
 def assemble(problem, basis, theta=0.0, kappa=0.0):
     """Matrix of H^(m)(theta) + kappa V_theta on the truncation.
 
     theta real is an exact change of variables (spectrum-preserving up to
     discretization); Im theta > 0 requires dilatable v0 (and V when kappa != 0)
-    and rotates the continuum strings into the lower half-plane.
+    and rotates the continuum strings into the lower half-plane.  The theta
+    checks run on every call; C and the -2b guard may be shared (see the
+    module docstring).
     """
     theta = complex(theta)
     grid = basis.grid
@@ -323,35 +376,9 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
             raise DomainError(
                 f"Im theta = {theta.imag} outside [0, V.theta0 = {problem.V.theta0})"
             )
-
-    # condition guard: inf spec(H_par) > -2b
-    lam_min = inf_longitudinal_spectrum(problem.v0, grid)
-    if lam_min <= -2 * problem.b:
-        raise DomainError(
-            f"inf spec(H_par) = {lam_min:.6f} <= -2b = {-2 * problem.b}; "
-            "the fibered analysis requires the bound-state band above -2b"
-        )
+    _checked_floor(problem.v0, grid, problem.b)
 
     qs = basis.landau_indices(problem.m)
-    mode_shifts = 2.0 * problem.b * qs
-
-    coupling = None
-    if kappa != 0.0:
-        rule = basis.rule(problem.b, problem.m)
-        B = np.stack(
-            [
-                radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
-                for q in qs
-            ]
-        )
-        arg = cmath.exp(theta)
-        x = (arg if theta.imag else arg.real) * grid.interior
-        vv = problem.V.evaluate(rule.nodes[:, None], x[None, :])
-        coupling = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
-        # bitwise (a,b) symmetry: the optimized contraction order rounds
-        # asymmetrically at the last ulp, and complex symmetry must be exact
-        coupling = 0.5 * (coupling + coupling.transpose(1, 0, 2))
-
     return AssembledOperator(
         b=problem.b,
         m=problem.m,
@@ -359,10 +386,10 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
         grid=grid,
         theta=theta,
         kappa=kappa,
-        mode_shifts=mode_shifts,
+        mode_shifts=2.0 * problem.b * qs,
         hpar_diag=hpar_diag,
         hpar_off=hpar_off,
-        coupling=coupling,
+        coupling=_coupling(problem, basis, theta) if kappa != 0.0 else None,
     )
 
 
@@ -473,7 +500,9 @@ def mourre_quantity(problem, basis, q, delta, check_tails=True):
     approximation (r = estimated lower-Landau-channel count in the window), and
     returns the smallest remaining eigenvalue.  Positive output is
     the diagnostic; it is reported, never asserted by the library itself.
+    q must be among the retained Landau indices.
     """
+    basis.mode_index(problem.m, q)
     lam = ground_state(problem.v0, basis.grid, check_tails=check_tails).lam
     b = problem.b
     # the channel thresholds sit at the potential's background value, not at 0;

@@ -5,7 +5,10 @@ golden-rule quantity, checked against the independent routes in fgr).
 
 The perturbed eigenvalue is isolated, so w(kappa) is analytic near 0 and the
 fit is a polynomial whose degree is the lowest that reproduces the branch to
-its own inverse-iteration residual: the fit has no tuning parameter."""
+its own inverse-iteration residual: the fit has no tuning parameter.  The same
+analyticity lets the continuation predict each step's shift from the branch
+so far, so most steps converge on one factorization; the kappa-independent
+coupling is assembled once per grid (``operators.assemble``)."""
 
 import cmath
 import math
@@ -91,8 +94,9 @@ def find_eigenvalue_near(op, shift, x0=None):
         denom = x @ x
         if abs(denom) < 1e-12:
             raise SolverError("bilinear normalization degenerate (exceptional point?)")
-        mu = (x @ op.matvec(x)) / denom
-        r = float(np.linalg.norm(op.matvec(x) - mu * x))
+        mx = op.matvec(x)
+        mu = (x @ mx) / denom
+        r = float(np.linalg.norm(mx - mu * x))
         if r < best[2]:
             best = (complex(mu), x.copy(), r, it)
         if r <= target:
@@ -140,11 +144,23 @@ def isolation_radius(problem, basis, theta, q, lam):
     return 0.5 * min(dists)
 
 
+def _extrapolated(points, kappa):
+    """Value at kappa of the polynomial through the branch ``points``."""
+    return sum(p.w * math.prod((kappa - o.kappa) / (p.kappa - o.kappa)
+                               for o in points if o is not p)
+               for p in points)
+
+
 def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     """Track the resonance branch w(kappa) from the embedded energy at kappa = 0.
 
-    Each converged eigenvalue seeds the next shift; a step that leaves the
-    isolation radius aborts with the partial branch attached to the error.
+    Each step starts from the previous eigenvector at a predicted shift: the
+    polynomial through the last (up to 3) branch points at the new kappa, or,
+    after the first point, the Rayleigh quotient of its eigenvector under the
+    new operator.  A good prediction lets the first inverse-iteration step meet
+    the residual target on one factorization; a poor one costs only the
+    ordinary Rayleigh refinement.  A step that leaves the isolation radius
+    aborts with the partial branch attached to the error.
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     if kappa_grid[0] != 0.0:
@@ -154,11 +170,17 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
-    shift = complex(pair.energy)
     x0 = pair.vector.astype(complex)
-    w_prev = shift
+    w_prev = complex(pair.energy)
     for kappa in kappa_grid:
-        op = assemble(problem, basis, theta=theta, kappa=float(kappa))
+        kappa = float(kappa)
+        op = assemble(problem, basis, theta=theta, kappa=kappa)
+        if not results:
+            shift = w_prev
+        elif len(results) == 1:
+            shift = (x0 @ op.matvec(x0)) / (x0 @ x0)
+        else:
+            shift = _extrapolated(results[-3:], kappa)
         w, x0, res, its = find_eigenvalue_near(op, shift, x0=x0)
         if abs(w - w_prev) > radius:
             raise ContinuationError(
@@ -167,11 +189,10 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
                 partial=results,
             )
         results.append(
-            ResonanceResult(kappa=float(kappa), w=w, residual=res, iterations=its,
+            ResonanceResult(kappa=kappa, w=w, residual=res, iterations=its,
                             theta_used=complex(theta))
         )
         w_prev = w
-        shift = w
     return results
 
 

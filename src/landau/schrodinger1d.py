@@ -11,6 +11,10 @@ H_par(theta) = -e^(-2 theta) d^2/dx^2 + v0(e^theta x): every tridiagonal,
 banded and block-tridiagonal matrix of H_par (theta = 0 or Im theta > 0) is
 built from its (d, e), and it alone checks theta against v0's analyticity
 sector.  ``tridiagonal_band`` lays (d, e) out for ``solve_banded((1, 1), ...)``.
+
+Jost solutions march the smooth envelope by RK4.  The envelope equation is
+linear, so the march is a product of 2 x 2 step propagators, formed and
+chained as array operations rather than a loop over grid points.
 """
 
 import cmath
@@ -36,6 +40,7 @@ __all__ = [
     "richardson_ground_state",
     "jost_solutions",
     "scattering_state",
+    "scattering_states",
     "outgoing_root",
     "outgoing_solve",
 ]
@@ -248,35 +253,42 @@ def _march_envelope(vp, vm, vmid, h, k, sigma, backward):
     vp/vm are potential samples nudged forward/backward off the nodes (so that
     piecewise potentials with jumps at nodes are sampled inside the step), vmid
     at midpoints.  Returns (u, p) arrays over the full grid.
+
+    The equation is linear, so each RK4 step is a 2 x 2 propagator: the stage
+    formulas applied to both unit start vectors at once give every step's
+    propagator, and a doubling prefix product (log2 n passes over four
+    component arrays) chains them from the start node.
     """
-    n = len(vp)
-    u = np.empty(n, dtype=complex)
-    p = np.empty(n, dtype=complex)
     c = -2j * sigma * k
-    if backward:
-        rng = range(n - 1, 0, -1)
-        dh = -h
-        u[-1], p[-1] = 1.0, 0.0
+    if backward:  # steps in marching order: node n-1 -> n-2 -> ... -> 0
+        dh, v_start, v_mid, v_end = -h, vm[:0:-1], vmid[::-1], vp[-2::-1]
     else:
-        rng = range(0, n - 1)
-        dh = h
-        u[0], p[0] = 1.0, 0.0
-    for i in rng:
-        j = i - 1 if backward else i + 1
-        v_start = vm[i] if backward else vp[i]
-        v_mid = vmid[min(i, j)]
-        v_end = vp[j] if backward else vm[j]
-        ui, pi = u[i], p[i]
-        k1u, k1p = pi, v_start * ui + c * pi
-        au, ap = ui + 0.5 * dh * k1u, pi + 0.5 * dh * k1p
-        k2u, k2p = ap, v_mid * au + c * ap
-        au, ap = ui + 0.5 * dh * k2u, pi + 0.5 * dh * k2p
-        k3u, k3p = ap, v_mid * au + c * ap
-        au, ap = ui + dh * k3u, pi + dh * k3p
-        k4u, k4p = ap, v_end * au + c * ap
-        u[j] = ui + dh / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        p[j] = pi + dh / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return u, p
+        dh, v_start, v_mid, v_end = h, vp[:-1], vmid, vm[1:]
+    # column 0 starts from (u, p) = (1, 0), column 1 from (0, 1)
+    ui = np.array([[1.0], [0.0]])
+    pi = np.array([[0.0], [1.0]])
+    k1u, k1p = pi, v_start * ui + c * pi
+    au, ap = ui + 0.5 * dh * k1u, pi + 0.5 * dh * k1p
+    k2u, k2p = ap, v_mid * au + c * ap
+    au, ap = ui + 0.5 * dh * k2u, pi + 0.5 * dh * k2p
+    k3u, k3p = ap, v_mid * au + c * ap
+    au, ap = ui + dh * k3u, pi + dh * k3p
+    k4u, k4p = ap, v_end * au + c * ap
+    p00, p01 = ui + dh / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+    p10, p11 = pi + dh / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    # inclusive prefix product: step i becomes P_i P_(i-1) ... P_0
+    s = 1
+    while s < len(p00):
+        p00[s:], p01[s:], p10[s:], p11[s:] = (
+            p00[s:] * p00[:-s] + p01[s:] * p10[:-s],
+            p00[s:] * p01[:-s] + p01[s:] * p11[:-s],
+            p10[s:] * p00[:-s] + p11[s:] * p10[:-s],
+            p10[s:] * p01[:-s] + p11[s:] * p11[:-s],
+        )
+        s *= 2
+    u = np.concatenate(([1.0 + 0j], p00))
+    p = np.concatenate(([0j], p10))
+    return (u[::-1], p[::-1]) if backward else (u, p)
 
 
 def jost_solutions(v0, k, grid):
@@ -326,21 +338,26 @@ def jost_solutions(v0, k, grid):
     return sol
 
 
-def scattering_state(v0, E, l, grid):
-    """Scattering state Psi_l(x; E) = y_l(x; sqrt(E)) / (sqrt(4 pi sqrt(E)) * transition).
+def scattering_states(v0, E, grid):
+    """Both scattering states (Psi_1, Psi_2) at energy E from one Jost solve.
 
-    These are the unit-incidence physical scattering states over sqrt(4 pi k);
-    the boundary values of the resolvent satisfy
+    Psi_l(x; E) = y_l(x; sqrt(E)) / (sqrt(4 pi sqrt(E)) * transition) are the
+    unit-incidence physical scattering states over sqrt(4 pi k); the boundary
+    values of the resolvent satisfy
     Im <x>^-s R(E+i0) <x>^-s = pi * sum_l |Psi_l><Psi_l| sandwiched by the weights.
     """
     if not E > 0:
         raise DomainError("energy E must be positive")
-    if l not in (1, 2):
-        raise DomainError("branch index l must be 1 or 2")
     k = math.sqrt(E)
     sol = jost_solutions(v0, k, grid)
-    y = sol.y1 if l == 1 else sol.y2
-    return y * sol.T / math.sqrt(4.0 * math.pi * k)
+    return tuple(y * sol.T / math.sqrt(4.0 * math.pi * k) for y in (sol.y1, sol.y2))
+
+
+def scattering_state(v0, E, l, grid):
+    """The scattering state Psi_l(x; E), l = 1 or 2, of ``scattering_states``."""
+    if l not in (1, 2):
+        raise DomainError("branch index l must be 1 or 2")
+    return scattering_states(v0, E, grid)[l - 1]
 
 
 def outgoing_root(eps, h):

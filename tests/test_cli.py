@@ -368,6 +368,20 @@ def test_computation_failure_exit_1(tmp_path, monkeypatch, out):
     assert diag.read_text() == "AccuracyError: forced failure\n"
 
 
+def test_unexpected_runner_exception_exit_1(tmp_path, monkeypatch, capsys):
+    # an exception outside landau's own hierarchy is a computation failure too
+    def fail(run):
+        raise np.linalg.LinAlgError("forced singular matrix")
+
+    monkeypatch.setitem(cli._RUNNERS, "bound", fail)
+    cfg = _write(tmp_path, BOUND_CFG)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    diag = (tmp_path / "run" / "bound_diagnostics.txt").read_text().splitlines()
+    assert diag[0] == "LinAlgError: forced singular matrix"
+    assert diag[1] == "Traceback (most recent call last):"
+    assert "LinAlgError" in capsys.readouterr().err
+
+
 def test_bad_subcommand_usage(tmp_path):
     assert main(["frobnicate", "--config", "x", "--out", "y"]) == 2
 
@@ -444,8 +458,8 @@ def test_all_subcommand(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("subcommand,text", [("fgr", FGR_CFG + "task.m_values = 0\n"),
-                                             ("all", ALL_CFG)],
-                         ids=["fgr", "all"])
+                                             ("all", ALL_CFG), ("mourre", MOURRE_CFG)],
+                         ids=["fgr", "all", "mourre"])
 def test_q_outside_truncation_exit_2(tmp_path, capsys, subcommand, text):
     # J = 1 keeps only q = m_- = 0; the default q = 1 falls outside
     lines = [line for line in text.splitlines() if not line.startswith("numerics.J ")]

@@ -17,6 +17,7 @@ from landau.fgr import (
     _mode_rows,
     _reduced_solve,
     _resolvent_route,
+    channel_amplitudes,
     fgr_channel,
     fgr_positivity_scan,
     fgr_value,
@@ -140,6 +141,21 @@ def test_fgr_channel_count_q2():
     res = fgr_value(PROBLEM, BASIS, 2, refine=0)
     assert len(res.channel_amplitudes) == 4
     assert res.im_from_channels > 0
+
+
+def test_channel_amplitudes_one_jost_solve_per_channel_and_grid(monkeypatch):
+    from landau import schrodinger1d
+
+    basis = refcase.basis(n=601, J=4)
+    solves = []
+    real = schrodinger1d.jost_solutions
+    monkeypatch.setattr(schrodinger1d, "jost_solutions",
+                        lambda *args: solves.append(args[1]) or real(*args))
+    amps = channel_amplitudes(PROBLEM, basis, 2)
+    # channels j = 0, 1, each on the (h, h/2) pair, serve l = 1 and l = 2
+    assert len(amps) == 4 and len(solves) == 4
+    for (l, j), a in amps.items():
+        assert a == fgr_channel(PROBLEM, basis, 2, j, l)
 
 
 def test_fgr_quadratic_scaling():

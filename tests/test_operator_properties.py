@@ -186,3 +186,30 @@ def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
         assert slow.m_used == fast.m_used
         assert (slow.inertia_sweeps, slow.inertia_shifts) == (0, 0)
         assert slow.eig_banded_fallbacks == fast.m_used + 1
+
+
+def test_cached_coupling_gives_the_bits_of_a_fresh_one():
+    problem, basis = refcase.problem(), refcase.basis(n=201, J=3)
+    rhs = np.linspace(-1.0, 1.0, basis.J * (basis.grid.n - 2)) + 0.25j
+    for theta in (0.0, 0.3j):
+        op = assemble(problem, basis, theta=theta, kappa=0.05)
+        # the next kappa reads the same read-only coupling
+        assert assemble(problem, basis, theta=theta, kappa=0.07).coupling is op.coupling
+        assert not op.coupling.flags.writeable
+        operators._COUPLINGS.clear()
+        fresh = operators._coupling(problem, basis, complex(theta))
+        assert fresh is not op.coupling
+        built = AssembledOperator(op.b, op.m, op.qs, op.grid, op.theta, op.kappa,
+                                  op.mode_shifts, op.hpar_diag, op.hpar_off, fresh)
+        assert built.D.tobytes() == op.D.tobytes()
+        assert built.matvec(rhs).tobytes() == op.matvec(rhs).tobytes()
+        assert built.norm_estimate() == op.norm_estimate()
+
+
+def test_coupling_shared_only_while_an_operator_holds_it():
+    problem, basis = refcase.problem(), refcase.basis(n=201, J=3)
+    op = assemble(problem, basis, theta=0.3j, kappa=0.05)
+    key = (problem, basis, 0.3j)
+    assert operators._COUPLINGS[key] is op.coupling
+    del op  # gap's m blocks are dropped after counting: nothing piles up
+    assert key not in operators._COUPLINGS

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import refcase
 from landau.errors import DomainError
-from landau.operators import BasisTruncation, assemble, embedded_eigenpair
+from landau.operators import (AssembledOperator, BasisTruncation, assemble,
+                              embedded_eigenpair)
 from landau.potentials import gaussian_product
 from landau.resonance import (
     ResonanceResult,
@@ -72,6 +73,39 @@ def test_continuation_zero_coupling_constant():
     # with kappa = 0 at the head, the branch starts at the embedded energy
     pair = embedded_eigenpair(PROBLEM, BASIS, 1)
     assert abs(branch[0].w - pair.energy) < 1e-4
+
+
+def _plain_continuation(problem, basis, theta, q, kappa_grid):
+    """The continuation before predicted shifts, kept as the oracle of
+    ``continue_in_kappa``: each step starts at the previous eigenvalue."""
+    pair = embedded_eigenpair(problem, basis, q)
+    shift, x0 = complex(pair.energy), pair.vector.astype(complex)
+    ws = []
+    for kappa in kappa_grid:
+        op = assemble(problem, basis, theta=theta, kappa=float(kappa))
+        shift, x0, _, _ = find_eigenvalue_near(op, shift, x0=x0)
+        ws.append(shift)
+    return ws
+
+
+def test_predicted_shifts_keep_the_branch_and_save_factorizations(monkeypatch):
+    basis = refcase.basis(n=601, J=5)
+    kappas = np.linspace(0.0, 0.08, 9)
+    plain = _plain_continuation(PROBLEM, basis, 0.3j, 1, kappas)
+    shifts = []
+    real = AssembledOperator.factorized
+
+    def counted(self, shift=0.0):
+        shifts.append(shift)
+        return real(self, shift)
+
+    monkeypatch.setattr(AssembledOperator, "factorized", counted)
+    branch = continue_in_kappa(PROBLEM, basis, 0.3j, 1, kappas)
+    # the plain loop makes 2 per point; the predictor saves most second ones
+    assert len(shifts) <= 12
+    floor = max(r.residual for r in branch)
+    for r, w in zip(branch, plain):
+        assert abs(r.w - w) <= 10 * floor, r.kappa
 
 
 def test_continuation_grid_validation():
