@@ -26,7 +26,7 @@ whole-grid contraction, so the skip changes no bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -34,8 +34,7 @@ from scipy.linalg import solve_banded
 from .errors import AccuracyError, DomainError
 from .numutil import richardson_h2
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
-                            scattering_state, scattering_states,
-                            tridiagonal_band)
+                            scattering_states, tridiagonal_band)
 from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
 
 __all__ = [
@@ -45,10 +44,8 @@ __all__ = [
     "fgr_channel",
     "fgr_value",
     "im_from_amplitudes",
-    "omega_profile",
     "overlap_polynomial_check",
     "OverlapPolynomialResult",
-    "fgr_positivity_scan",
 ]
 
 _ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
@@ -275,17 +272,6 @@ def fgr_value(problem, basis, q, refine=1):
     )
 
 
-def omega_profile(problem, grid):
-    """The longitudinal weight psi(x) Re Psi_1(x; 2b + lambda) on the grid.
-
-    This is the profile whose radial pairing controls golden-rule positivity
-    for product perturbations; it is nonzero and Schwartz-class.
-    """
-    st = ground_state(problem.v0, grid)
-    psi1 = scattering_state(problem.v0, 2.0 * problem.b + st.lam, 1, grid)
-    return st.psi * psi1.real
-
-
 @dataclass(frozen=True)
 class OverlapPolynomialResult:
     """Quadrature/interpolation comparison for the overlap polynomial in gamma."""
@@ -346,31 +332,3 @@ def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, rule=None,
         degree_bound=deg_bound,
         node_gammas=gammas,
     )
-
-
-def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12):
-    """Channel-route Im F over candidate perturbations and (q, m) cells, each
-    on the grid of ``basis`` without Richardson refinement.
-
-    ``problem_family``: iterable of (label, LandauProblem); m is overridden by
-    the scanned cell.  Returns rows of dicts with the Im F value and whether
-    the golden-rule positivity holds at the threshold.
-    """
-    rows = []
-    for label, prob in problem_family:
-        for m in m_range:
-            pm = replace(prob, m=m)
-            for q in q_range:
-                if q <= m_minus(m):
-                    continue
-                im_f = im_from_amplitudes(channel_amplitudes(pm, basis, q, refine=0))
-                rows.append(
-                    {
-                        "label": label,
-                        "q": q,
-                        "m": m,
-                        "im_f": im_f,
-                        "passes": im_f > threshold,
-                    }
-                )
-    return rows

@@ -17,11 +17,11 @@ grid-major order it is block tridiagonal, and that is its one stored form: the
 J x J diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the
 scalar kinetic coupling H_par,i,i+1 times I.  Everything else is derived from
 D: the dense matrix (small truncations and oracles), the LAPACK band of a
-banded LU (built once per operator, copied and factorized per shift), the
-symmetric band for eig_banded, and eigenvalue counts by Sylvester inertia:
-``inertia_counts`` sweeps a stack of real operators on one grid (the
-angular-momentum fibers of one problem) and every shift at once, with a
-Cholesky certificate per step.
+banded LU (laid out from D for each shift and factorized in place, so no band
+outlives its solver), the symmetric band for eig_banded, and eigenvalue counts
+by Sylvester inertia: ``inertia_counts`` sweeps a stack of real operators on
+one grid (the angular-momentum fibers of one problem) and every shift at once,
+with a Cholesky certificate per step.
 
 Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
 (problem, basis, theta) is shared by every live operator built from it, and
@@ -33,7 +33,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -209,28 +209,28 @@ class AssembledOperator:
             est += abs(self.kappa) * float(np.max(np.sum(np.abs(self.coupling), axis=1)))
         return float(est)
 
-    @cached_property
-    def _lu_band(self):
-        """zgbtrf storage of M (grid-major, kl = ku = J, kl fill rows on top)."""
+    def _shifted_band(self, shift):
+        """zgbtrf storage of M - shift (grid-major, kl = ku = J, kl fill rows on
+        top), laid out from D by J slice copies."""
         J, n, N = self.J, self.n_int, self.dim
         ab = np.zeros((3 * J + 1, N), dtype=complex, order="F")
-        a = np.arange(J)[:, None]
-        b = np.arange(J)[None, :]
         # entry (i J + a, i J + b) sits in row 2J + a - b, column i J + b
-        ab[2 * J + a - b, np.arange(n)[:, None, None] * J + b] = self.D
+        cols = ab.T.reshape(n, J, 3 * J + 1)
+        for b in range(J):
+            cols[:, b, 2 * J - b : 3 * J - b] = self.D[:, :, b]
         ab[3 * J, : N - J] = self.hpar_off
         ab[J, J:] = self.hpar_off
+        ab[2 * J] -= shift
         return ab
 
     def factorized(self, shift=0.0):
         """Banded LU of (M - shift); returns a solver with .solve(rhs) (mode-major).
 
-        Each call factorizes one copy of the band cached on the operator, in
-        place, so the cached band itself is never modified.
+        The band is built for this shift and factorized in place, so the
+        solver's LU is the only band the call leaves alive.
         """
         J = self.J
-        ab = self._lu_band.copy(order="F")
-        ab[2 * J] -= shift
+        ab = self._shifted_band(shift)
         lu, piv, info = _lapack.zgbtrf(ab, J, J, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"singular factorization at shift {shift}")

@@ -59,6 +59,7 @@ def find_eigenvalue_near(op, shift, x0=None):
     matrices produced by dilation.  Returns (w, eigenvector, residual, iterations);
     the residual is ||(M - w) u||_2 with ||u||_2 = 1.  The iteration stops at
     residual ``_TOL`` (or the roundoff floor) or after ``_MAXITER`` steps.
+    At most one LU of ``op`` is alive at a time.
     """
     if x0 is None:
         x = np.ones(op.dim, dtype=complex)
@@ -112,6 +113,7 @@ def find_eigenvalue_near(op, shift, x0=None):
             stagnant = 0
         prev_res = r
         sigma = mu
+        solver = None  # free this LU before the next one is built
         try:
             solver = op.factorized(sigma)
         except SolverError:

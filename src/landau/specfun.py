@@ -8,19 +8,100 @@ for m >= 0, with H_perp^(m) phi_{q,m} = 2 b q phi_{q,m} and
 int_0^inf phi_{q,m} phi_{q',m} rho drho = delta_{qq'}.  For m < 0 the same
 eigenspace is spanned by phi_{q+m,-m}, and we *define* phi_{q,m} := phi_{q+m,-m},
 which fixes the sign so that phi_{q,m}(rho) > 0 as rho -> 0+.
+
+``gammaln`` (integer arguments) and ``roots_laguerre`` are step-for-step ports
+of cephes ``lgam`` and ``scipy.special.roots_laguerre``, bitwise equal to them,
+so the package imports no ``scipy.special``.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre
+from scipy.linalg import eigvals_banded
 
 from .errors import DomainError
 
 # Gauss-Laguerre total weights carry a factor e^{s_i}; beyond ~170 nodes the
 # raw Christoffel weights underflow double precision.
 _MAX_GL_NODES = 170
+
+
+# cephes lgam: the coefficients of its Stirling correction for 13 <= x < 1000,
+# ln sqrt(2 pi), and the argument beyond which ln Gamma overflows
+_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_LN_SQRT_2PI = 0.91893853320467274178
+_LGAM_MAX = 2.556348e305
+
+
+def gammaln(k):
+    """ln Gamma(k) = ln (k-1)! for an integer k >= 1, as cephes ``lgam`` computes it.
+
+    Below 13 the factorial is an exact product and one log; from 13 on, Stirling's
+    series with cephes' correction polynomial, in its operation order.
+    """
+    x = float(k)
+    if not (x >= 1.0 and x.is_integer()):
+        raise DomainError(f"gammaln takes integers >= 1, got {k!r}")
+    if x < 13.0:
+        z = 1.0
+        u = x
+        while u >= 3.0:
+            u -= 1.0
+            z *= u
+        return math.log(z)
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    c = _LGAM_STIRLING[0]
+    for a in _LGAM_STIRLING[1:]:
+        c = c * p + a
+    return q + c / x
+
+
+def _laguerre_l(n, s):
+    """(L_(n-1)(s), L_n(s)) for n >= 1 by scipy's ``eval_genlaguerre``
+    recurrence at alpha = 0, whose p after k steps is L_(k+1)."""
+    neg = d = -s
+    prev, p = 1.0, d + 1
+    for k in range(1, n):
+        d = neg / (k + 1.0) * p + (k / (k + 1.0)) * d
+        prev, p = p, d + p
+    return prev, p
+
+
+def roots_laguerre(n):
+    """Gauss-Laguerre nodes and weights for int_0^inf f(s) e^(-s) ds, as
+    ``scipy.special.roots_laguerre(n)`` computes them: Golub-Welsch eigenvalues
+    of the Jacobi band, one Newton step on L_n, and weights 1/(L_(n-1) L_n')
+    log-normalized before the product and scaled to sum to 1.
+    """
+    if n == 1:
+        return np.array([1.0]), np.array([1.0])
+    k = np.arange(n, dtype=float)
+    band = np.zeros((2, n))
+    band[0, 1:] = -np.sqrt(k[1:] * k[1:])
+    band[1] = 2 * k + 1
+    s = eigvals_banded(band, overwrite_a_band=True)
+    lm, ln = _laguerre_l(n, s)
+    dln = (n * ln - n * lm) / s
+    s -= ln / dln
+    fm = _laguerre_l(n - 1, s)[1]
+    log_fm = np.log(np.abs(fm))
+    log_dln = np.log(np.abs(dln))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dln /= np.exp((log_dln.max() + log_dln.min()) / 2.0)
+    w = 1.0 / (fm * dln)
+    w *= 1.0 / w.sum()
+    return s, w
 
 
 def m_minus(m):

@@ -167,6 +167,22 @@ def test_gap_run_does_not_import_scipy_optimize(tmp_path):
     assert _run_fresh("gap", tmp_path / "gap", 1, "scipy.optimize") == (0, False)
 
 
+def test_package_imports_no_scipy_special():
+    # gammaln and roots_laguerre are specfun's ports; the benchmark's layer
+    # modules are the import set every subcommand can reach
+    code = ("import importlib, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+            "from layers import MODULES\n"
+            "import landau.cli, landau.specfun\n"
+            "for name in MODULES:\n"
+            "    importlib.import_module('landau.' + name)\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["False"]
+
+
 def test_fgr_run_does_not_import_scipy_sparse(tmp_path):
     # the resolvent route's solves are scipy.linalg's tridiagonal ones
     assert _run_fresh("fgr", tmp_path / "fgr", 1, "scipy.sparse") == (0, False)

@@ -19,10 +19,9 @@ from landau.fgr import (
     _resolvent_route,
     channel_amplitudes,
     fgr_channel,
-    fgr_positivity_scan,
     fgr_value,
     first_order_shift,
-    omega_profile,
+    im_from_amplitudes,
     overlap_polynomial_check,
 )
 from landau.numutil import neville_to_zero
@@ -34,7 +33,8 @@ from landau.potentials import (
     sech2,
     square_well,
 )
-from landau.schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal
+from landau.schrodinger1d import (Grid1D, bound_states, ground_state,
+                                  hamiltonian_tridiagonal, scattering_state)
 from landau.specfun import RadialMode, m_minus, radial_eigenfunction
 
 PROBLEM = refcase.problem()
@@ -215,6 +215,38 @@ def test_overlap_polynomial_root_bracketing():
     a_lo, a_hi = 1 / (g0 + 1e-3) - 1, 1 / (g0 - 1e-3) - 1
     pair = overlap_polynomial_check(1, 0, [-0.1, 1.0], [a_lo, a_hi]).pairs
     assert pair[0][1] * pair[1][1] < 0
+
+
+def omega_profile(problem, grid):
+    """The longitudinal weight psi(x) Re Psi_1(x; 2b + lambda) on the grid.
+
+    This is the profile whose radial pairing controls golden-rule positivity
+    for product perturbations; it is nonzero and Schwartz-class.
+    """
+    st = ground_state(problem.v0, grid)
+    psi1 = scattering_state(problem.v0, 2.0 * problem.b + st.lam, 1, grid)
+    return st.psi * psi1.real
+
+
+def fgr_positivity_scan(problem_family, basis, q_range, m_range, threshold=1e-12):
+    """Channel-route Im F over candidate perturbations and (q, m) cells, each
+    on the grid of ``basis`` without Richardson refinement.
+
+    ``problem_family``: iterable of (label, LandauProblem); m is overridden by
+    the scanned cell.  Returns rows of dicts with the Im F value and whether
+    the golden-rule positivity holds at the threshold.
+    """
+    rows = []
+    for label, prob in problem_family:
+        for m in m_range:
+            pm = replace(prob, m=m)
+            for q in q_range:
+                if q <= m_minus(m):
+                    continue
+                im_f = im_from_amplitudes(channel_amplitudes(pm, basis, q, refine=0))
+                rows.append({"label": label, "q": q, "m": m, "im_f": im_f,
+                             "passes": im_f > threshold})
+    return rows
 
 
 def test_positivity_scan_zero_fails_all():

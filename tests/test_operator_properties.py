@@ -1,12 +1,15 @@
 """Property tests of the block-tridiagonal operator core.
 
 Inertia counting is checked against dense eigenvalues on random real
-operators, one at a time and in stacks on one grid; the cached-band
-factorization against dense solves on dilated operators, and against itself
-(the cached band must never be modified); the assembled diagonal blocks are
-exactly complex symmetric and carry the shared longitudinal stencil bit for
-bit.
+operators, one at a time and in stacks on one grid.  The per-shift band is
+checked bit for bit against a fancy-index construction, its factorization
+against dense solves on dilated operators and against itself, and the pole
+search against a memory bound of one live band.  The assembled diagonal blocks
+are exactly complex symmetric and carry the shared longitudinal stencil bit
+for bit.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 import refcase
 from landau import operators, toeplitz_ssf
 from landau.errors import SolverError
-from landau.operators import AssembledOperator, BasisTruncation, LandauProblem, assemble
+from landau.operators import (AssembledOperator, BasisTruncation, LandauProblem, assemble,
+                              embedded_eigenpair)
 from landau.potentials import gaussian_product, sech2
+from landau.resonance import find_eigenvalue_near
 from landau.schrodinger1d import Grid1D, bound_states, hamiltonian_tridiagonal
 from landau.specfun import m_minus
 from landau.toeplitz_ssf import gap_accumulation_check
@@ -158,6 +163,65 @@ def test_factorizations_at_one_shift_are_bitwise_equal(shifts):
         assume(False)  # a drawn shift landed on an eigenvalue
     again = op.factorized(shifts[0]).solve(rhs)
     assert first.tobytes() == again.tobytes()
+
+
+def _fancy_index_band(op, shift):
+    """The zgbtrf band of M - shift by one fancy-indexed scatter of D: the
+    construction the slice copies replaced, kept as their oracle."""
+    J, n, N = op.J, op.n_int, op.dim
+    ab = np.zeros((3 * J + 1, N), dtype=complex, order="F")
+    a = np.arange(J)[:, None]
+    b = np.arange(J)[None, :]
+    ab[2 * J + a - b, np.arange(n)[:, None, None] * J + b] = op.D
+    ab[3 * J, : N - J] = op.hpar_off
+    ab[J, J:] = op.hpar_off
+    ab[2 * J] -= shift
+    return ab
+
+
+@st.composite
+def band_operators(draw):
+    """Real random operators and dilated assembled ones, J = 1..4."""
+    J = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return _real_operator(draw, J, draw(st.integers(20, 80)))
+    problem = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
+    basis = BasisTruncation(J=J, grid=Grid1D(-18.0, 18.0, draw(st.integers(41, 121))))
+    return assemble(problem, basis, theta=1j * draw(st.floats(0.05, 0.45)),
+                    kappa=draw(st.floats(-0.1, 0.1)))
+
+
+@SETTINGS
+@given(op=band_operators(), re_shift=st.floats(-2.0, 6.0), im_shift=st.floats(0.1, 1.0))
+def test_shifted_band_and_its_solve_are_bitwise_the_fancy_index_ones(op, re_shift,
+                                                                     im_shift):
+    shift = complex(re_shift, im_shift)
+    band = op._shifted_band(shift)
+    oracle = _fancy_index_band(op, shift)
+    assert band.tobytes(order="F") == oracle.tobytes(order="F")
+    rhs = np.linspace(-1.0, 1.0, op.dim) + 0.5j
+    lu, piv, info = operators._lapack.zgbtrf(oracle, op.J, op.J, overwrite_ab=1)
+    assert info == 0
+    expected = operators._BandSolver(lu, piv, op.J, op.n_int).solve(rhs)
+    assert op.factorized(shift).solve(rhs).tobytes() == expected.tobytes()
+
+
+def test_pole_search_keeps_one_band_alive():
+    # dim 10003: two live LUs plus a band under construction would be 3 bands
+    problem, basis = refcase.problem(), refcase.basis(n=1431, J=7)
+    op = assemble(problem, basis, theta=0.3j, kappa=0.05)
+    pair = embedded_eigenpair(problem, basis, 1)
+    band_bytes = (3 * op.J + 1) * op.dim * 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, _, _, iterations = find_eigenvalue_near(op, pair.energy + 0.01,
+                                                   x0=pair.vector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations >= 2  # at least two factorizations
+    assert peak - start < 1.5 * band_bytes
 
 
 def test_gap_fallback_reproduces_inertia_counts(monkeypatch):

@@ -223,6 +223,16 @@ def test_theta_independence_kappa_zero():
     assert res.spread < 1e-8
 
 
+@settings(max_examples=25, deadline=None)
+@given(im_thetas=st.lists(st.floats(0.12, 0.48), min_size=2, max_size=2),
+       kappa=st.floats(0.02, 0.08))
+def test_theta_independence_over_drawn_angles(im_thetas, kappa):
+    # criterion 09's bound at any two angles of the sector, not only at 0.2, 0.3, 0.4
+    basis = refcase.basis(n=601, J=5)
+    res = theta_independence(PROBLEM, basis, 1, kappa, [1j * t for t in im_thetas])
+    assert res.spread < 1e-5
+
+
 def test_continuum_strings_move_with_theta():
     # while the resonance stays put, rotated-continuum eigenvalues move O(Im theta)
     basis = BasisTruncation(J=2, grid=Grid1D(-14.0, 14.0, 201))

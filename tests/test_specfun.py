@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import eval_genlaguerre
 
 from landau.errors import DomainError
 from landau.specfun import (
     RadialMode,
     default_rule,
+    gammaln,
     gauss_laguerre_rule,
     laguerre,
     m_minus,
     radial_eigenfunction,
     radial_overlap,
+    roots_laguerre,
 )
 
 
@@ -181,3 +184,26 @@ def test_rule_invariants():
     assert val == pytest.approx(exact, rel=1e-13)
     with pytest.raises(DomainError):
         gauss_laguerre_rule(1.0, 1000)
+
+
+def test_roots_laguerre_port_is_bitwise_scipy():
+    for n in range(1, 171):
+        s, w = roots_laguerre(n)
+        s_ref, w_ref = scipy.special.roots_laguerre(n)
+        assert np.array_equal(s, s_ref), n
+        assert np.array_equal(w, w_ref), n
+
+
+def test_gammaln_port_is_bitwise_scipy():
+    ks = np.arange(1, 20001)
+    ours = np.array([gammaln(int(k)) for k in ks])
+    assert np.array_equal(ours, scipy.special.gammaln(ks))
+    # cephes' large-argument branches: no correction term, and overflow
+    for k in (10**8, 10**8 + 1, 10**9, 2**60, 2.556348e305, 1e306):
+        assert gammaln(k) == scipy.special.gammaln(float(k)), k
+
+
+@pytest.mark.parametrize("k", [0, -3, 0.5, 2.5, math.nan, math.inf])
+def test_gammaln_refuses_non_integers_and_k_below_one(k):
+    with pytest.raises(DomainError):
+        gammaln(k)
