@@ -379,6 +379,10 @@ def _run_dynamics(run):
     cfg = run.cfg
     problem, basis, q = run.problem, run.basis, run.q
     kappas = cfg.get_floats("task.kappa_values", required=True)
+    if 0.0 in kappas:  # no coupling, no decay: nothing to fit
+        raise ConfigError(f"'task.kappa_values' must be nonzero, got "
+                          f"{cfg.entries['task.kappa_values'][0]!r}",
+                          line=cfg.entries["task.kappa_values"][1])
     delta_window = cfg.get_float("task.delta_window", 0.25, positive=True)
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
     method = cfg.get_str("task.method", "resolvent")
@@ -406,8 +410,8 @@ def _run_dynamics(run):
         )
         fit_rows.append([kappa, fit.gamma, gamma_est,
                          fit.gamma / gamma_est if gamma_est > 0 else math.inf,
-                         fit.a.real, fit.a.imag, abs(fit.a - 1) / kappa**2
-                         if kappa else 0.0, fit.omega, fit.background_norm, t0, t1])
+                         fit.a.real, fit.a.imag, abs(fit.a - 1) / kappa**2,
+                         fit.omega, fit.background_norm, t0, t1])
     tables["decay_fits"] = (
         ["kappa", "gamma", "golden_rule_rate", "rate_ratio", "re_a", "im_a",
          "abs_a_minus_1_over_k2", "omega", "background_norm", "t_fit_lo", "t_fit_hi"],

@@ -19,10 +19,11 @@ which has psi as its null vector.  The two routes share no scattering state;
 their agreement is the module's self-check and is reported, never silently
 resolved.
 
-The right-hand sides C_{a q}(x) psi(x) come from one pass over V per grid: V is
-sampled in column blocks for all radial modes at once, and a block where V is
-zero (beyond its x3 decay) is skipped.  Each column sums in the order of a
-whole-grid contraction, so the skip changes no bit.
+The rows C_{a q}(x) of both routes are those of the operators' coupling at
+theta = 0 (``operators.coupling``), contracted once per grid.  The first-order
+shift is ``specfun.radial_overlap`` of phi_q, phi_q and the longitudinal
+average U_h(rho) = h sum_x V(rho, x) psi(x)^2 (``toeplitz_ssf``), which equals
+h sum_x C_qq(x) psi(x)^2 and needs no truncation.
 """
 
 import math
@@ -33,9 +34,11 @@ from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
 from .numutil import richardson_h2
+from .operators import checked_floor, coupling
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
                             scattering_states, tridiagonal_band)
-from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
+from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_overlap
+from .toeplitz_ssf import longitudinal_average
 
 __all__ = [
     "FgrResult",
@@ -51,31 +54,10 @@ __all__ = [
 _ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
 
 
-# Columns of x per pass over V: one block's samples (about 28 quadrature nodes
-# by 4096 columns, 1 MB) stay small on long grids.
-_COLUMN_BLOCK = 4096
-
-
-def _mode_factors(problem, basis, qs, q, x):
-    """Rows C_{a q}(x) = int phi_a phi_q V(rho, x) rho drho for each a in ``qs``.
-
-    V is sampled once per block of ``_COLUMN_BLOCK`` columns of x.  A block
-    where V is zero keeps +0.0, the value the contraction gives a zero column;
-    every other column sums over the nodes in the order of a whole-grid einsum.
-    """
-    rule = basis.rule(problem.b, problem.m)
-    fq = radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
-    fs = [radial_eigenfunction(RadialMode(problem.b, int(qa), problem.m), rule.nodes)
-          for qa in qs]
-    c = np.zeros((len(fs), len(x)))
-    for lo in range(0, len(x), _COLUMN_BLOCK):
-        cols = slice(lo, lo + _COLUMN_BLOCK)
-        vv = problem.V.evaluate(rule.nodes[:, None], x[None, cols])
-        if not vv.any():
-            continue
-        for row, fa in zip(c, fs):
-            row[cols] = np.einsum("k,k,k,kx->x", rule.weights, fa, fq, vv)
-    return c
+def _coupling_rows(problem, basis, q):
+    """Rows C_{a q}(x), (J, n_int), of the theta = 0 coupling on the grid of
+    ``basis``; the view keeps the shared coupling alive."""
+    return coupling(problem, basis, 0j)[:, basis.mode_index(problem.m, q)]
 
 
 def _check_refine(refine):
@@ -85,12 +67,20 @@ def _check_refine(refine):
         raise DomainError(f"refine must be >= 0 and <= 1, got {refine}")
 
 
+def _checked_bases(problem, basis, refine):
+    """The truncations on the grids (h, h/2)[:1 + refine], each refused as
+    ``operators.assemble`` refuses its grid unless inf spec(H_par) > -2b."""
+    _check_refine(refine)
+    bases = (basis, basis.refined())[:1 + refine]
+    for b in bases:
+        checked_floor(problem.v0, b.grid, problem.b)
+    return bases
+
+
 def _first_order_on_grid(problem, basis, q):
-    st = ground_state(problem.v0, basis.grid)
-    x = basis.grid.interior
-    cqq = _mode_factors(problem, basis, [q], q, x)[0]
-    psi2 = st.psi[1:-1] ** 2
-    return basis.grid.h * float(np.dot(cqq, psi2))
+    u = longitudinal_average(problem.V, ground_state(problem.v0, basis.grid))
+    mode = RadialMode(problem.b, q, problem.m)
+    return radial_overlap(mode, mode, u, basis.rule(problem.b, problem.m))
 
 
 def first_order_shift(problem, basis, q, refine=1):
@@ -108,43 +98,45 @@ def first_order_shift(problem, basis, q, refine=1):
     return float(val)
 
 
-def _channel_pair_on_grid(problem, basis, q, j):
-    """(a_1, a_2) with a_l = int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda)
-    V(rho, x) dx rho drho on the grid of ``basis``, from one Jost solve."""
+def _channel_pairs_on_grid(problem, basis, q, js):
+    """{j: (a_1, a_2)} with a_l = int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda)
+    V(rho, x) dx rho drho on the grid of ``basis``, one Jost solve per j."""
     st = ground_state(problem.v0, basis.grid)
-    energy = 2.0 * problem.b * (q - j) + st.lam
-    x = basis.grid.interior
-    weight = _mode_factors(problem, basis, [j], q, x)[0] * st.psi[1:-1]
-    return [basis.grid.h * complex(np.sum(weight * psi_l[1:-1]))
-            for psi_l in scattering_states(problem.v0, energy, basis.grid)]
+    rows = _coupling_rows(problem, basis, q)
+    pairs = {}
+    for j in js:
+        energy = 2.0 * problem.b * (q - j) + st.lam
+        weight = rows[basis.mode_index(problem.m, j)] * st.psi[1:-1]
+        pairs[j] = [basis.grid.h * complex(np.sum(weight * psi_l[1:-1]))
+                    for psi_l in scattering_states(problem.v0, energy, basis.grid)]
+    return pairs
 
 
-def _channel_pair(problem, basis, q, j, refine):
-    pair = _channel_pair_on_grid(problem, basis, q, j)
-    if refine:
-        fine = _channel_pair_on_grid(problem, basis.refined(), q, j)
-        pair = [richardson_h2(a, b) for a, b in zip(pair, fine)]
-    return [complex(a) for a in pair]
+def _channel_pairs(problem, basis, q, js, refine):
+    """{j: [a_1, a_2]} over (h, h/2)[:1 + refine], Richardson-combined; with
+    no open channel nothing is contracted."""
+    grids = [_channel_pairs_on_grid(problem, b, q, js) if js else {}
+             for b in _checked_bases(problem, basis, refine)]
+    return {j: [complex(richardson_h2(*a) if refine else a[0])
+                for a in zip(*(pairs[j] for pairs in grids))] for j in js}
 
 
 def fgr_channel(problem, basis, q, j, l, refine=1):
     """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q)."""
-    _check_refine(refine)
     if not (m_minus(problem.m) <= j < q):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    return _channel_pair(problem, basis, q, j, refine)[l - 1]
+    return _channel_pairs(problem, basis, q, [j], refine)[j][l - 1]
 
 
 def channel_amplitudes(problem, basis, q, refine=1):
     """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2;
     one Jost solve per channel and grid serves both l."""
-    _check_refine(refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    return {(l, j): a for j in range(m_minus(problem.m), q)
-            for l, a in zip((1, 2), _channel_pair(problem, basis, q, j, refine))}
+    pairs = _channel_pairs(problem, basis, q, range(m_minus(problem.m), q), refine)
+    return {(l, j): a for j, pair in pairs.items() for l, a in zip((1, 2), pair)}
 
 
 def im_from_amplitudes(amps):
@@ -178,13 +170,13 @@ class FgrResult:
 
 
 def _mode_rows(problem, basis, q, st):
-    """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w."""
+    """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w,
+    on the grid of ``basis`` (that of ``st``)."""
     grid = st.grid
     a_idx = basis.mode_index(problem.m, q)
     qs = basis.landau_indices(problem.m)
     psi = st.psi[1:-1]
-    w = _mode_factors(problem, basis, qs, q, grid.interior)
-    w *= psi
+    w = _coupling_rows(problem, basis, q) * psi
     # (I - P) w: remove the embedded eigenvector component exactly
     w_proj = w.copy()
     w_proj[a_idx] -= psi * (grid.h * float(np.dot(w[a_idx], psi)))
@@ -212,10 +204,10 @@ def _reduced_solve(v0, st, rhs):
 
 
 def _resolvent_route(problem, basis, q, st):
-    """F(E0 + i0) at E0 = 2bq + lambda_h on the grid of ``st``, and the number
-    of open channels.  H^(m) is block-diagonal over the radial modes, so this
-    is one tridiagonal solve per mode: the reduced resolvent for mode q, the
-    outgoing resolvent at the channel energy E0 - 2b q_a for every other."""
+    """F(E0 + i0) at E0 = 2bq + lambda_h on the grid of ``basis`` and ``st``,
+    and the number of open channels.  H^(m) is block-diagonal over the radial
+    modes, so this is one tridiagonal solve per mode: the reduced resolvent for
+    mode q, the outgoing resolvent at the channel energy E0 - 2b q_a for every other."""
     e0 = 2.0 * problem.b * q + st.lam
     qs, w, w_proj = _mode_rows(problem, basis, q, st)
     total = 0.0 + 0.0j
@@ -239,15 +231,17 @@ def fgr_value(problem, basis, q, refine=1):
     on its refinement, each at its own lambda_h, and is Richardson-combined;
     a relative Im F disagreement above ``_ROUTE_TOLERANCE`` flags the result.
     """
-    _check_refine(refine)
+    bases = _checked_bases(problem, basis, refine)
+    # each grid's coupling is held for the call, so the channel amplitudes and
+    # the resolvent route read their rows from one contraction per grid
+    held = [coupling(problem, b, 0j) for b in bases]
     first = first_order_shift(problem, basis, q, refine=refine)
 
     amps = channel_amplitudes(problem, basis, q, refine=refine)
     im_channels = im_from_amplitudes(amps)
 
-    states = [ground_state(problem.v0, grid)
-              for grid in (basis.grid, basis.grid.refined())[:1 + refine]]
-    routes = [_resolvent_route(problem, basis, q, st) for st in states]
+    states = [ground_state(problem.v0, b.grid) for b in bases]
+    routes = [_resolvent_route(problem, b, q, st) for b, st in zip(bases, states)]
     f_val = routes[0][0]
     lam = states[0].lam
     if refine:
@@ -284,9 +278,7 @@ class OverlapPolynomialResult:
 
 def _candidate_overlap(b, q, m, poly, alpha, rule):
     wa = poly(0.5 * b * rule.nodes**2) * np.exp(-0.5 * alpha * b * rule.nodes**2)
-    fa = radial_eigenfunction(RadialMode(b, q - 1, m), rule.nodes)
-    fb = radial_eigenfunction(RadialMode(b, q, m), rule.nodes)
-    return float(np.dot(rule.weights, fa * fb * wa))
+    return radial_overlap(RadialMode(b, q - 1, m), RadialMode(b, q, m), wa, rule)
 
 
 def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, rule=None,

@@ -26,7 +26,8 @@ with a Cholesky certificate per step.
 Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
 (problem, basis, theta) is shared by every live operator built from it, and
 the guard inf spec(H_par) > -2b is cached per grid, so a kappa-continuation
-assembles each step from D = kappa C + ... alone.
+assembles each step from D = kappa C + ... alone.  ``fgr`` reads its rows
+C_aq(x3) from the theta = 0 coupling and applies the same guard.
 """
 
 import cmath
@@ -312,7 +313,7 @@ def inf_longitudinal_spectrum(v0, grid):
 
 
 @lru_cache(maxsize=3)
-def _checked_floor(v0, grid, b):
+def checked_floor(v0, grid, b):
     """inf spec(H_par) on the grid, refused unless it lies above -2b."""
     lam_min = inf_longitudinal_spectrum(v0, grid)
     if lam_min <= -2 * b:
@@ -323,20 +324,20 @@ def _checked_floor(v0, grid, b):
     return lam_min
 
 
-# Couplings shared by the live operators of one (problem, basis, theta): an
-# entry lasts while an operator holds it, so a kappa-continuation computes C
+# Couplings shared by the live operators (and fgr calls) of one (problem, basis,
+# theta): an entry lasts while one holds it, so a kappa-continuation computes C
 # once per grid, and gap's m blocks, each dropped after counting, keep none.
 _COUPLINGS = weakref.WeakValueDictionary()
 
 
-def _coupling(problem, basis, theta):
+def coupling(problem, basis, theta):
     """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int),
-    shared as a read-only array.  Keys compare potentials by identity, as in
-    ``schrodinger1d.solved_bound_states``."""
+    shared as a read-only array by the operators and by ``fgr``.  Keys compare
+    potentials by identity, as in ``schrodinger1d.solved_bound_states``."""
     key = (problem, basis, theta)
-    coupling = _COUPLINGS.get(key)
-    if coupling is not None:
-        return coupling
+    c = _COUPLINGS.get(key)
+    if c is not None:
+        return c
     rule = basis.rule(problem.b, problem.m)
     B = np.stack(
         [
@@ -347,13 +348,14 @@ def _coupling(problem, basis, theta):
     arg = cmath.exp(theta)
     x = (arg if theta.imag else arg.real) * basis.grid.interior
     vv = problem.V.evaluate(rule.nodes[:, None], x[None, :])
-    coupling = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
+    c = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
     # bitwise (a,b) symmetry: the optimized contraction order rounds
     # asymmetrically at the last ulp, and complex symmetry must be exact
-    coupling = 0.5 * (coupling + coupling.transpose(1, 0, 2))
-    coupling.flags.writeable = False
-    _COUPLINGS[key] = coupling
-    return coupling
+    c += c.transpose(1, 0, 2)  # numpy buffers the overlapping operand
+    c *= 0.5
+    c.flags.writeable = False
+    _COUPLINGS[key] = c
+    return c
 
 
 def assemble(problem, basis, theta=0.0, kappa=0.0):
@@ -376,7 +378,7 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
             raise DomainError(
                 f"Im theta = {theta.imag} outside [0, V.theta0 = {problem.V.theta0})"
             )
-    _checked_floor(problem.v0, grid, problem.b)
+    checked_floor(problem.v0, grid, problem.b)
 
     qs = basis.landau_indices(problem.m)
     return AssembledOperator(
@@ -389,7 +391,7 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
         mode_shifts=2.0 * problem.b * qs,
         hpar_diag=hpar_diag,
         hpar_off=hpar_off,
-        coupling=_coupling(problem, basis, theta) if kappa != 0.0 else None,
+        coupling=coupling(problem, basis, theta) if kappa != 0.0 else None,
     )
 
 

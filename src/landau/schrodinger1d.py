@@ -39,7 +39,6 @@ __all__ = [
     "ground_state",
     "richardson_ground_state",
     "jost_solutions",
-    "scattering_state",
     "scattering_states",
     "outgoing_root",
     "outgoing_solve",
@@ -351,13 +350,6 @@ def scattering_states(v0, E, grid):
     k = math.sqrt(E)
     sol = jost_solutions(v0, k, grid)
     return tuple(y * sol.T / math.sqrt(4.0 * math.pi * k) for y in (sol.y1, sol.y2))
-
-
-def scattering_state(v0, E, l, grid):
-    """The scattering state Psi_l(x; E), l = 1 or 2, of ``scattering_states``."""
-    if l not in (1, 2):
-        raise DomainError("branch index l must be 1 or 2")
-    return scattering_states(v0, E, grid)[l - 1]
 
 
 def outgoing_root(eps, h):

@@ -222,16 +222,11 @@ def radial_eigenfunction(mode, rho):
 
 @dataclass(frozen=True)
 class RadialQuadrature:
-    """Nodes/weights for int_0^inf f(rho) rho drho, exact on Landau-type integrands.
-
-    ``exact_degree`` is the largest k such that rho^(2k) e^(-b rho^2/2) (equivalently
-    s^k e^(-s) with s = b rho^2/2) is integrated exactly against rho drho.
-    """
+    """Nodes/weights for int_0^inf f(rho) rho drho."""
 
     b: float
     nodes: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -240,14 +235,10 @@ class RadialQuadrature:
         if np.any(self.nodes <= 0) or np.any(d <= 0):
             raise DomainError("quadrature nodes must be positive and increasing")
 
-    def integrate(self, values):
-        return float(np.dot(self.weights, values)) if np.asarray(values).ndim == 1 else (
-            np.tensordot(self.weights, values, axes=(0, 0))
-        )
-
 
 def gauss_laguerre_rule(b, n_nodes):
-    """Gauss-Laguerre rule in s = b rho^2/2 mapped to the rho half-line.
+    """Gauss-Laguerre rule in s = b rho^2/2 mapped to the rho half-line: exact
+    on s^k e^(-s) for k <= 2 n_nodes - 1, i.e. on Landau-type integrands.
 
     Node counts above ~170 are rejected: the tail Christoffel weights underflow
     and the positivity invariant would silently break.  Large-m Toeplitz tails
@@ -262,7 +253,7 @@ def gauss_laguerre_rule(b, n_nodes):
     s, w = roots_laguerre(n_nodes)
     rho = np.sqrt(2.0 * s / b)
     weights = w * np.exp(s) / b
-    return RadialQuadrature(b=b, nodes=rho, weights=weights, exact_degree=2 * n_nodes - 1)
+    return RadialQuadrature(b=b, nodes=rho, weights=weights)
 
 
 def default_rule(b, q_max, m_max, deg_w=0):

@@ -7,6 +7,10 @@ Counting how many exceed eta realizes the spectral-displacement asymptotics
 near an infinite-multiplicity eigenvalue; three decay classes of U give three
 closed-form leading laws (volume term for power decay, log / log-log laws for
 exponential and compact profiles).
+
+U is sampled by ``longitudinal_average``, which ``fgr``'s first-order shift
+shares; every eigenvalue is one ``specfun.radial_overlap`` call, Gauss-Laguerre
+for |m| <= 64 and Gauss-Legendre on the window of phi_{q,m}^2 rho above.
 """
 
 import math
@@ -19,7 +23,8 @@ from scipy.linalg import eig_banded
 from .errors import DomainError, RangeError
 from .operators import assemble, inertia_counts, symmetric_band_lower
 from .schrodinger1d import ground_state
-from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_eigenfunction
+from .specfun import (RadialMode, RadialQuadrature, gauss_laguerre_rule, m_minus,
+                      radial_overlap)
 
 _SMALL_M_CUTOFF = 64
 _M_CAP = 4000  # largest m an automatic spectrum range may reach
@@ -28,6 +33,7 @@ _GAP_BATCH = 16  # most m blocks one inertia sweep of the accumulation check hol
 _GN_STEPS = 8  # Gauss-Newton steps polishing the closed-form tail-fit start
 _BETA_SNAP = 5e-3  # a fitted beta this close to 1 is taken as exactly 1
 _NO_BEND = (0.0, math.nan, math.inf)  # tail-fit result for a tail that does not bend
+_RHO_BLOCK = 2048  # radii per sample of V: 2048 x n grid points (20 MB at n = 1201)
 
 
 @lru_cache(maxsize=64)
@@ -148,20 +154,30 @@ def _classify_tail(u, samples_rho, samples_u):
     return None
 
 
+def longitudinal_average(V, state):
+    """U(rho) = h sum_x V(rho, x) psi(x)^2 over the grid of the bound ``state``,
+    as a vectorized callable of rho.  V is sampled on blocks of ``_RHO_BLOCK``
+    radii, so a long rho array never holds a radii-by-grid array at once."""
+    x = state.grid.points
+    w = state.psi**2 * state.grid.h
+
+    def u(rho):
+        rho = np.asarray(rho, dtype=float)
+        flat = rho.reshape(-1)
+        vals = np.concatenate([V.evaluate(flat[lo:lo + _RHO_BLOCK, None], x[None, :]) @ w
+                               for lo in range(0, max(flat.size, 1), _RHO_BLOCK)])
+        return vals.reshape(rho.shape)
+
+    return u
+
+
 def transverse_profile(V, psi_state, b):
     """U(rho) = int V(rho, x3) psi(x3)^2 dx3 with a fitted decay class.
 
     When the tail fit is ambiguous the profile is returned unclassified: the
     spectrum stays computable, only the closed-form laws are unavailable.
     """
-    x = psi_state.grid.points
-    w = psi_state.psi**2 * psi_state.grid.h
-
-    def u(rho):
-        rho = np.asarray(rho, dtype=float)
-        flat = rho.reshape(-1)
-        vals = V.evaluate(flat[:, None], x[None, :]) @ w
-        return vals.reshape(rho.shape)
+    u = longitudinal_average(V, psi_state)
 
     # adaptive tail sampling: stop once the tail is a few hundred decades deep
     # (well before underflow) or simply dead
@@ -190,35 +206,27 @@ class ToeplitzSpectrum:
         return float(np.max(self.eigenvalues[-3:]))
 
 
-def _eigenvalue_small_m(profile, q, m):
-    n_nodes = min(2 * (q + abs(m)) + 40, 170)
-    rule = _cached_gl_rule(profile.b, n_nodes)
-    mode = RadialMode(profile.b, q, m)
-    phi = radial_eigenfunction(mode, rule.nodes)
-    return float(np.dot(rule.weights, phi * phi * profile(rule.nodes)))
-
-
-def _eigenvalue_large_m(profile, q, m, n_nodes=320):
+def _window_rule(b, q, m):
     # the density phi^2 rho concentrates near s = b rho^2/2 ~ m + O(sqrt(m));
-    # integrate on that window with Gauss-Legendre in s (log-stable phi values)
-    b = profile.b
+    # Gauss-Legendre in s on that window (log-stable phi values), ds = b rho drho
     mm = m if m >= 0 else -m
     s_lo = max(mm - 12.0 * math.sqrt(mm + q + 1) - 25.0, 1e-12)
     s_hi = mm + 12.0 * math.sqrt(mm + q + 1) + 25.0
-    xg, wg = _cached_leggauss(n_nodes)
+    xg, wg = _cached_leggauss(320)
     s = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * xg
     ws = 0.5 * (s_hi - s_lo) * wg
-    rho = np.sqrt(2.0 * s / b)
-    phi = radial_eigenfunction(RadialMode(b, q, m), rho)
-    return float(np.sum(ws * phi * phi * profile(rho)) / b)
+    return RadialQuadrature(b=b, nodes=np.sqrt(2.0 * s / b), weights=ws / b)
 
 
 def toeplitz_eigenvalue(profile, q, m):
     if q < m_minus(m):
         raise DomainError(f"q={q} below m_- for m={m}")
     if abs(m) <= _SMALL_M_CUTOFF:
-        return _eigenvalue_small_m(profile, q, m)
-    return _eigenvalue_large_m(profile, q, m)
+        rule = _cached_gl_rule(profile.b, min(2 * (q + abs(m)) + 40, 170))
+    else:
+        rule = _window_rule(profile.b, q, m)
+    mode = RadialMode(profile.b, q, m)
+    return radial_overlap(mode, mode, profile, rule)
 
 
 def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):

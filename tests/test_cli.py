@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -567,6 +568,37 @@ def test_dynamics_uncertified_surrogate_exit_1(tmp_path, monkeypatch):
                            "certified")
 
 
+@pytest.mark.parametrize("kappas", ["0", "0.05, 0", "-0.0"])
+def test_dynamics_zero_coupling_exit_2(tmp_path, monkeypatch, capsys, kappas):
+    # kappa = 0 has no decay to fit; it is refused before any golden-rule work
+    calls = _counting(monkeypatch, fgr, "channel_amplitudes")
+    cfg = _write(tmp_path, DYN_CFG.replace("task.kappa_values = 0.05",
+                                           f"task.kappa_values = {kappas}"))
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 9: 'task.kappa_values' must be nonzero" in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,text", [
+    ("fgr", FGR_CFG + "problem.b = 0.4\ntask.m_values = 0\n"),
+    ("dynamics", DYN_CFG.replace("problem.b = 1.0", "problem.b = 0.4")),
+    ("resonance", RES_CFG.replace("problem.b = 1.0", "problem.b = 0.4")),
+], ids=["fgr", "dynamics", "resonance"])
+def test_bound_band_below_minus_2b_exit_2(tmp_path, capsys, subcommand, text):
+    # lambda = -1 at depth 2 lies below -2b = -0.8: the closed channel would
+    # reach the scattering states, so every golden-rule run refuses it as
+    # assemble does
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: inf spec(H_par) = -1.0" in err
+    assert "<= -2b = -0.8" in err
+    assert not out.exists()
+
+
 def test_dynamics_three_couplings_background_decays(tmp_path):
     # a direct energy scan that subtracts the pole from sampled G (of size
     # 1/|Im w| near the pole) leaves the solves' noise in the background; for
@@ -698,3 +730,35 @@ def test_problem_builds_or_reports_input_error(v0, V, values):
     except (ConfigError, DomainError):
         return
     assert problem.b > 0
+
+
+# -- the exit-code contract under junk input
+
+JUNK_VALUES = ("nan", "inf", "-1", "0", "abc", "1,,2", "1.5", "sech2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(subcommand=st.sampled_from(["bound", "fgr", "toeplitz", "gap", "mourre"]),
+       pick=st.integers(0, 15), junk=st.sampled_from(JUNK_VALUES),
+       unknown_key=st.booleans())
+def test_junk_in_shipped_config_exits_0_1_or_2(subcommand, pick, junk, unknown_key):
+    # one value of a shipped config replaced by junk (non-finite, non-positive,
+    # unparsable, a list where a number goes, a float where an int goes, a
+    # family name where a number goes), or an unknown key added; every junk
+    # value is at most the shipped sizes
+    lines = [line for line in (ROOT / "configs" / f"{subcommand}.cfg").read_text()
+             .splitlines() if line.split("#", 1)[0].strip()]
+    if unknown_key:
+        lines.append(f"task.fuzzed = {junk}")
+    else:
+        key = lines[pick % len(lines)].split("=", 1)[0].strip()
+        lines[pick % len(lines)] = f"{key} = {junk}"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        code = main([subcommand, "--config", cfg, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert os.path.isfile(os.path.join(out, f"{subcommand}_diagnostics.txt"))

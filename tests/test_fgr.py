@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from scipy.linalg import solve_banded
 import refcase
 from landau.errors import DomainError
 from landau.fgr import (
-    _COLUMN_BLOCK,
-    _mode_factors,
     _mode_rows,
     _reduced_solve,
     _resolvent_route,
@@ -34,7 +31,7 @@ from landau.potentials import (
     square_well,
 )
 from landau.schrodinger1d import (Grid1D, bound_states, ground_state,
-                                  hamiltonian_tridiagonal, scattering_state)
+                                  hamiltonian_tridiagonal, scattering_states)
 from landau.specfun import RadialMode, m_minus, radial_eigenfunction
 
 PROBLEM = refcase.problem()
@@ -95,13 +92,12 @@ def test_channel_radial_only_separability():
     prob = replace(PROBLEM, V=vrad)
     amp = fgr_channel(prob, BASIS, 1, 0, 1, refine=0)
     st = bound_states(PROBLEM.v0, BASIS.grid)[0]
-    from landau.schrodinger1d import scattering_state
-    from landau.specfun import RadialMode, gauss_laguerre_rule, radial_overlap
+    from landau.specfun import gauss_laguerre_rule, radial_overlap
 
     rule = gauss_laguerre_rule(1.0, 80)
     rad = radial_overlap(RadialMode(1.0, 0, 0), RadialMode(1.0, 1, 0),
                          np.exp(-rule.nodes**2), rule)
-    psi1 = scattering_state(PROBLEM.v0, 2.0 + st.lam, 1, BASIS.grid)
+    psi1 = scattering_states(PROBLEM.v0, 2.0 + st.lam, BASIS.grid)[0]
     long_part = BASIS.grid.h * complex(np.sum(st.psi * psi1))
     assert amp == pytest.approx(rad * long_part, rel=1e-10)
 
@@ -224,7 +220,7 @@ def omega_profile(problem, grid):
     for product perturbations; it is nonzero and Schwartz-class.
     """
     st = ground_state(problem.v0, grid)
-    psi1 = scattering_state(problem.v0, 2.0 * problem.b + st.lam, 1, grid)
+    psi1 = scattering_states(problem.v0, 2.0 * problem.b + st.lam, grid)[0]
     return st.psi * psi1.real
 
 
@@ -325,10 +321,6 @@ def test_negative_refine_rejected(call):
     for refine in (-1, 2):
         with pytest.raises(DomainError, match="refine"):
             call(refine)
-
-
-# A long grid on which V's support straddles several column blocks.
-WINDOW_GRID = Grid1D(-1000.0, 1000.0, 40001)
 
 
 def _whole_grid_rows(problem, basis, qs, q, x):
@@ -435,54 +427,57 @@ def test_resolvent_route_counters():
 V_CASES = {
     "gaussian_product": gaussian_product(),
     "power_radial": power_radial(x3_rate=0.7),
-    "power_radial_no_x3": power_radial(),  # nonzero everywhere: no block skipped
+    "power_radial_no_x3": power_radial(),
     "compact_radial": compact_radial(x3_rate=0.5),
 }
 
 
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
-
-
-@lru_cache(maxsize=None)
-def _window_ground_state():
-    return bound_states(PROBLEM.v0, WINDOW_GRID)[0]
-
-
 @settings(max_examples=30, deadline=None)
 @given(v_name=st.sampled_from(sorted(V_CASES)), m=st.sampled_from([-1, 0, 1]),
-       q_offset=st.integers(0, 2), pick=st.integers(0, 20))
-def test_blocked_mode_rows_match_whole_grid(v_name, m, q_offset, pick):
-    # the column-blocked pass over V gives the whole-grid einsum's rows bit for
-    # bit, signed zeros included, with V's support straddling a block edge
+       q_offset=st.integers(0, 2))
+def test_mode_rows_match_whole_grid_oracle(v_name, m, q_offset):
+    # the rows read from the operators' coupling are the direct contraction of
+    # V against phi_a phi_q, to rounding
     prob = replace(PROBLEM, V=V_CASES[v_name], m=m)
     q = m_minus(m) + q_offset
-    bound = _window_ground_state()
-    x = WINDOW_GRID.interior
+    bound = ground_state(PROBLEM.v0, BASIS.grid)
+    psi = bound.psi[1:-1]
     qs = BASIS.landau_indices(m)
-    want = _whole_grid_rows(prob, BASIS, qs, q, x)
-    nz = np.flatnonzero(want.any(axis=0))
-    if v_name != "power_radial_no_x3":
-        assert nz[0] // _COLUMN_BLOCK < nz[-1] // _COLUMN_BLOCK < len(x) // _COLUMN_BLOCK
-    assert np.array_equal(_bits(_mode_factors(prob, BASIS, qs, q, x)), _bits(want))
-    row = pick % len(qs)  # single rows, as the first-order and channel integrals ask
-    assert np.array_equal(_bits(_mode_factors(prob, BASIS, [qs[row]], q, x)),
-                          _bits(want[row:row + 1]))
-    got_qs, w, _ = _mode_rows(prob, BASIS, q, bound)
+    want = _whole_grid_rows(prob, BASIS, qs, q, BASIS.grid.interior) * psi
+    a = BASIS.mode_index(m, q)
+    want_proj = want.copy()
+    want_proj[a] -= psi * (BASIS.grid.h * float(np.dot(want[a], psi)))
+    got_qs, w, w_proj = _mode_rows(prob, BASIS, q, bound)
     assert np.array_equal(got_qs, qs)
-    assert np.array_equal(_bits(w), _bits(want * bound.psi[1:-1]))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(w - want)) <= 1e-15 * scale
+    assert np.max(np.abs(w_proj - want_proj)) <= 1e-15 * scale
 
 
-def test_zero_perturbation_skips_every_block():
+@pytest.mark.parametrize("q", [1, 2])
+def test_fgr_value_samples_v_once_per_grid_and_integral(q):
+    # per grid: one coupling, whose rows serve every channel amplitude and the
+    # resolvent route, and one transverse average for the first-order shift
     calls = []
 
-    def zero(rho, x3):
+    def counted(rho, x3):
         calls.append(np.shape(x3))
-        return np.zeros(np.broadcast(np.asarray(rho), np.asarray(x3)).shape)
+        return PROBLEM.V.evaluate(rho, x3)
 
-    prob = replace(PROBLEM, V=replace(zero_v(), evaluate=zero))
-    x = WINDOW_GRID.interior
-    c = _mode_factors(prob, BASIS, BASIS.landau_indices(0), 1, x)
-    assert len(calls) == -(-len(x) // _COLUMN_BLOCK)  # one sample per block
-    assert c.shape == (BASIS.J, len(x))
-    assert not np.any(c) and not np.any(np.signbit(c))  # +0.0, as the einsum gives
+    prob = replace(PROBLEM, V=replace(PROBLEM.V, evaluate=counted))
+    res = fgr_value(prob, refcase.basis(n=601, J=4), q, refine=1)
+    assert len(res.channel_amplitudes) == 2 * q
+    # the coupling samples the interior points, the average every point
+    assert sorted(calls) == [(1, 599), (1, 601), (1, 1199), (1, 1201)]
+
+
+def test_quad_nodes_reach_both_grids(monkeypatch):
+    # numerics.quad_nodes sizes every radial rule of the (h, h/2) pair
+    from landau.operators import BasisTruncation
+
+    sizes = []
+    real = BasisTruncation.rule
+    monkeypatch.setattr(BasisTruncation, "rule", lambda self, b, m:
+                        sizes.append((self.grid.n, self.quad_nodes)) or real(self, b, m))
+    fgr_value(PROBLEM, replace(refcase.basis(n=601, J=4), quad_nodes=60), 1)
+    assert set(sizes) == {(601, 60), (1201, 60)}

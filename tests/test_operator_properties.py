@@ -261,7 +261,7 @@ def test_cached_coupling_gives_the_bits_of_a_fresh_one():
         assert assemble(problem, basis, theta=theta, kappa=0.07).coupling is op.coupling
         assert not op.coupling.flags.writeable
         operators._COUPLINGS.clear()
-        fresh = operators._coupling(problem, basis, complex(theta))
+        fresh = operators.coupling(problem, basis, complex(theta))
         assert fresh is not op.coupling
         built = AssembledOperator(op.b, op.m, op.qs, op.grid, op.theta, op.kappa,
                                   op.mode_shifts, op.hpar_diag, op.hpar_off, fresh)

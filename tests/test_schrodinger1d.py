@@ -17,7 +17,6 @@ from landau.schrodinger1d import (
     outgoing_solve,
     _march_envelope,
     richardson_ground_state,
-    scattering_state,
     scattering_states,
     solved_bound_states,
 )
@@ -174,29 +173,27 @@ def test_jost_domain_errors():
     with pytest.raises(DomainError):
         jost_solutions(sech2(), -1.0, GRID)
     with pytest.raises(DomainError):
-        scattering_state(sech2(), -2.0, 1, GRID)
-    with pytest.raises(DomainError):
-        scattering_state(sech2(), 1.0, 3, GRID)
+        scattering_states(sech2(), -2.0, GRID)
 
 
 def test_scattering_state_free():
     x = GRID.points
     E = 2.0
-    psi = scattering_state(zero_potential(), E, 1, GRID)
+    psi = scattering_states(zero_potential(), E, GRID)[0]
     ref = np.exp(1j * math.sqrt(E) * x) / math.sqrt(4 * math.pi * math.sqrt(E))
     assert np.allclose(psi, ref, atol=1e-10)
 
 
 def test_scattering_state_parts_nonvanishing():
     for l in (1, 2):
-        psi = scattering_state(sech2(), 1.0, l, GRID)
+        psi = scattering_states(sech2(), 1.0, GRID)[l - 1]
         assert np.max(np.abs(psi.real)) > 1e-3
         assert np.max(np.abs(psi.imag)) > 1e-3
 
 
 def test_scattering_state_constant_modulus_tails():
     # |T| = 1 for the reflectionless well: |Psi_1| constant in both tails
-    psi = scattering_state(sech2(), 1.0, 1, GRID)
+    psi = scattering_states(sech2(), 1.0, GRID)[0]
     for sl in (slice(0, 400), slice(-400, None)):
         mod = np.abs(psi[sl])
         assert np.max(mod) - np.min(mod) < 1e-8
@@ -309,10 +306,18 @@ def test_jost_tail_residual_accuracy_error():
         jost_solutions(sech2(), 1.0, Grid1D(-4.0, 4.0, 400))
 
 
-def test_scattering_states_share_one_jost_solve():
+def test_scattering_states_share_one_jost_solve(monkeypatch):
+    from landau import schrodinger1d
+
+    sols = []
+    real = schrodinger1d.jost_solutions
+    monkeypatch.setattr(schrodinger1d, "jost_solutions",
+                        lambda *args: sols.append(real(*args)) or sols[-1])
     both = scattering_states(sech2(), 1.0, GRID)
-    for l in (1, 2):
-        assert both[l - 1].tobytes() == scattering_state(sech2(), 1.0, l, GRID).tobytes()
+    assert len(sols) == 1
+    # Psi_l = y_l T / sqrt(4 pi k) at k = 1, both from the one solve
+    for y, psi in zip((sols[0].y1, sols[0].y2), both):
+        assert psi.tobytes() == (y * sols[0].T / math.sqrt(4.0 * math.pi)).tobytes()
 
 
 def _march_envelope_loop(vp, vm, vmid, h, k, sigma, backward):

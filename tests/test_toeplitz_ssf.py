@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from landau.potentials import (
     power_radial,
     zero_potential,
 )
-from landau.schrodinger1d import bound_states
+from landau.schrodinger1d import Grid1D, bound_states
 from landau.toeplitz_ssf import (
     CompactSupport,
     CountingFunction,
@@ -174,6 +175,21 @@ def test_law_prediction_power_closed_form():
         pred = law_prediction(prof, eta)
         exact = 0.5 * (eta ** -0.5 - 1.0)
         assert pred == pytest.approx(exact, rel=1e-3)
+
+
+def test_law_prediction_power_profile_memory_bounded():
+    # the superlevel measure samples U at 400001 radii; sampling V there in
+    # one call held a 400001 x n array (323 MB at n = 101, 3.8 GB at 1201)
+    state = bound_states(PROBLEM.v0, Grid1D(-12.0, 12.0, 101))[0]
+    prof = transverse_profile(power_radial(), state, 1.0)
+    assert isinstance(prof.decay, PowerDecay)
+    tracemalloc.start()
+    try:
+        assert law_prediction(prof, 1e-4) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_law_prediction_exponential_branches():
