@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
+from .lapack import solve_banded
 from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near

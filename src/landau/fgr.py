@@ -30,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import AccuracyError, DomainError
+from .lapack import solve_banded
 from .numutil import richardson_h2
 from .operators import checked_floor, coupling
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg import lapack as _lapack
 
+from . import lapack as _lapack
 from .errors import DegenerateInputError, DomainError, SolverError
+from .lapack import eigh_tridiagonal, eigvalsh_tridiagonal
 from .potentials import PerturbationProfile, Potential1D
 from .schrodinger1d import BoundState, Grid1D, ground_state, hamiltonian_tridiagonal
 from .specfun import RadialMode, default_rule, m_minus, radial_eigenfunction
@@ -241,7 +241,7 @@ class AssembledOperator:
 
 
 def symmetric_band_lower(D, hpar_off):
-    """Lower band storage (for scipy.eig_banded) of the real block-tridiagonal
+    """Lower band storage (for ``eig_banded``) of the real block-tridiagonal
     matrix with diagonal blocks D (n, J, J) and off-diagonal blocks hpar_off I."""
     if np.iscomplexobj(D):
         raise DomainError("symmetric band storage requires a real operator")

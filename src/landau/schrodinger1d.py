@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import AccuracyError, DomainError
+from .lapack import eigh_tridiagonal, solve_banded
 from .numutil import richardson_h2
 
 __all__ = [

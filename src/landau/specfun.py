@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .errors import DomainError
+from .lapack import eigvals_banded
 
 # Gauss-Laguerre total weights carry a factor e^{s_i}; beyond ~170 nodes the
 # raw Christoffel weights underflow double precision.

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .errors import DomainError, RangeError
+from .lapack import eig_banded
 from .operators import assemble, inertia_counts, symmetric_band_lower
 from .schrodinger1d import ground_state
 from .specfun import (RadialMode, RadialQuadrature, gauss_laguerre_rule, m_minus,
@@ -314,35 +314,53 @@ def law_prediction(profile, eta):
     exponential: the three-branch log law in |ln eta|;
     compact: |ln eta| / ln |ln eta| (radius-independent at leading order).
     """
-    if not 0 < eta:
+    return law_predictions(profile, [eta])[0]
+
+
+def law_predictions(profile, etas):
+    """``law_prediction`` at each threshold of ``etas``.
+
+    A power law measures {U > eta} on U sampled at 400001 radii over
+    [0, r_hi], r_hi the first power of 2 with U(r_hi) <= eta; consecutive
+    thresholds with the same r_hi share one sample (sorted thresholds share
+    all of them), so a grid of etas costs one U sample per distinct r_hi.
+    """
+    etas = [float(eta) for eta in etas]
+    if not all(0 < eta for eta in etas):
         raise DomainError("eta must be positive")
     d = profile.decay
     if d is None:
         raise DomainError("profile decay class unclassified; law unavailable")
     if isinstance(d, PowerDecay):
         # superlevel measure by radial quadrature of the indicator
-        r_hi = 1.0
-        while profile(np.array([r_hi]))[()] > eta and r_hi < 1e6:
-            r_hi *= 2.0
-        rho = np.linspace(0.0, r_hi, 400001)
-        ind = profile(rho) > eta
-        measure = 2.0 * math.pi * np.trapezoid(rho * ind, rho)
-        return profile.b / (2.0 * math.pi) * measure
-    if isinstance(d, ExponentialDecay):
-        if not eta < math.exp(-1.0):
-            raise DomainError("log laws need eta < 1/e")
-        al = abs(math.log(eta))
-        if d.beta < 1.0:
-            return profile.b / (2.0 * d.mu ** (1.0 / d.beta)) * al ** (1.0 / d.beta)
-        if d.beta == 1.0:
-            return al / math.log1p(2.0 * d.mu / profile.b)
-        return d.beta / (d.beta - 1.0) * al / math.log(al)
+        preds, sampled = [], None
+        for eta in etas:
+            r_hi = 1.0
+            while profile(np.array([r_hi]))[()] > eta and r_hi < 1e6:
+                r_hi *= 2.0
+            if r_hi != sampled:
+                rho = np.linspace(0.0, r_hi, 400001)
+                u = profile(rho)
+                sampled = r_hi
+            measure = 2.0 * math.pi * np.trapezoid(rho * (u > eta), rho)
+            preds.append(profile.b / (2.0 * math.pi) * measure)
+        return preds
+    if not isinstance(d, (ExponentialDecay, CompactSupport)):
+        raise DomainError(f"unknown decay class {d!r}")
+    if not all(eta < math.exp(-1.0) for eta in etas):
+        raise DomainError("log laws need eta < 1/e")
+    return [_log_law(profile.b, d, abs(math.log(eta))) for eta in etas]
+
+
+def _log_law(b, d, al):
+    """The exponential or compact law at |ln eta| = al."""
     if isinstance(d, CompactSupport):
-        if not eta < math.exp(-1.0):
-            raise DomainError("log laws need eta < 1/e")
-        al = abs(math.log(eta))
         return al / math.log(al)
-    raise DomainError(f"unknown decay class {d!r}")
+    if d.beta < 1.0:
+        return b / (2.0 * d.mu ** (1.0 / d.beta)) * al ** (1.0 / d.beta)
+    if d.beta == 1.0:
+        return al / math.log1p(2.0 * d.mu / b)
+    return d.beta / (d.beta - 1.0) * al / math.log(al)
 
 
 @dataclass(frozen=True)
@@ -358,16 +376,15 @@ def law_convergence_report(profile, q, eta_grid):
     spec = toeplitz_eigenvalues(profile, q, eta_min=float(eta_grid[-1]))
     cf = CountingFunction(spec)
     rows = []
-    for eta in eta_grid:
+    for eta, pred in zip(eta_grid, law_predictions(profile, eta_grid)):
         n = cf.n_plus(float(eta))
-        pred = law_prediction(profile, float(eta))
         rows.append((float(eta), n, pred, n / pred if pred > 0 else math.inf))
     etas = np.array([r[0] for r in rows])
     ratios = np.array([r[3] for r in rows])
     last = etas <= etas.min() * 10.0
     mean = float(np.mean(ratios[last]))
     slope = math.nan  # a line through one distinct eta has no slope
-    if len(np.unique(etas)) > 1:
+    if etas.max() > etas.min():  # not np.unique, which imports numpy.ma
         slope = float(np.polynomial.polynomial.polyfit(np.log(etas), ratios, 1)[1])
     return LawReport(rows=rows, last_decade_mean=mean, slope=slope)
 

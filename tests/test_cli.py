@@ -169,23 +169,28 @@ def test_gap_run_does_not_import_scipy_optimize(tmp_path):
 
 
 def test_package_imports_no_scipy_special():
-    # gammaln and roots_laguerre are specfun's ports; the benchmark's layer
-    # modules are the import set every subcommand can reach
+    # gammaln and roots_laguerre are specfun's ports, and LAPACK comes from
+    # landau.lapack, not through scipy.linalg's package init; the benchmark's
+    # layer modules are the import set every subcommand can reach
     code = ("import importlib, sys\n"
             f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
             "from layers import MODULES\n"
             "import landau.cli, landau.specfun\n"
             "for name in MODULES:\n"
             "    importlib.import_module('landau.' + name)\n"
-            "print('scipy.special' in sys.modules)\n")
+            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_gap_run_does_not_import_scipy_linalg(tmp_path):
+    assert _run_fresh("gap", tmp_path / "gap", 1, "scipy.linalg") == (0, False)
 
 
 def test_fgr_run_does_not_import_scipy_sparse(tmp_path):
-    # the resolvent route's solves are scipy.linalg's tridiagonal ones
+    # the resolvent route's solves are LAPACK's tridiagonal ones (landau.lapack)
     assert _run_fresh("fgr", tmp_path / "fgr", 1, "scipy.sparse") == (0, False)
 
 
@@ -737,17 +742,32 @@ def test_problem_builds_or_reports_input_error(v0, V, values):
 JUNK_VALUES = ("nan", "inf", "-1", "0", "abc", "1,,2", "1.5", "sech2")
 
 
-@settings(max_examples=30, deadline=None)
-@given(subcommand=st.sampled_from(["bound", "fgr", "toeplitz", "gap", "mourre"]),
-       pick=st.integers(0, 15), junk=st.sampled_from(JUNK_VALUES),
-       unknown_key=st.booleans())
-def test_junk_in_shipped_config_exits_0_1_or_2(subcommand, pick, junk, unknown_key):
-    # one value of a shipped config replaced by junk (non-finite, non-positive,
-    # unparsable, a list where a number goes, a float where an int goes, a
-    # family name where a number goes), or an unknown key added; every junk
-    # value is at most the shipped sizes
-    lines = [line for line in (ROOT / "configs" / f"{subcommand}.cfg").read_text()
-             .splitlines() if line.split("#", 1)[0].strip()]
+def _shipped_lines(name):
+    return [line for line in (ROOT / "configs" / f"{name}.cfg").read_text()
+            .splitlines() if line.split("#", 1)[0].strip()]
+
+
+def _small_lines(subcommand):
+    """The shipped config at n = 201, J = 3; `all` takes the reference problem
+    with the task keys of the four subcommands it runs."""
+    if subcommand == "all":
+        lines = [line for line in _shipped_lines("resonance")
+                 if not line.startswith("task.")]
+        lines += [line for name in ("bound", "fgr", "resonance", "toeplitz")
+                  for line in _shipped_lines(name) if line.startswith("task.")]
+    else:
+        lines = _shipped_lines(subcommand)
+    small = {"numerics.n": "201", "numerics.J": "3"}
+    keys = [line.split("=", 1)[0].strip() for line in lines]
+    return [f"{key} = {small[key]}" if key in small else line
+            for key, line in zip(keys, lines)]
+
+
+def _check_exit_contract(subcommand, lines, pick, junk, unknown_key):
+    """``landau <subcommand>`` on ``lines`` with one value replaced by ``junk``
+    (or an unknown key added) exits 0, 1 or 2, and exit 1 leaves its
+    diagnostics file."""
+    lines = list(lines)
     if unknown_key:
         lines.append(f"task.fuzzed = {junk}")
     else:
@@ -762,3 +782,25 @@ def test_junk_in_shipped_config_exits_0_1_or_2(subcommand, pick, junk, unknown_k
         assert code in (0, 1, 2)
         if code == 1:
             assert os.path.isfile(os.path.join(out, f"{subcommand}_diagnostics.txt"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(subcommand=st.sampled_from(["bound", "fgr", "toeplitz", "gap", "mourre"]),
+       pick=st.integers(0, 15), junk=st.sampled_from(JUNK_VALUES),
+       unknown_key=st.booleans())
+def test_junk_in_shipped_config_exits_0_1_or_2(subcommand, pick, junk, unknown_key):
+    # one value of a shipped config replaced by junk (non-finite, non-positive,
+    # unparsable, a list where a number goes, a float where an int goes, a
+    # family name where a number goes), or an unknown key added; every junk
+    # value is at most the shipped sizes
+    _check_exit_contract(subcommand, _shipped_lines(subcommand), pick, junk, unknown_key)
+
+
+@pytest.mark.parametrize("subcommand", ["resonance", "dynamics", "all"])
+@settings(max_examples=10, deadline=None)
+@given(pick=st.integers(0, 20), junk=st.sampled_from(JUNK_VALUES),
+       unknown_key=st.booleans())
+def test_junk_in_small_config_exits_0_1_or_2(subcommand, pick, junk, unknown_key):
+    # the same junk on the subcommands whose shipped grids take seconds a run,
+    # on grids small enough for a run to take a fraction of a second
+    _check_exit_contract(subcommand, _small_lines(subcommand), pick, junk, unknown_key)

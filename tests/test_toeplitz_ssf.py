@@ -262,6 +262,24 @@ def test_power_law_report():
     assert 0.9 <= rep.last_decade_mean <= 1.1
 
 
+def test_power_law_report_samples_u_once_per_radius():
+    # {U > eta} is measured on U at 400001 radii over [0, r_hi], r_hi the first
+    # power of 2 with U(r_hi) <= eta: 8, 16 and 32 for eta in [1e-6, 1e-3]
+    sampled = []
+
+    def u(r):
+        if r.size == 400001:
+            sampled.append(float(r[-1]))
+        return (1 + r * r) ** (-2.0)
+
+    prof = TransverseProfile(u=u, b=1.0, decay=PowerDecay(alpha=4.0, u0=1.0))
+    etas = np.geomspace(1e-6, 1e-3, 16)
+    rep = law_convergence_report(prof, 0, etas)
+    assert sampled == [8.0, 16.0, 32.0]
+    # each prediction is the one-threshold law, bit for bit
+    assert [r[2] for r in rep.rows] == [law_prediction(prof, eta) for eta in etas[::-1]]
+
+
 def test_compact_law_report_trend():
     # the doubly-log law has no usable rate at desk scale: assert only that the
     # ratio stays O(1) over six decades and that the staircase-smoothed trend
