@@ -377,6 +377,11 @@ def _run_dynamics(run):
     from .fgr import channel_amplitudes, im_from_amplitudes
 
     cfg = run.cfg
+    # one route; the key stays because shipped and benchmark configs set it
+    method = cfg.get_str("task.method", "resolvent")
+    if method != "resolvent":
+        raise ConfigError(f"'task.method' must be resolvent, got {method!r}",
+                          line=cfg.entries["task.method"][1])
     problem, basis, q = run.problem, run.basis, run.q
     kappas = cfg.get_floats("task.kappa_values", required=True)
     if 0.0 in kappas:  # no coupling, no decay: nothing to fit
@@ -385,7 +390,6 @@ def _run_dynamics(run):
                           line=cfg.entries["task.kappa_values"][1])
     delta_window = cfg.get_float("task.delta_window", 0.25, positive=True)
     theta = 1j * cfg.get_float("task.im_theta", 0.3, positive=True)
-    method = cfg.get_str("task.method", "resolvent")
 
     # the golden-rule rate needs only Im F: the channel route
     imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
@@ -397,7 +401,7 @@ def _run_dynamics(run):
         t0, t1 = default_fit_window(delta_window, gamma_est)
         times = default_times(t1)
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
-                              method=method, theta=theta)
+                              theta=theta)
         fit = fit_decay(ser, (t0, t1))
         surrogate.append({"kappa": kappa, "nodes": ser.surrogate_nodes,
                           "resolvent_solves": ser.resolvent_solves,
@@ -417,9 +421,7 @@ def _run_dynamics(run):
          "abs_a_minus_1_over_k2", "omega", "background_norm", "t_fit_lo", "t_fit_hi"],
         fit_rows,
     )
-    diag = {"im_F": imf, "method": method}
-    if method == "resolvent":
-        diag["resolvent_surrogate"] = surrogate
+    diag = {"im_F": imf, "method": method, "resolvent_surrogate": surrogate}
     return tables, diag
 
 

@@ -2,32 +2,26 @@
 autocorrelation series and exponential-decay fits against the golden-rule rate.
 The embedded state is phi_{q,m} (x) psi with psi the ground state of H_par.
 
-Two routes build the series ⟨e^(-iHt) g(H) Phi, Phi⟩:
-
-* ``method="eigh"`` diagonalizes the truncated self-adjoint operator and sums
-  the spectral series exactly (to roundoff) on the truncation.  The truncated
-  spectrum is discrete, so the series is quasi-periodic: it is faithful only up
-  to the recurrence horizon, and genuine golden-rule decay (width Gamma far
-  below the level spacing) is invisible at desk-scale boxes.
-
-* ``method="resolvent"`` computes the infinite-volume spectral density of Phi
-  through the complex-scaled resolvent G(E) = h phi_theta^T (M_theta - E)^(-1)
-  phi_theta: one narrow Lorentzian at the resonance plus a smooth background
-  integrated against g.  This realizes the resonance expansion
-  a(kappa) e^(-iwt) + b(t) directly and has no recurrence, which is what the
-  decay-rate acceptance checks require.  The pole w_h and its residue alpha
-  come from inverse iteration on the base grid (alpha from the eigenvector);
-  the pole used in the series is extrapolated over (h, h/2, h/4).  The pole is
-  then multiplied out: f(E) = (E - w_h) G(E) is analytic around the window
-  [E0 - delta, E0 + delta], so it is interpolated at N Chebyshev-Lobatto points
-  (one banded solve each) and certified against direct solves at the N - 1
-  midpoints that complete the 2N - 1 Lobatto grid.  The grids nest, so a rung
-  that fails reuses all its solves in the next, N <- 2N - 1, from N = 9 up to
-  65; a held-out error still above 1e-9 there raises AccuracyError.  The
-  background is the divided difference (f(E) - f(w_h)) / (E - w_h), which
-  removes the interpolant's own pole exactly, on a uniform 1401-point
-  quadrature grid; its Fourier sum is a polynomial in e^(-i t dE), summed by
-  Horner's rule.
+The series ⟨e^(-iHt) g(H) Phi, Phi⟩ comes from the infinite-volume spectral
+density of Phi through the complex-scaled resolvent
+G(E) = h phi_theta^T (M_theta - E)^(-1) phi_theta: one narrow Lorentzian at the
+resonance plus a smooth background integrated against g.  This realizes the
+resonance expansion a(kappa) e^(-iwt) + b(t) directly and has no recurrence,
+which is what the decay-rate acceptance checks require.  (The exact spectral
+sum on the self-adjoint truncation recurs after about pi / level spacing, far
+below the decay times at desk-scale boxes; the tests keep it as a short-time
+oracle.)  The pole w_h and its residue alpha come from inverse iteration on the
+base grid (alpha from the eigenvector); the pole used in the series is
+extrapolated over (h, h/2, h/4).  The pole is then multiplied out:
+f(E) = (E - w_h) G(E) is analytic around the window [E0 - delta, E0 + delta],
+so it is interpolated at N Chebyshev-Lobatto points (one banded solve each) and
+certified against direct solves at the N - 1 midpoints that complete the
+2N - 1 Lobatto grid.  The grids nest, so a rung that fails reuses all its
+solves in the next, N <- 2N - 1, from N = 9 up to 65; a held-out error still
+above 1e-9 there raises AccuracyError.  The background is the divided
+difference (f(E) - f(w_h)) / (E - w_h), which removes the interpolant's own
+pole exactly, on a uniform 1401-point quadrature grid; its Fourier sum is a
+polynomial in e^(-i t dE), summed by Horner's rule.
 """
 
 import math
@@ -82,31 +76,11 @@ class AutocorrelationSeries:
     values: np.ndarray
     center: float
     delta_window: float
-    method: str
-    horizon: float  # math.inf for the resolvent route
-    horizon_exceeded: bool
-    # resolvent route: banded solves behind the surrogate, held-out error of f
-    # and the number of Lobatto nodes of the rung that certified it
+    # banded solves behind the surrogate, held-out error of f and the number of
+    # Lobatto nodes of the rung that certified it
     resolvent_solves: int = 0
     held_out_error: float = math.nan
     surrogate_nodes: int = 0
-
-
-def _series_eigh(problem, basis, q, kappa, times, delta_window):
-    op = assemble(problem, basis, theta=0.0, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q)
-    h = basis.grid.h
-    m = op.dense()
-    energies, vecs = np.linalg.eigh(m)
-    weights = h * (vecs.T @ pair.vector) ** 2
-    g = smooth_cutoff(energies, pair.energy, delta_window)
-    sel = g * weights > 1e-16
-    en, wg = energies[sel], (weights * g)[sel]
-    spacing = np.median(np.diff(np.sort(en))) if en.size > 1 else math.inf
-    horizon = math.pi / spacing if np.isfinite(spacing) else math.inf
-    phases = np.exp(-1j * np.outer(times, en))
-    values = phases @ wg
-    return values, pair.energy, horizon
 
 
 def dilated_bound_vector(problem, basis, theta):
@@ -252,48 +226,30 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
     return values, center, solves, err, nodes
 
 
-def autocorrelation(problem, basis, q, kappa, times, delta_window, method="eigh",
-                    theta=0.3j):
-    """Smoothed autocorrelation of the embedded state.
-
-    eigh: exact spectral sum on the (self-adjoint, theta = 0) truncation;
-    beyond the recurrence horizon the series is flagged, not trusted.
-    resolvent: complex-scaled spectral density (pole + smooth background); no
-    recurrence, valid at all times; requires dilatable inputs.
+def autocorrelation(problem, basis, q, kappa, times, delta_window,
+                    method="resolvent", theta=0.3j):
+    """Smoothed autocorrelation of the embedded state by the complex-scaled
+    spectral density (pole + smooth background): no recurrence, valid at all
+    times; requires dilatable inputs.  ``method`` must be ``"resolvent"``.
     """
+    if method != "resolvent":
+        raise DomainError(f"unknown method {method!r}")
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise DomainError("times must be nonnegative and strictly increasing")
+    if not times.size or np.any(np.diff(times) <= 0) or times[0] < 0:
+        raise DomainError("times must be nonempty, nonnegative and strictly increasing")
     if not delta_window > 0:
         raise DomainError("delta_window must be positive")
-    if method == "eigh":
-        values, center, horizon = _series_eigh(problem, basis, q, kappa, times,
-                                               delta_window)
-        return AutocorrelationSeries(
-            times=times,
-            values=values,
-            center=center,
-            delta_window=delta_window,
-            method=method,
-            horizon=horizon,
-            horizon_exceeded=bool(times[-1] > horizon),
-        )
-    if method == "resolvent":
-        values, center, solves, err, nodes = _series_resolvent(
-            problem, basis, q, kappa, times, delta_window, theta)
-        return AutocorrelationSeries(
-            times=times,
-            values=values,
-            center=center,
-            delta_window=delta_window,
-            method=method,
-            horizon=math.inf,
-            horizon_exceeded=False,
-            resolvent_solves=solves,
-            held_out_error=err,
-            surrogate_nodes=nodes,
-        )
-    raise DomainError(f"unknown method {method!r}")
+    values, center, solves, err, nodes = _series_resolvent(
+        problem, basis, q, kappa, times, delta_window, theta)
+    return AutocorrelationSeries(
+        times=times,
+        values=values,
+        center=center,
+        delta_window=delta_window,
+        resolvent_solves=solves,
+        held_out_error=err,
+        surrogate_nodes=nodes,
+    )
 
 
 @dataclass(frozen=True)
@@ -307,10 +263,10 @@ class DecayFit:
     window: tuple
 
 
-def default_fit_window(delta_window, gamma_est, horizon=math.inf):
-    """[5 / width of g, min(3 / Gamma_est, horizon / 2)]."""
+def default_fit_window(delta_window, gamma_est):
+    """[5 / width of g, 3 / Gamma_est]."""
     t0 = 5.0 / delta_window
-    t1 = min(3.0 / max(gamma_est, 1e-30), 0.5 * horizon)
+    t1 = 3.0 / max(gamma_est, 1e-30)
     if t1 <= t0:
         raise DomainError(f"empty fit window: [{t0:.3g}, {t1:.3g}]")
     return t0, t1
@@ -321,7 +277,7 @@ def default_times(t_max):
     dense = np.linspace(0.0, min(_BG_TIME_CAP / 2, 0.25 * t_max), 900,
                         endpoint=False)
     tail = np.linspace(min(_BG_TIME_CAP / 2, 0.25 * t_max), t_max, 1200)
-    return np.unique(np.concatenate([dense, tail]))
+    return np.concatenate([dense, tail])
 
 
 def fit_decay(series, window):
@@ -336,8 +292,6 @@ def fit_decay(series, window):
     sel = (series.times >= t0) & (series.times <= t1)
     if np.count_nonzero(sel) < 10:
         raise DomainError("fit window contains fewer than 10 samples")
-    if series.horizon_exceeded and t1 > series.horizon:
-        raise DomainError("fit window extends beyond the truncation horizon")
     t = series.times[sel]
     y = series.values[sel]
     if np.any(np.abs(y) < 1e-300):

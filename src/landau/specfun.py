@@ -1,4 +1,4 @@
-"""Generalized Laguerre polynomials, Landau radial eigenfunctions, and radial quadrature.
+"""Landau radial eigenfunctions and Gauss-Laguerre radial quadrature.
 
 Conventions. The transverse (Landau) eigenfunctions live in L^2(R_+; rho drho):
 
@@ -124,51 +124,6 @@ class RadialMode:
             raise DomainError(
                 f"Landau index q={self.q} below m_- = {m_minus(self.m)} for m={self.m}"
             )
-
-
-def _laguerre_sum(q, m, s):
-    """Direct evaluation of the finite sum defining L_q^(m); m may be negative."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    for l in range(m_minus(m), q + 1):
-        c = math.exp(
-            gammaln(q + m + 1) - gammaln(m + l + 1) - gammaln(q - l + 1) - gammaln(l + 1)
-        )
-        out = out + c * (-s) ** l
-    return out
-
-
-def _laguerre_recurrence(q, m, s):
-    """Upward three-term recurrence in the degree, m >= 0."""
-    s = np.asarray(s, dtype=float)
-    lk = np.ones_like(s)
-    if q == 0:
-        return lk
-    lkp = 1.0 + m - s
-    for n in range(1, q):
-        lk, lkp = lkp, ((2 * n + m + 1 - s) * lkp - (n + m) * lk) / (n + 1.0)
-    return lkp
-
-
-def laguerre(q, m, s):
-    """Generalized Laguerre polynomial L_q^(m)(s) for integer q >= m_-.
-
-    Negative orders are reduced through L_q^(-k)(s) = (-s)^k (q-k)!/q! L_{q-k}^(k)(s).
-    Degrees above 2 use the three-term recurrence; the alternating sum cancels badly.
-    """
-    if q < m_minus(m):
-        raise DomainError(f"q={q} below m_- = {m_minus(m)} for m={m}")
-    if m < 0:
-        k = -m
-        scale = math.exp(gammaln(q - k + 1) - gammaln(q + 1))
-        s = np.asarray(s, dtype=float)
-        val = scale * (-s) ** k * laguerre(q - k, k, s)
-        return val if val.ndim else val[()]
-    if q <= 2:
-        val = _laguerre_sum(q, m, s)
-    else:
-        val = _laguerre_recurrence(q, m, s)
-    return val if val.ndim else val[()]
 
 
 def _phi_nonneg_m(b, q, m, rho):

@@ -302,11 +302,6 @@ class CountingFunction:
         return self.n_plus(eta) + self.n_minus(eta)
 
 
-def counting(spectrum, eta):
-    """Number of compression eigenvalues above eta."""
-    return CountingFunction(spectrum).n_plus(eta)
-
-
 def law_prediction(profile, eta):
     """Leading counting term for the profile's decay class at threshold eta.
 

@@ -3,14 +3,17 @@
 The reference setup (b = 1, v0 = -2 sech^2, V = e^(-rho^2) e^(-x3^2), m = 0,
 q = 1, Im theta = 0.3) exercises every pipeline; several suites need the same
 branches and golden-rule values, so they are computed once per session.
+``eigh_series`` is the dense exact-truncation oracle for the autocorrelation.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from landau.dynamics import smooth_cutoff
 from landau.fgr import fgr_value
-from landau.operators import BasisTruncation, LandauProblem
+from landau.operators import BasisTruncation, LandauProblem, assemble, embedded_eigenpair
 from landau.potentials import gaussian_product, sech2
 from landau.resonance import continue_in_kappa, fit_expansion
 from landau.resonance import richardson_branch as _branch
@@ -51,3 +54,26 @@ def reference_fit():
 @lru_cache(maxsize=None)
 def reference_fgr(q=1):
     return fgr_value(problem(), basis(), q)
+
+
+def eigh_series(problem, basis, q, kappa, times, delta):
+    """Oracle for the autocorrelation: the exact spectral sum of
+    ⟨e^(-iHt) g(H) Phi, Phi⟩ on the self-adjoint (theta = 0) truncation, by a
+    dense eigh of the whole operator.  Returns (values, center, horizon): the
+    truncated spectrum is discrete, so the series is quasi-periodic and faithful
+    only up to the recurrence horizon pi / (median level spacing in the window).
+    """
+    op = assemble(problem, basis, theta=0.0, kappa=kappa)
+    pair = embedded_eigenpair(problem, basis, q)
+    h = basis.grid.h
+    m = op.dense()
+    energies, vecs = np.linalg.eigh(m)
+    weights = h * (vecs.T @ pair.vector) ** 2
+    g = smooth_cutoff(energies, pair.energy, delta)
+    sel = g * weights > 1e-16
+    en, wg = energies[sel], (weights * g)[sel]
+    spacing = np.median(np.diff(np.sort(en))) if en.size > 1 else math.inf
+    horizon = math.pi / spacing if np.isfinite(spacing) else math.inf
+    phases = np.exp(-1j * np.outer(times, en))
+    values = phases @ wg
+    return values, pair.energy, horizon

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -187,6 +188,21 @@ def test_package_imports_no_scipy_special():
 
 def test_gap_run_does_not_import_scipy_linalg(tmp_path):
     assert _run_fresh("gap", tmp_path / "gap", 1, "scipy.linalg") == (0, False)
+
+
+def test_dynamics_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma comes in with np.unique; the sample times are increasing already
+    assert _run_fresh("dynamics", tmp_path / "dyn", 1, "numpy.ma") == (0, False)
+
+
+def test_benchmark_layer_names_resolve(monkeypatch):
+    # the traced benchmark wraps these by name with getattr and no default, so a
+    # deleted or renamed one would fail only there
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from layers import BINDINGS, FUNCTIONS
+
+    for module, attr in [*FUNCTIONS.values(), *BINDINGS.values()]:
+        getattr(importlib.import_module(f"landau.{module}"), attr)
 
 
 def test_fgr_run_does_not_import_scipy_sparse(tmp_path):
@@ -583,6 +599,21 @@ def test_dynamics_zero_coupling_exit_2(tmp_path, monkeypatch, capsys, kappas):
     assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: line 9: 'task.kappa_values' must be nonzero" in err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_dynamics_method_other_than_resolvent_exit_2(tmp_path, monkeypatch, capsys):
+    # the exact-truncation series cannot reach the fit window (its recurrence
+    # horizon is 17.4 on the reference box at J = 3, the window opens at 20):
+    # refused before any golden-rule work
+    calls = _counting(monkeypatch, fgr, "channel_amplitudes")
+    text = (ROOT / "configs" / "dynamics.cfg").read_text()
+    cfg = _write(tmp_path, text.replace("task.method = resolvent", "task.method = eigh"))
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: line 11: 'task.method' must be resolvent, got 'eigh'" in err
     assert calls == []
     assert not out.exists()
 

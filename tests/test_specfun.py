@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
-from scipy.special import eval_genlaguerre
 
 from landau.errors import DomainError
 from landau.specfun import (
@@ -12,7 +11,6 @@ from landau.specfun import (
     default_rule,
     gammaln,
     gauss_laguerre_rule,
-    laguerre,
     m_minus,
     radial_eigenfunction,
     radial_overlap,
@@ -32,52 +30,29 @@ def exact_laguerre(q, m, s_rational):
     return total
 
 
-def test_laguerre_single_term():
-    # q=0, m=3: the sum has the single l=0 term, equal to 1 for any s
-    assert laguerre(0, 3, 7.2) == 1.0
+def _exact_phi(b, q, m, rho):
+    """The closed form sqrt(2 q!/(q+m)! (b/2)^(m+1)) rho^m L_q^(m)(b rho^2/2)
+    e^(-b rho^2/4) at a float rho, exact but for one sqrt and one exp; m >= 0."""
+    r2 = Fraction(rho) ** 2
+    s = Fraction(b) * r2 / 2
+    norm2 = (Fraction(2 * math.factorial(q), math.factorial(q + m))
+             * (Fraction(b) / 2) ** (m + 1))
+    return (math.sqrt(norm2 * r2**m) * float(exact_laguerre(q, m, s))
+            * math.exp(-float(s) / 2))
 
 
-def test_laguerre_linear():
-    # L_1^(0)(s) = 1 - s
-    assert laguerre(1, 0, 2.0) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_laguerre_against_recurrence_point():
-    # oracle: one upward recurrence step sequence done by hand at (5, 2, 1.3)
-    s = 1.3
-    lm, lk = 1.0, 1.0 + 2 - s
-    for n in range(1, 5):
-        lm, lk = lk, ((2 * n + 2 + 1 - s) * lk - (n + 2) * lm) / (n + 1.0)
-    assert laguerre(5, 2, 1.3) == pytest.approx(lk, rel=1e-14)
-
-
-def test_laguerre_matches_exact_sum():
-    # recurrence evaluation vs the defining sum in exact rational arithmetic
-    for q in range(0, 21):
-        for m in (-2, 0, 3):
-            if q < m_minus(m):
-                continue
-            for snum in (1, 13, 77, 199, 250):
-                s = Fraction(snum, 5)  # spans (0, 50]
-                exact = float(exact_laguerre(q, m, s))
-                got = float(laguerre(q, m, float(s)))
-                if exact != 0.0:
-                    assert abs(got - exact) <= 1e-10 * abs(exact)
-
-
-def test_laguerre_matches_scipy_for_nonnegative_order():
-    rng = np.random.default_rng(3)
-    for q in range(0, 14):
-        for m in range(0, 7):
-            s = rng.uniform(0.0, 30.0, size=5)
-            ref = eval_genlaguerre(q, m, s)
-            got = laguerre(q, m, s)
-            assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(np.abs(ref), 1.0))
-
-
-def test_laguerre_domain_error():
-    with pytest.raises(DomainError):
-        laguerre(1, -3, 0.5)
+def test_radial_eigenfunction_matches_closed_form():
+    # the orthonormal recurrence against the defining Laguerre sum in rational
+    # arithmetic, through the m < 0 reflection phi_{q,m} = phi_{q+m,-m}
+    rho = np.array([0.0, 0.05, 0.4, 1.1, 1.9, 2.7, 3.6, 5.0, 7.5, 10.0])
+    for b in (0.5, 1.0, 2.0):
+        for m in range(-3, 7):
+            for q in range(m_minus(m), 21):
+                got = radial_eigenfunction(RadialMode(b, q, m), rho)
+                qq, mm = (q + m, -m) if m < 0 else (q, m)
+                exact = np.array([_exact_phi(b, qq, mm, r) for r in rho])
+                err = np.abs(got - exact)
+                assert np.all(err <= 1e-12 * np.abs(exact) + 1e-13), (b, q, m, err)
 
 
 def test_mode_invariants():

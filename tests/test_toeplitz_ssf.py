@@ -25,7 +25,6 @@ from landau.toeplitz_ssf import (
     PowerDecay,
     TransverseProfile,
     _exp_fit,
-    counting,
     gap_accumulation_check,
     law_convergence_report,
     law_prediction,
@@ -152,9 +151,9 @@ def test_counting_range_guard():
     prof = TransverseProfile(u=lambda r: np.exp(-0.5 * r * r), b=1.0)
     spec = toeplitz_eigenvalues(prof, 0, m_max=20)
     with pytest.raises(RangeError):
-        counting(spec, 1e-12)
+        CountingFunction(spec).n_plus(1e-12)
     with pytest.raises(DomainError):
-        counting(spec, -1.0)
+        CountingFunction(spec).n_plus(-1.0)
 
 
 def test_nonnegative_spectrum_empty_n_minus():
