@@ -187,7 +187,7 @@ def _common_keys():
     """Keys every runner may ignore without tripping the unknown-key check: the
     shared problem and numerics keys, and every family's keys."""
     keys = ["problem.b", "problem.m", "problem.q", "numerics.x_min",
-            "numerics.x_max", "numerics.n", "numerics.J", "numerics.quad_nodes"]
+            "numerics.x_max", "numerics.n", "numerics.J"]
     for part, registry in _registries().items():
         keys.append(f"problem.{part}.family")
         keys += [f"problem.{part}.{name}"
@@ -230,11 +230,7 @@ class _Run:
             x_max=cfg.get_float("numerics.x_max", 18.0),
             n=cfg.get_int("numerics.n", 1201, positive=True),
         )
-        return BasisTruncation(
-            J=cfg.get_int("numerics.J", 7, positive=True),
-            grid=grid,
-            quad_nodes=cfg.get_int("numerics.quad_nodes", 0),
-        )
+        return BasisTruncation(J=cfg.get_int("numerics.J", 7, positive=True), grid=grid)
 
     @cached_property
     def q(self):
@@ -373,8 +369,10 @@ def _run_resonance(run):
 
 
 def _run_dynamics(run):
-    from .dynamics import autocorrelation, default_fit_window, default_times, fit_decay
+    from .dynamics import (autocorrelation, default_fit_window, default_times, fit_decay,
+                           refined_poles)
     from .fgr import channel_amplitudes, im_from_amplitudes
+    from .operators import coupling
 
     cfg = run.cfg
     # one route; the key stays because shipped and benchmark configs set it
@@ -393,15 +391,19 @@ def _run_dynamics(run):
 
     # the golden-rule rate needs only Im F: the channel route
     imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
+    # the poles on h/2 and h/4 first, one grid at a time; then the base grid's
+    # dilated coupling is held across the kappa loop: each contracted once
+    poles = refined_poles(problem, basis, q, kappas, theta)
+    shared = coupling(problem, basis, theta)  # see ``operators.coupling``
     tables = {}
     fit_rows = []
     surrogate = []
-    for kappa in kappas:
+    for kappa, pole in zip(kappas, poles):
         gamma_est = 2.0 * kappa**2 * imf
         t0, t1 = default_fit_window(delta_window, gamma_est)
         times = default_times(t1)
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
-                              theta=theta)
+                              theta=theta, poles=pole)
         fit = fit_decay(ser, (t0, t1))
         surrogate.append({"kappa": kappa, "nodes": ser.surrogate_nodes,
                           "resolvent_solves": ser.resolvent_solves,

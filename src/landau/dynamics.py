@@ -12,7 +12,8 @@ sum on the self-adjoint truncation recurs after about pi / level spacing, far
 below the decay times at desk-scale boxes; the tests keep it as a short-time
 oracle.)  The pole w_h and its residue alpha come from inverse iteration on the
 base grid (alpha from the eigenvector); the pole used in the series is
-extrapolated over (h, h/2, h/4).  The pole is then multiplied out:
+extrapolated over (h, h/2, h/4), and ``refined_poles`` finds the h/2 and h/4
+poles of every kappa one grid at a time.  The pole is then multiplied out:
 f(E) = (E - w_h) G(E) is analytic around the window [E0 - delta, E0 + delta],
 so it is interpolated at N Chebyshev-Lobatto points (one banded solve each) and
 certified against direct solves at the N - 1 midpoints that complete the
@@ -32,7 +33,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import AccuracyError, DomainError
 from .lapack import solve_banded
-from .operators import assemble, embedded_eigenpair
+from .operators import assemble, coupling, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
 from .schrodinger1d import ground_state, hamiltonian_tridiagonal, tridiagonal_band
@@ -177,17 +178,28 @@ def _horner_phase_sum(fw, e0, d_e, times):
     return np.exp(-1j * e0 * times) * acc
 
 
-def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
+def refined_poles(problem, basis, q, kappas, theta):
+    """The poles (w_2, w_4) of each kappa on the grids h/2 and h/4, one grid at
+    a time, each holding its dilated coupling across the kappas: one such
+    coupling is alive at a time, and each is contracted once."""
+    b2 = basis.refined()
+    per_grid = []
+    for fine in (b2, b2.refined()):
+        shared = coupling(problem, fine, theta)  # see ``operators.coupling``
+        per_grid.append([_dilated_pole(problem, fine, q, k, theta)[3] for k in kappas])
+        del shared
+    return list(zip(*per_grid))
+
+
+def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, poles):
     from .numutil import neville_to_zero
 
-    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
-    h = basis.grid.h
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
-    b2 = basis.refined()
-    _, _, _, w_2, _ = _dilated_pole(problem, b2, q, kappa, theta)
-    _, _, _, w_4, _ = _dilated_pole(problem, b2.refined(), q, kappa, theta)
+    w_2, w_4 = poles or refined_poles(problem, basis, q, [kappa], theta)[0]
+    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
+    h = basis.grid.h
     w_pole, _ = neville_to_zero([h**2, h**2 / 4.0, h**2 / 16.0], [w_h, w_2, w_4])
 
     center = pair.energy
@@ -227,10 +239,11 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta):
 
 
 def autocorrelation(problem, basis, q, kappa, times, delta_window,
-                    method="resolvent", theta=0.3j):
+                    method="resolvent", theta=0.3j, poles=None):
     """Smoothed autocorrelation of the embedded state by the complex-scaled
     spectral density (pole + smooth background): no recurrence, valid at all
     times; requires dilatable inputs.  ``method`` must be ``"resolvent"``.
+    ``poles`` is this kappa's entry of ``refined_poles``, computed here if None.
     """
     if method != "resolvent":
         raise DomainError(f"unknown method {method!r}")
@@ -240,7 +253,7 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window,
     if not delta_window > 0:
         raise DomainError("delta_window must be positive")
     values, center, solves, err, nodes = _series_resolvent(
-        problem, basis, q, kappa, times, delta_window, theta)
+        problem, basis, q, kappa, times, delta_window, theta, poles)
     return AutocorrelationSeries(
         times=times,
         values=values,

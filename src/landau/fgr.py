@@ -23,7 +23,9 @@ The rows C_{a q}(x) of both routes are those of the operators' coupling at
 theta = 0 (``operators.coupling``), contracted once per grid.  The first-order
 shift is ``specfun.radial_overlap`` of phi_q, phi_q and the longitudinal
 average U_h(rho) = h sum_x V(rho, x) psi(x)^2 (``toeplitz_ssf``), which equals
-h sum_x C_qq(x) psi(x)^2 and needs no truncation.
+h sum_x C_qq(x) psi(x)^2 and needs no truncation.  Every radial integral here
+is on ``specfun.radial_rule``, one rule for every low q and J, so U_h is
+sampled once per grid for every first-order shift.
 """
 
 import math
@@ -37,8 +39,8 @@ from .numutil import richardson_h2
 from .operators import checked_floor, coupling
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
                             scattering_states, tridiagonal_band)
-from .specfun import RadialMode, gauss_laguerre_rule, m_minus, radial_overlap
-from .toeplitz_ssf import longitudinal_average
+from .specfun import RadialMode, m_minus, radial_overlap, radial_rule
+from .toeplitz_ssf import longitudinal_average, rule_samples
 
 __all__ = [
     "FgrResult",
@@ -79,8 +81,9 @@ def _checked_bases(problem, basis, refine):
 
 def _first_order_on_grid(problem, basis, q):
     u = longitudinal_average(problem.V, ground_state(problem.v0, basis.grid))
+    rule = radial_rule(problem.b, q, problem.m, problem.V.breaks)
     mode = RadialMode(problem.b, q, problem.m)
-    return radial_overlap(mode, mode, u, basis.rule(problem.b, problem.m))
+    return radial_overlap(mode, mode, rule_samples(u, rule), rule)
 
 
 def first_order_shift(problem, basis, q, refine=1):
@@ -281,8 +284,7 @@ def _candidate_overlap(b, q, m, poly, alpha, rule):
     return radial_overlap(RadialMode(b, q - 1, m), RadialMode(b, q, m), wa, rule)
 
 
-def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, rule=None,
-                             gamma_range=(0.12, 0.88)):
+def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, gamma_range=(0.12, 0.88)):
     """Overlap of phi_{q-1,m} phi_{q,m} against P(b rho^2/2) e^(-alpha b rho^2/2).
 
     The overlap is a polynomial of degree at most 2q + m + 1 + deg P in
@@ -292,8 +294,7 @@ def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, rule=None,
     if q < m_minus(m) + 1:
         raise DomainError("need q >= m_- + 1 so that both modes exist")
     poly = np.polynomial.Polynomial(np.asarray(poly_coeffs, dtype=float))
-    if rule is None:
-        rule = gauss_laguerre_rule(b, 150)
+    rule = radial_rule(b, q + poly.degree(), m)
     deg_bound = 2 * q + m + 1 + poly.degree()
     n_nodes = deg_bound + 1
     kk = np.arange(n_nodes)

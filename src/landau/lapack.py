@@ -106,15 +106,6 @@ def eigh_tridiagonal(d, e, select, select_range):
     return w[order], v[:, order]
 
 
-def eigvals_banded(a_band, overwrite_a_band=False):
-    """All eigenvalues of the symmetric band ``a_band`` in upper storage:
-    ``scipy.linalg.eigvals_banded`` by dsbevd."""
-    a1 = np.asarray_chkfinite(a_band)
-    w, _, info = _flapack.dsbevd(a1, compute_v=0, lower=0, overwrite_ab=overwrite_a_band)
-    _check_info(info, "sbevd")
-    return w
-
-
 def eig_banded(a_band, lower=False, eigvals_only=False, select="a", select_range=None):
     """The eigenvalues in (vl, vu] = ``select_range`` of the symmetric band
     ``a_band`` in lower storage; ``scipy.linalg.eig_banded(a_band, lower=True,

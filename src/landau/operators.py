@@ -27,7 +27,8 @@ Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
 (problem, basis, theta) is shared by every live operator built from it, and
 the guard inf spec(H_par) > -2b is cached per grid, so a kappa-continuation
 assembles each step from D = kappa C + ... alone.  ``fgr`` reads its rows
-C_aq(x3) from the theta = 0 coupling and applies the same guard.
+C_aq(x3) from the theta = 0 coupling and applies the same guard.  The radial
+integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
 """
 
 import cmath
@@ -43,9 +44,10 @@ from .errors import DegenerateInputError, DomainError, SolverError
 from .lapack import eigh_tridiagonal, eigvalsh_tridiagonal
 from .potentials import PerturbationProfile, Potential1D
 from .schrodinger1d import BoundState, Grid1D, ground_state, hamiltonian_tridiagonal
-from .specfun import RadialMode, default_rule, m_minus, radial_eigenfunction
+from .specfun import RadialMode, m_minus, radial_eigenfunction, radial_rule
 
 _DENSE_DIM_LIMIT = 12000
+_X_BLOCK = 32  # grid points per V sample in coupling: 0.1 MB, not 21 MB at n = 4801
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,6 @@ class BasisTruncation:
 
     J: int
     grid: Grid1D
-    quad_nodes: int = 0  # 0 = sized automatically from J and m
 
     def __post_init__(self):
         if self.J < 1:
@@ -88,16 +89,8 @@ class BasisTruncation:
             raise DomainError(f"Landau index q={q} outside truncation {qs[0]}..{qs[-1]}")
         return int(q - qs[0])
 
-    def rule(self, b, m):
-        if self.quad_nodes:
-            from .specfun import gauss_laguerre_rule
-
-            return gauss_laguerre_rule(b, self.quad_nodes)
-        qs = self.landau_indices(m)
-        return default_rule(b, int(qs[-1]), m, deg_w=8)
-
     def refined(self):
-        return BasisTruncation(self.J, self.grid.refined(), self.quad_nodes)
+        return BasisTruncation(self.J, self.grid.refined())
 
 
 # A Schur block eigenvalue below this fraction of the operator norm means the
@@ -332,27 +325,38 @@ _COUPLINGS = weakref.WeakValueDictionary()
 
 def coupling(problem, basis, theta):
     """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int),
-    shared as a read-only array by the operators and by ``fgr``.  Keys compare
-    potentials by identity, as in ``schrodinger1d.solved_bound_states``."""
+    shared as a read-only array by the operators and by ``fgr``, and cached
+    while anything holds it: a caller that holds it across a kappa loop has
+    every operator of the loop share it.  Keys compare potentials by identity,
+    as in ``schrodinger1d.solved_bound_states``.  Im theta > 0 needs V
+    dilatable with Im theta < V.theta0.  V is sampled at the nodes of
+    ``specfun.radial_rule`` on ``_X_BLOCK`` grid points at a time, each block
+    contracted with the weights w phi_a phi_b of the pairs a <= b in one
+    matrix product set at (a, b) and (b, a), so C is exactly symmetric.
+    """
     key = (problem, basis, theta)
     c = _COUPLINGS.get(key)
     if c is not None:
         return c
-    rule = basis.rule(problem.b, problem.m)
-    B = np.stack(
-        [
-            radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
-            for q in basis.landau_indices(problem.m)
-        ]
-    )
+    if theta.imag > 0:
+        if not problem.V.dilatable:
+            raise DomainError("V is not dilatable; cannot take Im theta > 0")
+        if not theta.imag < problem.V.theta0:
+            raise DomainError(
+                f"Im theta = {theta.imag} outside [0, V.theta0 = {problem.V.theta0})"
+            )
+    qs = basis.landau_indices(problem.m)
+    rule = radial_rule(problem.b, int(qs[-1]), problem.m, problem.V.breaks)
+    B = np.stack([radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
+                  for q in qs])
+    rows, cols = np.triu_indices(len(qs))
+    w_ab = rule.weights * B[rows] * B[cols]
     arg = cmath.exp(theta)
     x = (arg if theta.imag else arg.real) * basis.grid.interior
-    vv = problem.V.evaluate(rule.nodes[:, None], x[None, :])
-    c = np.einsum("k,ak,bk,kx->abx", rule.weights, B, B, vv, optimize=True)
-    # bitwise (a,b) symmetry: the optimized contraction order rounds
-    # asymmetrically at the last ulp, and complex symmetry must be exact
-    c += c.transpose(1, 0, 2)  # numpy buffers the overlapping operand
-    c *= 0.5
+    c = np.empty((len(qs), len(qs), len(x)), dtype=complex if theta.imag else float)
+    for lo in range(0, len(x), _X_BLOCK):
+        vv = problem.V.evaluate(rule.nodes[:, None], x[None, lo:lo + _X_BLOCK])
+        c[rows, cols, lo:lo + _X_BLOCK] = c[cols, rows, lo:lo + _X_BLOCK] = w_ab @ vv
     c.flags.writeable = False
     _COUPLINGS[key] = c
     return c
@@ -362,22 +366,14 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
     """Matrix of H^(m)(theta) + kappa V_theta on the truncation.
 
     theta real is an exact change of variables (spectrum-preserving up to
-    discretization); Im theta > 0 requires dilatable v0 (and V when kappa != 0)
-    and rotates the continuum strings into the lower half-plane.  The theta
-    checks run on every call; C and the -2b guard may be shared (see the
-    module docstring).
+    discretization); Im theta > 0 requires dilatable v0 (and V when kappa != 0,
+    checked by ``coupling``) and rotates the continuum strings into the lower
+    half-plane.  C and the -2b guard may be shared (see the module docstring).
     """
     theta = complex(theta)
     grid = basis.grid
     hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
-    if theta.imag > 0 and kappa != 0:
-        if not problem.V.dilatable:
-            raise DomainError("V is not dilatable; cannot take Im theta > 0")
-        if not theta.imag < problem.V.theta0:
-            raise DomainError(
-                f"Im theta = {theta.imag} outside [0, V.theta0 = {problem.V.theta0})"
-            )
     checked_floor(problem.v0, grid, problem.b)
 
     qs = basis.landau_indices(problem.m)

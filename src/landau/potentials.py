@@ -71,6 +71,8 @@ class PerturbationProfile:
     evaluate         vectorized V(rho, x3); complex x3 allowed when theta0 is set
     m_perp, m3       decay exponents: |V| <rho>^m_perp <x3>^m3 bounded
     sign_definite    V >= 0 everywhere
+    breaks           radii where V(., x3) is not analytic in rho^2; the radial
+                     quadrature (``specfun.radial_rule``) splits its panels there
     """
 
     evaluate: callable
@@ -79,6 +81,7 @@ class PerturbationProfile:
     theta0: float = None
     sign_definite: bool = False
     name: str = "custom"
+    breaks: tuple = ()
 
     def __post_init__(self):
         if not (self.m_perp > 0 and self.m3 > 0):
@@ -244,6 +247,7 @@ def compact_radial(radius=1.0, amplitude=1.0, x3_rate=None):
         theta0=None,
         sign_definite=A >= 0,
         name="compact_radial",
+        breaks=(0.7 * R, R),
     )
 
 

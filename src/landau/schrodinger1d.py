@@ -78,9 +78,10 @@ class Grid1D:
         return Grid1D(self.x_min, self.x_max, 2 * self.n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundState:
-    """Negative eigenvalue and normalized real eigenvector of the longitudinal operator."""
+    """Negative eigenvalue and normalized real eigenvector of the longitudinal
+    operator; hashed by identity, so caches can key on a solved state."""
 
     lam: float
     psi: np.ndarray  # samples on the full grid, zeros at the Dirichlet ends

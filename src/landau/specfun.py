@@ -1,4 +1,4 @@
-"""Landau radial eigenfunctions and Gauss-Laguerre radial quadrature.
+"""Landau radial eigenfunctions and the radial quadrature of every radial integral.
 
 Conventions. The transverse (Landau) eigenfunctions live in L^2(R_+; rho drho):
 
@@ -9,23 +9,24 @@ int_0^inf phi_{q,m} phi_{q',m} rho drho = delta_{qq'}.  For m < 0 the same
 eigenspace is spanned by phi_{q+m,-m}, and we *define* phi_{q,m} := phi_{q+m,-m},
 which fixes the sign so that phi_{q,m}(rho) > 0 as rho -> 0+.
 
-``gammaln`` (integer arguments) and ``roots_laguerre`` are step-for-step ports
-of cephes ``lgam`` and ``scipy.special.roots_laguerre``, bitwise equal to them,
-so the package imports no ``scipy.special``.
+Every radial integral int phi_a phi_b W rho drho is a composite Gauss-Legendre
+rule in s = b rho^2/2 (``panel_rule``): in s, phi_a phi_b rho drho is a
+polynomial times e^(-s) ds, and on geometric panels such a rule converges
+exponentially for any W analytic on them (Trefethen, SIAM Rev. 50 (2008) 67).
+``radial_rule`` places the panels [0, s0], [s0, 2 s0], ..., [1/2, 1], [1, 2], ...
+and splits them at the radii where W is declared non-analytic.
+
+``gammaln`` (integer arguments) is a step-for-step port of cephes ``lgam``,
+bitwise equal to it, so the package imports no ``scipy.special``.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .lapack import eigvals_banded
-
-# Gauss-Laguerre total weights carry a factor e^{s_i}; beyond ~170 nodes the
-# raw Christoffel weights underflow double precision.
-_MAX_GL_NODES = 170
-
 
 # cephes lgam: the coefficients of its Stirling correction for 13 <= x < 1000,
 # ln sqrt(2 pi), and the argument beyond which ln Gamma overflows
@@ -65,43 +66,6 @@ def gammaln(k):
     for a in _LGAM_STIRLING[1:]:
         c = c * p + a
     return q + c / x
-
-
-def _laguerre_l(n, s):
-    """(L_(n-1)(s), L_n(s)) for n >= 1 by scipy's ``eval_genlaguerre``
-    recurrence at alpha = 0, whose p after k steps is L_(k+1)."""
-    neg = d = -s
-    prev, p = 1.0, d + 1
-    for k in range(1, n):
-        d = neg / (k + 1.0) * p + (k / (k + 1.0)) * d
-        prev, p = p, d + p
-    return prev, p
-
-
-def roots_laguerre(n):
-    """Gauss-Laguerre nodes and weights for int_0^inf f(s) e^(-s) ds, as
-    ``scipy.special.roots_laguerre(n)`` computes them: Golub-Welsch eigenvalues
-    of the Jacobi band, one Newton step on L_n, and weights 1/(L_(n-1) L_n')
-    log-normalized before the product and scaled to sum to 1.
-    """
-    if n == 1:
-        return np.array([1.0]), np.array([1.0])
-    k = np.arange(n, dtype=float)
-    band = np.zeros((2, n))
-    band[0, 1:] = -np.sqrt(k[1:] * k[1:])
-    band[1] = 2 * k + 1
-    s = eigvals_banded(band, overwrite_a_band=True)
-    lm, ln = _laguerre_l(n, s)
-    dln = (n * ln - n * lm) / s
-    s -= ln / dln
-    fm = _laguerre_l(n - 1, s)[1]
-    log_fm = np.log(np.abs(fm))
-    log_dln = np.log(np.abs(dln))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dln /= np.exp((log_dln.max() + log_dln.min()) / 2.0)
-    w = 1.0 / (fm * dln)
-    w *= 1.0 / w.sum()
-    return s, w
 
 
 def m_minus(m):
@@ -175,9 +139,10 @@ def radial_eigenfunction(mode, rho):
     return val if val.ndim else val[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialQuadrature:
-    """Nodes/weights for int_0^inf f(rho) rho drho."""
+    """Nodes/weights for int_0^inf f(rho) rho drho; hashed by identity, so a
+    sample at its nodes can be cached per rule."""
 
     b: float
     nodes: np.ndarray
@@ -191,30 +156,59 @@ class RadialQuadrature:
             raise DomainError("quadrature nodes must be positive and increasing")
 
 
-def gauss_laguerre_rule(b, n_nodes):
-    """Gauss-Laguerre rule in s = b rho^2/2 mapped to the rho half-line: exact
-    on s^k e^(-s) for k <= 2 n_nodes - 1, i.e. on Landau-type integrands.
+_PANEL_NODES = 20  # per panel while the Landau factor is of low degree
+_BREAK_EXTRA = 20  # more on a panel ending at a declared break, where W is only C-infinity
 
-    Node counts above ~170 are rejected: the tail Christoffel weights underflow
-    and the positivity invariant would silently break.  Large-m Toeplitz tails
-    use the windowed integrator in toeplitz_ssf instead.
-    """
+
+_legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
+
+
+def panel_rule(b, edges, counts):
+    """Gauss-Legendre in s = b rho^2/2 on the panels [edges[i], edges[i+1]],
+    ``counts[i]`` nodes on panel i, mapped to int f(rho) rho drho = int f ds / b."""
+    s, ws = [], []
+    for lo, hi, n in zip(edges[:-1], edges[1:], counts):
+        xg, wg = _legendre(n)
+        s.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * xg)
+        ws.append(0.5 * (hi - lo) * wg)
+    s, ws = np.concatenate(s), np.concatenate(ws)
+    return RadialQuadrature(b=b, nodes=np.sqrt(2.0 * s / b), weights=ws / b)
+
+
+def radial_rule(b, q, m, breaks=()):
+    """The rule for int phi_{q',m} phi_{q'',m} W rho drho, q', q'' <= q, W
+    analytic in s off the radii ``breaks``.  In s the Landau factor is
+    s^|m| e^(-s) times Laguerre polynomials of degree n <= q - m_-(m), which
+    oscillate up to s_t = 4n + 2|m| + 2.  Panels double from [0, s0], s0 the
+    largest power of 2 <= min(1/2, b) (a pole of W at s = -b/2 stays a panel
+    away), to the first power of 2 >= max(256, s_t + 80 + n/2), past which the
+    factor holds below 1e-16 of its mass.  A panel gets 20 nodes while
+    12 + n/2 + sqrt(n |m|)/3 + |m|/15 <= 20 (every n <= 16 at m = 0, n <= 1 at
+    |m| <= 64), else that rounded up to a multiple of 10, above the least count
+    with orthonormality to 5e-14 for n <= 170, |m| <= 64; ``_BREAK_EXTRA`` more
+    on a panel ending at a break."""
     if not b > 0:
         raise DomainError("field strength must be positive")
-    if n_nodes < 1 or n_nodes > _MAX_GL_NODES:
-        raise DomainError(
-            f"node count {n_nodes} outside [1, {_MAX_GL_NODES}]"
-        )
-    s, w = roots_laguerre(n_nodes)
-    rho = np.sqrt(2.0 * s / b)
-    weights = w * np.exp(s) / b
-    return RadialQuadrature(b=b, nodes=rho, weights=weights)
+    n, am = q - m_minus(m), abs(m)
+    size = 256.0
+    while size < 4 * n + 2 * am + 82 + n / 2:
+        size *= 2.0
+    nodes = 12 + n / 2 + math.sqrt(n * am) / 3 + am / 15
+    nodes = _PANEL_NODES if nodes <= _PANEL_NODES else 10 * math.ceil(nodes / 10)
+    return _radial_rule(float(b), size, nodes, tuple(sorted(float(r) for r in breaks)))
 
 
-def default_rule(b, q_max, m_max, deg_w=0):
-    """Rule sized for products phi_{q,m} phi_{q',m} W with polynomial proxy degree deg_w."""
-    n = 2 * (q_max + abs(m_max)) + deg_w + 8
-    return gauss_laguerre_rule(b, min(n, _MAX_GL_NODES))
+@lru_cache(maxsize=8)
+def _radial_rule(b, size, nodes, breaks):
+    s0 = 2.0 ** math.floor(math.log2(min(0.5, b)))
+    edges = [0.0]
+    while edges[-1] < size:
+        edges.append(max(2.0 * edges[-1], s0))
+    cuts = [0.5 * b * r * r for r in breaks if 0.0 < 0.5 * b * r * r < size]
+    edges = sorted(set(edges) | set(cuts))
+    counts = [nodes + _BREAK_EXTRA if lo in cuts or hi in cuts else nodes
+              for lo, hi in zip(edges[:-1], edges[1:])]
+    return panel_rule(b, edges, counts)
 
 
 def radial_overlap(mode_a, mode_b, w, rule):

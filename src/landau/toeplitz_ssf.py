@@ -8,9 +8,10 @@ near an infinite-multiplicity eigenvalue; three decay classes of U give three
 closed-form leading laws (volume term for power decay, log / log-log laws for
 exponential and compact profiles).
 
-U is sampled by ``longitudinal_average``, which ``fgr``'s first-order shift
-shares; every eigenvalue is one ``specfun.radial_overlap`` call, Gauss-Laguerre
-for |m| <= 64 and Gauss-Legendre on the window of phi_{q,m}^2 rho above.
+U is ``longitudinal_average``, shared with ``fgr``'s first-order shift.  Every
+eigenvalue is one ``specfun.radial_overlap`` call: for |m| <= 64 on
+``specfun.radial_rule``, at whose nodes U is sampled once (``rule_samples``),
+and above on one Gauss-Legendre panel over the window of phi_{q,m}^2 rho.
 """
 
 import math
@@ -23,8 +24,7 @@ from .errors import DomainError, RangeError
 from .lapack import eig_banded
 from .operators import assemble, inertia_counts, symmetric_band_lower
 from .schrodinger1d import ground_state
-from .specfun import (RadialMode, RadialQuadrature, gauss_laguerre_rule, m_minus,
-                      radial_overlap)
+from .specfun import RadialMode, m_minus, panel_rule, radial_overlap, radial_rule
 
 _SMALL_M_CUTOFF = 64
 _M_CAP = 4000  # largest m an automatic spectrum range may reach
@@ -33,17 +33,7 @@ _GAP_BATCH = 16  # most m blocks one inertia sweep of the accumulation check hol
 _GN_STEPS = 8  # Gauss-Newton steps polishing the closed-form tail-fit start
 _BETA_SNAP = 5e-3  # a fitted beta this close to 1 is taken as exactly 1
 _NO_BEND = (0.0, math.nan, math.inf)  # tail-fit result for a tail that does not bend
-_RHO_BLOCK = 2048  # radii per sample of V: 2048 x n grid points (20 MB at n = 1201)
-
-
-@lru_cache(maxsize=64)
-def _cached_gl_rule(b, n_nodes):
-    return gauss_laguerre_rule(b, n_nodes)
-
-
-@lru_cache(maxsize=8)
-def _cached_leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+_RHO_BLOCK = 32  # radii per V sample: 0.3 MB at n = 1201, the whole rule 2 to 3 MB
 
 
 @dataclass(frozen=True)
@@ -71,6 +61,7 @@ class TransverseProfile:
     u: callable
     b: float
     decay: object = None  # PowerDecay | ExponentialDecay | CompactSupport | None
+    breaks: tuple = ()  # radii where U is not analytic in rho^2 (those of V)
 
     def __call__(self, rho):
         return self.u(np.asarray(rho, dtype=float))
@@ -154,10 +145,11 @@ def _classify_tail(u, samples_rho, samples_u):
     return None
 
 
+@lru_cache(maxsize=4)
 def longitudinal_average(V, state):
     """U(rho) = h sum_x V(rho, x) psi(x)^2 over the grid of the bound ``state``,
-    as a vectorized callable of rho.  V is sampled on blocks of ``_RHO_BLOCK``
-    radii, so a long rho array never holds a radii-by-grid array at once."""
+    as a vectorized callable of rho, one per (V, state).  V is sampled on blocks
+    of ``_RHO_BLOCK`` radii, never as a whole radii-by-grid array."""
     x = state.grid.points
     w = state.psi**2 * state.grid.h
 
@@ -169,6 +161,14 @@ def longitudinal_average(V, state):
         return vals.reshape(rho.shape)
 
     return u
+
+
+@lru_cache(maxsize=8)
+def rule_samples(u, rule):
+    """u at the nodes of ``rule`` (read-only), sampled once per (u, rule)."""
+    vals = np.asarray(u(rule.nodes), dtype=float)
+    vals.flags.writeable = False
+    return vals
 
 
 def transverse_profile(V, psi_state, b):
@@ -190,7 +190,7 @@ def transverse_profile(V, psi_state, b):
     samples_rho = np.geomspace(0.2, rho_hi, 400)
     samples_u = u(samples_rho)
     decay = _classify_tail(u, samples_rho, samples_u)
-    return TransverseProfile(u=u, b=b, decay=decay)
+    return TransverseProfile(u=u, b=b, decay=decay, breaks=V.breaks)
 
 
 @dataclass(frozen=True)
@@ -208,25 +208,21 @@ class ToeplitzSpectrum:
 
 def _window_rule(b, q, m):
     # the density phi^2 rho concentrates near s = b rho^2/2 ~ m + O(sqrt(m));
-    # Gauss-Legendre in s on that window (log-stable phi values), ds = b rho drho
+    # one Gauss-Legendre panel in s on that window (log-stable phi values)
     mm = m if m >= 0 else -m
     s_lo = max(mm - 12.0 * math.sqrt(mm + q + 1) - 25.0, 1e-12)
     s_hi = mm + 12.0 * math.sqrt(mm + q + 1) + 25.0
-    xg, wg = _cached_leggauss(320)
-    s = 0.5 * (s_hi + s_lo) + 0.5 * (s_hi - s_lo) * xg
-    ws = 0.5 * (s_hi - s_lo) * wg
-    return RadialQuadrature(b=b, nodes=np.sqrt(2.0 * s / b), weights=ws / b)
+    return panel_rule(b, (s_lo, s_hi), (320,))
 
 
 def toeplitz_eigenvalue(profile, q, m):
     if q < m_minus(m):
         raise DomainError(f"q={q} below m_- for m={m}")
-    if abs(m) <= _SMALL_M_CUTOFF:
-        rule = _cached_gl_rule(profile.b, min(2 * (q + abs(m)) + 40, 170))
-    else:
-        rule = _window_rule(profile.b, q, m)
     mode = RadialMode(profile.b, q, m)
-    return radial_overlap(mode, mode, profile, rule)
+    if abs(m) > _SMALL_M_CUTOFF:
+        return radial_overlap(mode, mode, profile, _window_rule(profile.b, q, m))
+    rule = radial_rule(profile.b, q, m, profile.breaks)
+    return radial_overlap(mode, mode, rule_samples(profile.u, rule), rule)
 
 
 def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):

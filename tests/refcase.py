@@ -3,7 +3,8 @@
 The reference setup (b = 1, v0 = -2 sech^2, V = e^(-rho^2) e^(-x3^2), m = 0,
 q = 1, Im theta = 0.3) exercises every pipeline; several suites need the same
 branches and golden-rule values, so they are computed once per session.
-``eigh_series`` is the dense exact-truncation oracle for the autocorrelation.
+``eigh_series`` is the dense exact-truncation oracle for the autocorrelation,
+``radial_quad`` the adaptive-quadrature oracle for the radial rule.
 """
 
 import math
@@ -77,3 +78,21 @@ def eigh_series(problem, basis, q, kappa, times, delta):
     phases = np.exp(-1j * np.outer(times, en))
     values = phases @ wg
     return values, pair.energy, horizon
+
+
+def radial_quad(f, b, degree, breaks=()):
+    """(int f rho drho, int |f| rho drho) by ``scipy.integrate.quad`` on
+    [0, inf) split at ``breaks`` and at the turning point s = b rho^2/2 =
+    4 degree + 2 of a Landau factor of degree ``degree`` (past it f has no
+    sign change left), the first to 1e-13 and the second, a scale, to 1e-3:
+    the independent oracle of the radial rule."""
+    from scipy.integrate import quad
+
+    rho_t = math.sqrt(2.0 * (4 * degree + 2) / b)
+    edges = [0.0] + sorted(r for r in breaks if r < rho_t) + [rho_t, math.inf]
+    total = mass = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += quad(lambda r: f(r) * r, lo, hi, epsabs=0.0, epsrel=1e-13,
+                      limit=200)[0]
+        mass += quad(lambda r: abs(f(r)) * r, lo, hi, epsrel=1e-3, limit=200)[0]
+    return total, mass

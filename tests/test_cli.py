@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +171,8 @@ def test_gap_run_does_not_import_scipy_optimize(tmp_path):
 
 
 def test_package_imports_no_scipy_special():
-    # gammaln and roots_laguerre are specfun's ports, and LAPACK comes from
-    # landau.lapack, not through scipy.linalg's package init; the benchmark's
+    # gammaln is specfun's port, and LAPACK comes from landau.lapack, not
+    # through scipy.linalg's package init; the benchmark's
     # layer modules are the import set every subcommand can reach
     code = ("import importlib, sys\n"
             f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
@@ -324,6 +325,14 @@ def test_gap_eps_outside_unit_interval_exit_2(tmp_path, monkeypatch, capsys, eps
 def test_unknown_key_exit_2(tmp_path):
     cfg = _write(tmp_path, BOUND_CFG + "\nwrong.key = 1\n")
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_quad_nodes_is_an_unknown_key_exit_2(tmp_path, capsys):
+    # the radial rule has no size knob; a config that sets one is refused
+    cfg = _write(tmp_path, FGR_CFG + "numerics.quad_nodes = 60\ntask.q_max = 1\n")
+    assert main(["fgr", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "config error: line 5: unknown key 'numerics.quad_nodes'" in (
+        capsys.readouterr().err)
 
 
 def test_empty_task_exit_2(tmp_path):
@@ -579,6 +588,27 @@ def test_each_grid_bound_state_solved_once(tmp_path, monkeypatch, subcommand, te
     assert sorted(args[1].n for args in calls) == [600 * 2**k + 1 for k in range(grids)]
 
 
+def test_dynamics_contracts_each_pole_grid_coupling_once(tmp_path, monkeypatch):
+    # the pole grids (h, h/2, h/4) go one at a time, each holding its dilated
+    # coupling across the kappas: three kappas contract each grid's once (9
+    # when every kappa contracted its own), and no other dilated coupling is
+    # alive when one is stored
+    stored = []
+
+    class Counting(weakref.WeakValueDictionary):
+        def __setitem__(self, key, value):
+            alive = [k for k in list(self.keys()) if k[2].imag]
+            stored.append((key, alive))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(operators, "_COUPLINGS", Counting())
+    assert main(["dynamics", "--config", str(ROOT / "configs" / "dynamics.cfg"),
+                 "--out", str(tmp_path / "dyn")]) == 0
+    dilated = [(basis.grid.n, alive) for (_, basis, theta), alive in stored
+               if theta.imag]
+    assert dilated == [(2401, []), (4801, []), (1201, [])]
+
+
 def test_dynamics_uncertified_surrogate_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_SURROGATE_START", 3)
     monkeypatch.setattr(dynamics, "_SURROGATE_TOP", 3)
@@ -716,8 +746,11 @@ def _same_potential(part, a, b):
             assert np.array_equal(sample(va), sample(vb)), field.name
         elif isinstance(va, tuple):
             assert len(va) == len(vb), field.name
-            for fa, fb in zip(va, vb):
-                assert np.array_equal(sample(fa), sample(fb)), field.name
+            for fa, fb in zip(va, vb):  # derivatives, or the breaks of V
+                if callable(fa):
+                    assert np.array_equal(sample(fa), sample(fb)), field.name
+                else:
+                    assert fa == fb, field.name
         else:
             assert va == vb, field.name
 

@@ -32,7 +32,7 @@ from landau.potentials import (
 )
 from landau.schrodinger1d import (Grid1D, bound_states, ground_state,
                                   hamiltonian_tridiagonal, scattering_states)
-from landau.specfun import RadialMode, m_minus, radial_eigenfunction
+from landau.specfun import RadialMode, m_minus, radial_eigenfunction, radial_rule
 
 PROBLEM = refcase.problem()
 BASIS = refcase.basis()
@@ -92,9 +92,9 @@ def test_channel_radial_only_separability():
     prob = replace(PROBLEM, V=vrad)
     amp = fgr_channel(prob, BASIS, 1, 0, 1, refine=0)
     st = bound_states(PROBLEM.v0, BASIS.grid)[0]
-    from landau.specfun import gauss_laguerre_rule, radial_overlap
+    from landau.specfun import radial_overlap
 
-    rule = gauss_laguerre_rule(1.0, 80)
+    rule = radial_rule(1.0, 1, 0)
     rad = radial_overlap(RadialMode(1.0, 0, 0), RadialMode(1.0, 1, 0),
                          np.exp(-rule.nodes**2), rule)
     psi1 = scattering_states(PROBLEM.v0, 2.0 + st.lam, BASIS.grid)[0]
@@ -325,7 +325,7 @@ def test_negative_refine_rejected(call):
 
 def _whole_grid_rows(problem, basis, qs, q, x):
     """C_{a q}(x) for each a in qs from one evaluation of V on all of x (oracle)."""
-    rule = basis.rule(problem.b, problem.m)
+    rule = radial_rule(problem.b, int(qs[-1]), problem.m, problem.V.breaks)
     fq = radial_eigenfunction(RadialMode(problem.b, int(q), problem.m), rule.nodes)
     vv = problem.V.evaluate(rule.nodes[:, None], np.asarray(x)[None, :])
     return np.stack([
@@ -457,27 +457,44 @@ def test_mode_rows_match_whole_grid_oracle(v_name, m, q_offset):
 @pytest.mark.parametrize("q", [1, 2])
 def test_fgr_value_samples_v_once_per_grid_and_integral(q):
     # per grid: one coupling, whose rows serve every channel amplitude and the
-    # resolvent route, and one transverse average for the first-order shift
+    # resolvent route, and one transverse average for the first-order shift.
+    # The coupling samples V at the radial rule's nodes on blocks of grid
+    # points that cover the interior once; the average samples V on every
+    # grid point at blocks of radii that cover the rule's nodes once
     calls = []
 
     def counted(rho, x3):
-        calls.append(np.shape(x3))
+        calls.append((np.ravel(rho).copy(), np.ravel(x3).copy()))
         return PROBLEM.V.evaluate(rho, x3)
 
     prob = replace(PROBLEM, V=replace(PROBLEM.V, evaluate=counted))
-    res = fgr_value(prob, refcase.basis(n=601, J=4), q, refine=1)
+    basis = refcase.basis(n=601, J=4)
+    res = fgr_value(prob, basis, q, refine=1)
     assert len(res.channel_amplitudes) == 2 * q
-    # the coupling samples the interior points, the average every point
-    assert sorted(calls) == [(1, 599), (1, 601), (1, 1199), (1, 1201)]
+    nodes = radial_rule(PROBLEM.b, q, 0).nodes  # the same rule for every q <= 16
+    grids = (basis.grid, basis.grid.refined())
+    blocks = [x for rho, x in calls if np.array_equal(rho, nodes)]
+    assert np.array_equal(np.concatenate(blocks),
+                          np.concatenate([g.interior for g in grids]))
+    radii = [[rho for rho, x in calls if np.array_equal(x, g.points)] for g in grids]
+    for per_grid in radii:
+        assert np.array_equal(np.concatenate(per_grid), nodes)
+    assert len(calls) == len(blocks) + sum(map(len, radii))
 
 
-def test_quad_nodes_reach_both_grids(monkeypatch):
-    # numerics.quad_nodes sizes every radial rule of the (h, h/2) pair
-    from landau.operators import BasisTruncation
-
-    sizes = []
-    real = BasisTruncation.rule
-    monkeypatch.setattr(BasisTruncation, "rule", lambda self, b, m:
-                        sizes.append((self.grid.n, self.quad_nodes)) or real(self, b, m))
-    fgr_value(PROBLEM, replace(refcase.basis(n=601, J=4), quad_nodes=60), 1)
-    assert set(sizes) == {(601, 60), (1201, 60)}
+def test_compact_radial_fgr_independent_of_truncation():
+    # the radial rule is the same at J = 7 and J = 15, so are the rows C_aq of
+    # the open channels, up to the summation order a BLAS may pick (a few
+    # ulps); the first-order shift does not read J at all.  The reference
+    # values come from the same panels with two and three times the nodes,
+    # which agree to 2e-15
+    prob = replace(PROBLEM, V=compact_radial(radius=1.0, x3_rate=1.0))
+    res = [fgr_value(prob, refcase.basis(J=J), 1) for J in (7, 15)]
+    amps = [r.channel_amplitudes for r in res]
+    assert amps[0].keys() == amps[1].keys()
+    for key, a in amps[0].items():
+        assert abs(a - amps[1][key]) <= 1e-14 * abs(a)
+    assert res[0].im_from_channels == pytest.approx(res[1].im_from_channels, rel=1e-14)
+    assert res[0].im_from_channels == pytest.approx(6.18200849508597e-3, rel=1e-10)
+    assert res[0].first_order == res[1].first_order
+    assert res[0].first_order == pytest.approx(0.136192516827962, rel=1e-10)

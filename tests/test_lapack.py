@@ -87,19 +87,6 @@ def test_tridiagonal_empty_value_window():
     assert lapack.eigvalsh_tridiagonal(d, e, select="v", select_range=sr).size == 0
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=SIZES)
-def test_eigvals_banded_on_laguerre_jacobi_band(n):
-    # the band specfun.roots_laguerre diagonalizes
-    k = np.arange(n, dtype=float)
-    band = np.zeros((2, n))
-    band[0, 1:] = -np.sqrt(k[1:] * k[1:])
-    band[1] = 2 * k + 1
-    w = lapack.eigvals_banded(band.copy(), overwrite_a_band=True)
-    assert np.array_equal(w, scipy.linalg.eigvals_banded(band.copy(),
-                                                         overwrite_a_band=True))
-
-
 _SMALL = assemble(refcase.problem(), BasisTruncation(J=3, grid=Grid1D(-12.0, 12.0, 61)),
                   theta=0.0, kappa=0.05)
 _SMALL_BAND = symmetric_band_lower(_SMALL.D, _SMALL.hpar_off)
@@ -127,7 +114,6 @@ def test_non_finite_input_raises_value_error(bad):
         lambda: lapack.solve_banded((1, 1), ab, b_bad),
         lambda: lapack.eigh_tridiagonal(d_bad, e, select="v", select_range=(-1.0, 1.0)),
         lambda: lapack.eigvalsh_tridiagonal(d_bad, e, select="i", select_range=(0, 0)),
-        lambda: lapack.eigvals_banded(ab_bad[:2]),
         lambda: lapack.eig_banded(ab_bad[1:], lower=True, eigvals_only=True, select="v",
                                   select_range=(-1.0, 1.0)),
     ]

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import refcase
 from landau.errors import DegenerateInputError, DomainError
 from landau.operators import (
     BasisTruncation,
@@ -10,17 +12,21 @@ from landau.operators import (
     assemble,
     commutator_ad,
     commutator_coefficients,
+    coupling,
     embedded_eigenpair,
     mourre_quantity,
 )
 from landau.potentials import (
     Potential1D,
+    compact_radial,
     gaussian_product,
+    power_radial,
     sech2,
     square_well,
     zero_potential,
 )
 from landau.schrodinger1d import Grid1D, bound_states
+from landau.specfun import RadialMode, radial_eigenfunction
 
 PROBLEM = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
 BASIS = BasisTruncation(J=4, grid=Grid1D(-18.0, 18.0, 901))
@@ -225,3 +231,42 @@ def test_mourre_constant_shift_invariance():
     base = mourre_quantity(PROBLEM, BASIS, q=1, delta=0.1)
     shifted = mourre_quantity(prob_shift, BASIS, q=1, delta=0.1, check_tails=False)
     assert shifted == pytest.approx(base, abs=1e-8)
+
+
+RADIAL_FAMILIES = {
+    "gaussian_product": gaussian_product(),
+    "power_radial_1": power_radial(alpha=1.0, x3_rate=1.0),
+    "power_radial_4": power_radial(alpha=4.0, x3_rate=1.0),
+    "compact_radial_1": compact_radial(radius=1.0, x3_rate=1.0),
+    "compact_radial_3": compact_radial(radius=3.0, x3_rate=1.0),
+}
+
+
+@pytest.mark.parametrize("m", [-1, 0, 2])
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("family", sorted(RADIAL_FAMILIES))
+def test_coupling_matches_adaptive_quadrature(family, b, m):
+    # C_aq(x3) against scipy's adaptive quadrature split at the declared
+    # breaks, to 1e-12 of int |phi_a phi_q V| rho drho (the rounding scale of
+    # the integral: a near-orthogonal pair can sum to 1e-6 of it), for an
+    # adjacent, the diagonal and a distant a at x3 = 0, 1.6 and -1.6.  The
+    # Gauss-Laguerre rule sized by J, which this replaced, missed by up to
+    # 1.5e-3 (power_radial) and 15% (compact_radial) at J = 7
+    V = RADIAL_FAMILIES[family]
+    prob = LandauProblem(b=b, v0=sech2(), V=V, m=m)
+    basis = BasisTruncation(J=4, grid=Grid1D(-3.2, 3.2, 5))  # x3 = -1.6, 0, 1.6
+    c = coupling(prob, basis, 0j)
+    qs = basis.landau_indices(m)
+    phi_q = RadialMode(b, int(qs[1]), m)
+    for a, i in [(0, 1), (1, 2), (3, 0)]:
+        phi_a = RadialMode(b, int(qs[a]), m)
+        x3 = basis.grid.interior[i]
+
+        def f(r):
+            return float(radial_eigenfunction(phi_a, r) * radial_eigenfunction(phi_q, r)
+                         * V.evaluate(r, x3))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's roundoff notes at 1e-13
+            want, mass = refcase.radial_quad(f, b, int(qs[-1]) + abs(m), V.breaks)
+        assert abs(c[a, 1, i] - want) <= 1e-12 * mass, (a, x3, c[a, 1, i], want)

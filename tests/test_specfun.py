@@ -8,13 +8,12 @@ import scipy.special
 from landau.errors import DomainError
 from landau.specfun import (
     RadialMode,
-    default_rule,
     gammaln,
-    gauss_laguerre_rule,
     m_minus,
+    panel_rule,
     radial_eigenfunction,
     radial_overlap,
-    roots_laguerre,
+    radial_rule,
 )
 
 
@@ -74,10 +73,10 @@ def test_ground_state_gaussian():
 def test_orthonormality_grid():
     # |<phi_q, phi_q'> - delta| < 1e-10 for q,q' <= 12, |m| <= 6
     b = 1.0
-    rule = default_rule(b, 12, 6)
-    ones = np.ones_like(rule.nodes)
     for m in (-6, -3, -1, 0, 1, 4, 6):
         lo = m_minus(m)
+        rule = radial_rule(b, lo + 12, m)
+        ones = np.ones_like(rule.nodes)
         for q in range(lo, lo + 13):
             for qp in range(q, lo + 13):
                 val = radial_overlap(
@@ -111,7 +110,7 @@ def test_negative_m_reflection():
 
 def test_overlap_normalization_and_orthogonality():
     b = 1.0
-    rule = default_rule(b, 4, 0)
+    rule = radial_rule(b, 1, 0)
     ones = np.ones_like(rule.nodes)
     same = radial_overlap(RadialMode(b, 1, 0), RadialMode(b, 1, 0), ones, rule)
     cross = radial_overlap(RadialMode(b, 0, 0), RadialMode(b, 1, 0), ones, rule)
@@ -122,13 +121,13 @@ def test_overlap_normalization_and_orthogonality():
 def test_gaussian_overlap_closed_form():
     # <e^(-mu rho^2) phi_{0,m}, phi_{0,m}> = (b/(b+2mu))^(m+1), Gamma integral
     for b, mu in [(1.0, 0.5), (2.0, 1.0)]:
-        rule = gauss_laguerre_rule(b, 120)
-        w = np.exp(-mu * rule.nodes**2)
         for m in (0, 3, 17):
+            rule = radial_rule(b, 0, m)
+            w = np.exp(-mu * rule.nodes**2)
             got = radial_overlap(RadialMode(b, 0, m), RadialMode(b, 0, m), w, rule)
             assert got == pytest.approx((b / (b + 2 * mu)) ** (m + 1), rel=1e-10)
     # the documented reference point
-    rule = gauss_laguerre_rule(1.0, 80)
+    rule = radial_rule(1.0, 0, 0)
     got = radial_overlap(
         RadialMode(1.0, 0, 0),
         RadialMode(1.0, 0, 0),
@@ -139,7 +138,7 @@ def test_gaussian_overlap_closed_form():
 
 
 def test_overlap_mode_mismatch():
-    rule = default_rule(1.0, 2, 1)
+    rule = radial_rule(1.0, 1, 0)
     ones = np.ones_like(rule.nodes)
     with pytest.raises(DomainError):
         radial_overlap(RadialMode(1.0, 0, 0), RadialMode(2.0, 0, 0), ones, rule)
@@ -148,7 +147,7 @@ def test_overlap_mode_mismatch():
 
 
 def test_rule_invariants():
-    rule = gauss_laguerre_rule(1.5, 40)
+    rule = radial_rule(1.5, 40, 0)
     assert np.all(rule.weights > 0)
     assert np.all(np.diff(rule.nodes) > 0)
     # exactness: integrate rho^(2k) e^(-b rho^2/2) rho drho = k! (2/b)^k / b... check k=3
@@ -158,15 +157,55 @@ def test_rule_invariants():
     exact = math.factorial(k) * (2.0 / b) ** k / b
     assert val == pytest.approx(exact, rel=1e-13)
     with pytest.raises(DomainError):
-        gauss_laguerre_rule(1.0, 1000)
+        radial_rule(0.0, 4, 0)
 
 
-def test_roots_laguerre_port_is_bitwise_scipy():
-    for n in range(1, 171):
-        s, w = roots_laguerre(n)
-        s_ref, w_ref = scipy.special.roots_laguerre(n)
-        assert np.array_equal(s, s_ref), n
-        assert np.array_equal(w, w_ref), n
+def test_rule_panels_and_breaks():
+    # panels [0, 1/2], [1/2, 1], ..., [128, 256] in s = b rho^2/2 at 20 nodes
+    # each, the first shrinking with b; a declared break splits its panel, and
+    # a panel ending at one gets 40 nodes
+    s = 0.5 * radial_rule(1.0, 6, 0).nodes ** 2
+    edges = [0.0] + [2.0**k for k in range(-1, 9)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        assert np.count_nonzero((s > lo) & (s < hi)) == 20
+    assert len(radial_rule(2.0, 6, 0).nodes) == 200
+    assert len(radial_rule(0.2, 6, 0).nodes) == 240  # first panel [0, 1/8]
+    s = 0.5 * radial_rule(1.0, 6, 0, (0.7, 1.0)).nodes ** 2  # breaks at s = 0.245, 0.5
+    counts = [np.count_nonzero((s > lo) & (s < hi))
+              for lo, hi in [(0.0, 0.245), (0.245, 0.5), (0.5, 1.0), (1.0, 2.0)]]
+    assert counts == [40, 40, 40, 20]
+    # one rule per (b, size, nodes, breaks): the same for every Laguerre
+    # degree n <= 16 at m = 0 and for n <= 1 at |m| <= 64 (n = q - m_-)
+    rule = radial_rule(1.0, 0, 0, (0.7, 1.0))
+    assert radial_rule(1.0, 16, 0, (1.0, 0.7)) is rule
+    assert radial_rule(1.0, 1, 64, (0.7, 1.0)) is rule
+    assert radial_rule(1.0, 65, -64, (0.7, 1.0)) is rule
+    # higher degrees: more nodes per panel, panels past the turning point
+    assert len(radial_rule(1.0, 17, 0).nodes) == 10 * 30
+    assert len(radial_rule(1.0, 40, 0).nodes) == 11 * 40  # up to 512
+
+
+@pytest.mark.parametrize("q, m", [(20, 0), (44, 0), (80, 0), (83, -3), (120, 0),
+                                  (170, 0), (5, 64), (40, 64), (100, 16)])
+def test_orthonormality_at_high_degree(q, m):
+    # the Landau factor of Laguerre degree n = q - m_- oscillates up to
+    # s = 4n + 2|m| + 2: the panels reach past it and resolve its
+    # oscillations, to the tolerance of the low-degree test's closed forms
+    b = 1.0
+    rule = radial_rule(b, q, m)
+    ones = np.ones_like(rule.nodes)
+    for qp in (q, q - 1, q - 5):
+        if qp < m_minus(m):
+            continue
+        val = radial_overlap(RadialMode(b, q, m), RadialMode(b, qp, m), ones, rule)
+        assert abs(val - (q == qp)) < 1e-13, (qp, val)
+
+
+def test_one_panel_rule_is_gauss_legendre():
+    rule = panel_rule(2.0, (3.0, 7.0), (12,))
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(rule.nodes, np.sqrt(2.0 * (5.0 + 2.0 * xg) / 2.0))
+    assert np.array_equal(rule.weights, 2.0 * wg / 2.0)
 
 
 def test_gammaln_port_is_bitwise_scipy():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from landau.potentials import (
     zero_potential,
 )
 from landau.schrodinger1d import Grid1D, bound_states
+from landau.specfun import RadialMode, m_minus, radial_eigenfunction
 from landau.toeplitz_ssf import (
     CompactSupport,
     CountingFunction,
@@ -107,6 +109,39 @@ def test_gaussian_spectrum_closed_form():
             got = toeplitz_eigenvalue(prof, 0, m)
             exact = (b / (b + 2 * mu)) ** (m + 1)
             assert abs(got - exact) / exact < 1e-8, (b, mu, m)
+
+
+TOEPLITZ_FAMILIES = {
+    "gaussian_product": gaussian_product(),
+    "power_radial_1": power_radial(alpha=1.0, x3_rate=1.0),
+    "power_radial_4": power_radial(alpha=4.0, x3_rate=1.0),
+    "compact_radial_1": compact_radial(radius=1.0, x3_rate=1.0),
+    "compact_radial_3": compact_radial(radius=3.0, x3_rate=1.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TOEPLITZ_FAMILIES))
+def test_small_m_eigenvalue_matches_adaptive_quadrature(family):
+    # <U phi_{q,m}, phi_{q,m}> against scipy's adaptive quadrature split at
+    # the breaks the profile carries from V, to 1e-12 relative (U >= 0); the
+    # Gauss-Laguerre rule this replaced missed compact_radial R = 1 by 13% at
+    # m = 0
+    V = TOEPLITZ_FAMILIES[family]
+    prof = transverse_profile(V, PSI, 1.0)
+    assert prof.breaks == V.breaks
+    for b in (0.5, 1.0, 2.0):
+        for m in (-1, 0, 2):
+            q = m_minus(m) + 1
+            mode = RadialMode(b, q, m)
+            got = toeplitz_eigenvalue(replace(prof, b=b), q, m)
+
+            def f(r):
+                return float(prof(r) * radial_eigenfunction(mode, r) ** 2)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # quad's roundoff notes at 1e-13
+                want, _ = refcase.radial_quad(f, b, q + abs(m), V.breaks)
+            assert abs(got - want) <= 1e-12 * want, (b, m, got, want)
 
 
 def test_gaussian_spectrum_large_m_path():
