@@ -25,24 +25,40 @@ def smoothstep(u):
 
 
 @dataclass(frozen=True)
+class PowerDecay:
+    """U(rho) ~ rho^-alpha as rho -> infinity."""
+
+    alpha: float
+
+
+@dataclass(frozen=True)
+class ExponentialDecay:
+    """ln U(rho) ~ -mu rho^(2 beta) as rho -> infinity."""
+
+    beta: float
+    mu: float
+
+
+@dataclass(frozen=True)
+class CompactSupport:
+    """U(rho) = 0 for rho >= radius."""
+
+    radius: float
+
+
+@dataclass(frozen=True)
 class Potential1D:
-    """Longitudinal potential v0 with decay metadata and derivative access.
+    """Longitudinal potential v0 with derivative access.
 
     evaluate        vectorized v0(x); must accept complex x when theta0 is set
-    decay_exponent  m0 > 1 with |v0(x)| <x>^m0 bounded
     derivatives     analytic derivatives (v0', v0'', ...) as far as available
     theta0          analyticity half-angle of the sector; None = not dilatable
     """
 
     evaluate: callable
-    decay_exponent: float
     derivatives: tuple = ()
     theta0: float = None
     name: str = "custom"
-
-    def __post_init__(self):
-        if not self.decay_exponent > 1:
-            raise DomainError("decay exponent m0 must exceed 1")
 
     @property
     def derivative_order(self):
@@ -66,26 +82,25 @@ class Potential1D:
 
 @dataclass(frozen=True)
 class PerturbationProfile:
-    """Axisymmetric perturbation V(rho, x3) with decay metadata.
+    """Axisymmetric perturbation V(rho, x3) with its radial decay class.
 
     evaluate         vectorized V(rho, x3); complex x3 allowed when theta0 is set
-    m_perp, m3       decay exponents: |V| <rho>^m_perp <x3>^m3 bounded
+    theta0           analyticity half-angle of the sector; None = not dilatable
     sign_definite    V >= 0 everywhere
     breaks           radii where V(., x3) is not analytic in rho^2; the radial
                      quadrature (``specfun.radial_rule``) splits its panels there
+    decay            the class of the radial decay of V, hence of every
+                     longitudinal average U (PowerDecay, ExponentialDecay or
+                     CompactSupport); None leaves U unclassified, and the
+                     counting laws of ``toeplitz_ssf`` unavailable
     """
 
     evaluate: callable
-    m_perp: float
-    m3: float
     theta0: float = None
     sign_definite: bool = False
     name: str = "custom"
     breaks: tuple = ()
-
-    def __post_init__(self):
-        if not (self.m_perp > 0 and self.m3 > 0):
-            raise DomainError("decay exponents m_perp and m3 must be positive")
+    decay: object = None
 
     @property
     def dilatable(self):
@@ -131,7 +146,6 @@ def sech2(depth=2.0):
 
     return Potential1D(
         evaluate=v,
-        decay_exponent=8.0,
         derivatives=(d1, d2, d3, d4),
         theta0=math.pi / 2 - 1e-9,
         name="sech2",
@@ -152,7 +166,7 @@ def square_well(depth=0.5, half_width=1.0):
         out = np.where(np.abs(np.abs(x) - a) < 1e-12, -0.5 * d, out)
         return out if out.ndim else out[()]
 
-    return Potential1D(evaluate=v, decay_exponent=10.0, name="square_well")
+    return Potential1D(evaluate=v, name="square_well")
 
 
 def zero_potential():
@@ -164,7 +178,6 @@ def zero_potential():
 
     return Potential1D(
         evaluate=zero,
-        decay_exponent=10.0,
         derivatives=(zero, zero, zero, zero),
         theta0=math.pi / 2 - 1e-9,
         name="zero",
@@ -190,11 +203,10 @@ def gaussian_product(amplitude=1.0, rho_rate=1.0, x3_rate=1.0):
 
     return PerturbationProfile(
         evaluate=v,
-        m_perp=8.0,
-        m3=8.0,
         theta0=math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
         name="gaussian_product",
+        decay=ExponentialDecay(beta=1.0, mu=ar) if A > 0 else None,
     )
 
 
@@ -217,11 +229,10 @@ def power_radial(alpha=4.0, amplitude=1.0, x3_rate=None):
 
     return PerturbationProfile(
         evaluate=v,
-        m_perp=al,
-        m3=8.0 if ax is not None else 0.1,
         theta0=None if ax is None else math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
         name="power_radial",
+        decay=PowerDecay(alpha=al) if A > 0 else None,
     )
 
 
@@ -242,12 +253,11 @@ def compact_radial(radius=1.0, amplitude=1.0, x3_rate=None):
 
     return PerturbationProfile(
         evaluate=v,
-        m_perp=20.0,
-        m3=8.0 if ax is not None else 0.1,
         theta0=None,
         sign_definite=A >= 0,
         name="compact_radial",
         breaks=(0.7 * R, R),
+        decay=CompactSupport(radius=R) if A > 0 else None,
     )
 
 

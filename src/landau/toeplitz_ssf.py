@@ -6,7 +6,9 @@ in angular momentum: its eigenvalues are <U phi_{q,m}, phi_{q,m}>, m >= -q.
 Counting how many exceed eta realizes the spectral-displacement asymptotics
 near an infinite-multiplicity eigenvalue; three decay classes of U give three
 closed-form leading laws (volume term for power decay, log / log-log laws for
-exponential and compact profiles).
+exponential and compact profiles).  U has the class its V declares
+(``PerturbationProfile.decay``; the classes live in ``potentials`` and are
+importable from here).
 
 U is ``longitudinal_average``, shared with ``fgr``'s first-order shift.  Every
 eigenvalue is one ``specfun.radial_overlap`` call: for |m| <= 64 on
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .lapack import eig_banded
 from .operators import assemble, inertia_counts, symmetric_band_lower
+from .potentials import CompactSupport, ExponentialDecay, PowerDecay
 from .schrodinger1d import ground_state
 from .specfun import RadialMode, m_minus, panel_rule, radial_overlap, radial_rule
 
@@ -30,33 +33,12 @@ _SMALL_M_CUTOFF = 64
 _M_CAP = 4000  # largest m an automatic spectrum range may reach
 _GAP_M_CAP = 200  # largest m the accumulation check aggregates over
 _GAP_BATCH = 16  # most m blocks one inertia sweep of the accumulation check holds
-_GN_STEPS = 8  # Gauss-Newton steps polishing the closed-form tail-fit start
-_BETA_SNAP = 5e-3  # a fitted beta this close to 1 is taken as exactly 1
-_NO_BEND = (0.0, math.nan, math.inf)  # tail-fit result for a tail that does not bend
 _RHO_BLOCK = 32  # radii per V sample: 0.3 MB at n = 1201, the whole rule 2 to 3 MB
 
 
 @dataclass(frozen=True)
-class PowerDecay:
-    alpha: float
-    u0: float  # angular average of the profile coefficient (axisymmetric: constant)
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    beta: float
-    mu: float
-
-
-@dataclass(frozen=True)
-class CompactSupport:
-    radius: float
-    lower_bound: float
-
-
-@dataclass(frozen=True)
 class TransverseProfile:
-    """Radial profile U(rho) with field strength and fitted decay class."""
+    """Radial profile U(rho) with field strength and decay class."""
 
     u: callable
     b: float
@@ -65,84 +47,6 @@ class TransverseProfile:
 
     def __call__(self, rho):
         return self.u(np.asarray(rho, dtype=float))
-
-
-def _power_fit(rho, lu):
-    lr = np.log(rho)
-    cp = np.polynomial.polynomial.polyfit(lr, lu, 1)  # ln U = ln u0 - alpha ln rho
-    resid = float(np.sqrt(np.mean((lu - (cp[0] + cp[1] * lr)) ** 2)))
-    return cp, resid
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _exp_fit(rho, lu):
-    """Fit of ln U = ln c - mu rho^(2 beta) to a tail: (beta, mu, rms residual).
-
-    On the model ln(-d ln U / d ln rho) = ln(2 beta mu) + 2 beta ln rho, so a
-    line fit gives the starting beta; Gauss-Newton steps on (ln c, -mu, beta)
-    refine it, and least squares at the final beta gives mu and the residual.
-    A tail whose ln U does not fall at every sample, or whose beta leaves
-    (0, inf) (a power law starts near 0), does not bend: (0, nan, inf).
-    """
-    def solve(beta):
-        a = np.stack([np.ones_like(rho), rho ** (2.0 * beta)], axis=1)
-        if not np.all(np.isfinite(a)):
-            return math.inf, np.full(2, math.nan)
-        coef, *_ = np.linalg.lstsq(a, lu, rcond=None)
-        r = lu - a @ coef
-        return float(np.sqrt(np.mean(r * r))), coef
-
-    lr = np.log(rho)
-    slope = -np.gradient(lu, lr)
-    if not np.all(slope > 0):
-        return _NO_BEND
-    beta = 0.5 * np.polynomial.polynomial.polyfit(lr, np.log(slope), 1)[1]
-    p = np.append(solve(beta)[1], beta)  # (ln c, -mu, beta)
-    for _ in range(_GN_STEPS):
-        pw = rho ** (2.0 * p[2])
-        jac = np.stack([np.ones_like(rho), pw, 2.0 * p[1] * lr * pw], axis=1)
-        if not (p[2] > 0 and np.all(np.isfinite(jac))):
-            return _NO_BEND
-        p += np.linalg.lstsq(jac, lu - p[0] - p[1] * pw, rcond=None)[0]
-    beta = 1.0 if abs(p[2] - 1.0) < _BETA_SNAP else float(p[2])
-    resid, coef = solve(beta)
-    return (beta, float(-coef[1]), resid) if math.isfinite(resid) else _NO_BEND
-
-
-def _classify_tail(u, samples_rho, samples_u):
-    """Decay class from tail regressions of ln U; exact zeros only count as
-    compact support when the positive tail does not already look like a
-    (possibly underflowed) smooth decay."""
-    clean = samples_u > 1e-200  # stay clear of subnormal garbage
-    rho = samples_rho[clean]
-    uu = samples_u[clean]
-    if len(rho) < 12:
-        return None
-    has_zeros = bool(np.any((samples_u <= 0) & (samples_rho > rho[-1])))
-    sel = rho >= rho[-1] / 10.0  # last decade of resolved samples
-    rho_t, lu_t = rho[sel], np.log(uu[sel])
-    cp, rp = _power_fit(rho_t, lu_t)
-    beta, mu, re_ = _exp_fit(rho_t, lu_t)
-    # an exponential with 2 beta ln(rho range) << 1 degenerates into a power
-    # law over the window; demand genuine curvature before preferring it
-    bends = 2.0 * beta * math.log(rho_t[-1] / rho_t[0]) > 1.0 and mu > 0
-    if has_zeros:
-        if not (re_ < 0.05 and bends and beta <= 3.0):
-            lo, hi = rho[-1], samples_rho[samples_rho > rho[-1]][0]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if u(mid) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            head = np.linspace(0.0, lo, 512)
-            return CompactSupport(radius=float(hi),
-                                  lower_bound=float(np.max(u(head)) * 0.5))
-    if bends and re_ < 0.5 * rp:
-        return ExponentialDecay(beta=beta, mu=mu)
-    if rp < 0.05:
-        return PowerDecay(alpha=float(-cp[1]), u0=float(math.exp(cp[0])))
-    return None
 
 
 @lru_cache(maxsize=4)
@@ -172,25 +76,12 @@ def rule_samples(u, rule):
 
 
 def transverse_profile(V, psi_state, b):
-    """U(rho) = int V(rho, x3) psi(x3)^2 dx3 with a fitted decay class.
+    """U(rho) = int V(rho, x3) psi(x3)^2 dx3 with the decay class V declares.
 
-    When the tail fit is ambiguous the profile is returned unclassified: the
-    spectrum stays computable, only the closed-form laws are unavailable.
+    A V that declares none (``V.decay`` None) gives an unclassified profile:
+    the spectrum stays computable, only the closed-form laws are unavailable.
     """
-    u = longitudinal_average(V, psi_state)
-
-    # adaptive tail sampling: stop once the tail is a few hundred decades deep
-    # (well before underflow) or simply dead
-    rho_hi = 8.0
-    while rho_hi < 2.0e4:
-        probe = u(np.array([rho_hi]))[0]
-        if probe <= 0.0 or probe < 1e-60:
-            break
-        rho_hi *= 1.6
-    samples_rho = np.geomspace(0.2, rho_hi, 400)
-    samples_u = u(samples_rho)
-    decay = _classify_tail(u, samples_rho, samples_u)
-    return TransverseProfile(u=u, b=b, decay=decay, breaks=V.breaks)
+    return TransverseProfile(longitudinal_average(V, psi_state), b, V.decay, V.breaks)
 
 
 @dataclass(frozen=True)
@@ -235,12 +126,12 @@ def toeplitz_eigenvalues(profile, q, m_max=None, eta_min=None):
     """
     d = profile.decay
     if m_max is None and eta_min is not None and isinstance(d, PowerDecay):
-        # eigenvalue m sits near U(rho) at b rho^2 / 2 = m: for the tail
-        # u0 rho^-alpha this is within 0.1% of the computed value at the cap
-        # (alpha = 2, 4, 8).  The spectrum decreases in m, so an estimate 1%
-        # above eta_min/10 (ten times that accuracy) means the scan would end
-        # at the cap with every eigenvalue still above eta_min/10
-        at_cap = d.u0 * (2.0 * _M_CAP / profile.b) ** (-d.alpha / 2.0)
+        # eigenvalue m sits near U(rho) at b rho^2 / 2 = m: for U = (1 +
+        # rho^2)^(-alpha/2) this is within 0.15% of the computed value at the
+        # cap (alpha = 2, 4, 8).  The spectrum decreases in m, so an estimate
+        # 1% above eta_min/10 means the scan would end at the cap with every
+        # eigenvalue still above eta_min/10
+        at_cap = float(profile(math.sqrt(2.0 * _M_CAP / profile.b)))
         if at_cap > 1.01 * eta_min / 10.0:
             raise DomainError(
                 f"power-law profile (alpha = {d.alpha:.3g}) reaches only about "

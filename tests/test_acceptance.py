@@ -102,7 +102,7 @@ def test_criterion_05_power_law():
     t0 = time.monotonic()
     b = 1.0
     prof = TransverseProfile(u=lambda r: (1 + r * r) ** (-2.0), b=b,
-                             decay=PowerDecay(alpha=4.0, u0=1.0))
+                             decay=PowerDecay(alpha=4.0))
     spec = toeplitz_eigenvalues(prof, 0, eta_min=1e-6)
     cf = CountingFunction(spec)
     etas = np.geomspace(1e-6, 1e-5, 9)  # the decade reached by eta = 1e-6

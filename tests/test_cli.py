@@ -166,7 +166,8 @@ def _run_fresh(subcommand, out, threads, module):
 
 
 def test_gap_run_does_not_import_scipy_optimize(tmp_path):
-    # the tail fit's bounded minimisation is numutil's, not scipy.optimize's
+    # nothing on the gap path fits or minimises: the profile's decay class is
+    # declared by its V family
     assert _run_fresh("gap", tmp_path / "gap", 1, "scipy.optimize") == (0, False)
 
 
@@ -263,6 +264,22 @@ def test_toeplitz_single_eta_slope_is_nan(tmp_path, change):
     diag = json.loads((out / "toeplitz.json").read_text())["diagnostics"]
     assert math.isnan(diag["slope"])
     assert math.isfinite(diag["last_decade_mean"])
+
+
+def test_toeplitz_compact_support_inside_first_sample(tmp_path):
+    # compact_radial with R = 0.1 vanishes beyond every radius a tail fit
+    # sampled from rho = 0.2 on; the family's declared class still gives the
+    # compact law
+    text = (ROOT / "configs" / "toeplitz.cfg").read_text()
+    cfg = _write(tmp_path, text.replace("gaussian_product", "compact_radial")
+                 .replace("task.eta_min = 1e-8", "task.eta_min = 1e-6")
+                 + "problem.V.radius = 0.1\n")
+    out = tmp_path / "toe"
+    assert main(["toeplitz", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    doc = json.loads((out / "toeplitz.json").read_text())
+    assert doc["diagnostics"]["decay_class"] == "CompactSupport"
+    preds = [row[2] for row in doc["tables"]["counting"]["rows"]]
+    assert preds and all(math.isfinite(p) and p > 0 for p in preds)
 
 
 def test_toeplitz_power_law_out_of_reach_exit_2(tmp_path, monkeypatch, capsys):

@@ -41,8 +41,6 @@ BASIS = refcase.basis()
 def zero_v():
     return PerturbationProfile(
         evaluate=lambda rho, x: np.zeros(np.broadcast(np.asarray(rho), np.asarray(x)).shape),
-        m_perp=8.0,
-        m3=8.0,
         theta0=math.pi / 4,
         sign_definite=True,
         name="zero",
@@ -85,8 +83,6 @@ def test_channel_radial_only_separability():
     vrad = PerturbationProfile(
         evaluate=lambda rho, x: np.exp(-np.asarray(rho) ** 2)
         * np.ones_like(np.asarray(x, dtype=float)),
-        m_perp=8.0,
-        m3=0.1,
         name="radial_only",
     )
     prob = replace(PROBLEM, V=vrad)
@@ -261,7 +257,7 @@ def _product_candidate(w_perp, omega, grid, name):
         om = np.interp(np.asarray(x, dtype=float), xs, omega)
         return w_perp(np.asarray(rho)) * om / norm2
 
-    return PerturbationProfile(evaluate=ev, m_perp=8.0, m3=4.0, name=name)
+    return PerturbationProfile(evaluate=ev, name=name)
 
 
 def test_positivity_scan_candidate_family():
@@ -305,7 +301,7 @@ def test_positivity_scan_adjusted_candidate():
         return v_raw(rho, x) + (w_good(rho) - v_perp(rho)) * om / norm2
 
     prob_adj = replace(PROBLEM, V=PerturbationProfile(
-        evaluate=v_adjusted, m_perp=8.0, m3=4.0, name="adjusted"))
+        evaluate=v_adjusted, name="adjusted"))
     rows = fgr_positivity_scan([("adjusted", prob_adj)], BASIS, range(1, 3),
                                range(-1, 2), threshold=1e-16)
     assert all(r["passes"] for r in rows)

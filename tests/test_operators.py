@@ -222,7 +222,6 @@ def test_mourre_constant_shift_invariance():
     c = 0.3
     vshift = Potential1D(
         evaluate=lambda x: np.asarray(v.evaluate(x)) + c,
-        decay_exponent=8.0,
         derivatives=v.derivatives,
         theta0=None,
         name="shifted",

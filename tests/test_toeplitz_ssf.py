@@ -12,6 +12,7 @@ import refcase
 from landau.errors import DomainError, RangeError
 from landau.fgr import first_order_shift
 from landau.potentials import (
+    V_FAMILIES,
     PerturbationProfile,
     compact_radial,
     gaussian_product,
@@ -26,7 +27,6 @@ from landau.toeplitz_ssf import (
     ExponentialDecay,
     PowerDecay,
     TransverseProfile,
-    _exp_fit,
     gap_accumulation_check,
     law_convergence_report,
     law_prediction,
@@ -58,41 +58,47 @@ def test_transverse_profile_positivity():
     assert np.all(prof(rho) >= 0.0)
 
 
-def test_decay_classification():
-    assert transverse_profile(gaussian_product(), PSI, 1.0).decay == ExponentialDecay(
-        beta=1.0, mu=pytest.approx(1.0, rel=1e-6)
-    )
-    d = transverse_profile(power_radial(alpha=4.0), PSI, 1.0).decay
-    assert isinstance(d, PowerDecay) and d.alpha == pytest.approx(4.0, abs=1e-4)
-    d = transverse_profile(compact_radial(radius=1.0), PSI, 1.0).decay
-    assert isinstance(d, CompactSupport) and d.radius == pytest.approx(1.0, abs=1e-2)
+_FAMILY_PARAMS = {
+    "gaussian_product": dict(rho_rate=st.floats(0.05, 5.0), x3_rate=st.floats(0.2, 4.0)),
+    "power_radial": dict(alpha=st.floats(0.5, 12.0),
+                         x3_rate=st.none() | st.floats(0.2, 4.0)),
+    "compact_radial": dict(radius=st.floats(0.05, 10.0),
+                           x3_rate=st.none() | st.floats(0.2, 4.0)),
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(beta=st.floats(0.3, 3.0).filter(lambda b: abs(b - 1.0) >= 5e-3),
-       mu=st.floats(0.05, 3.0), ln_c=st.floats(-5.0, 3.0), depth=st.floats(1.0, 400.0))
-def test_exp_fit_recovers_stretched_exponential(beta, mu, ln_c, depth):
-    # one decade of rho ending where mu rho^(2 beta) = depth, so U > 1e-200
-    end = (depth / mu) ** (0.5 / beta)
-    rho = np.geomspace(end / 10.0, end, 400)
-    lu = ln_c - mu * rho ** (2.0 * beta)
-    assert np.all(np.exp(lu) > 1e-200)
-    fit_beta, fit_mu, _ = _exp_fit(rho, lu)
-    assert fit_beta == pytest.approx(beta, rel=1e-10)
-    assert fit_mu == pytest.approx(mu, rel=1e-10)
-
-
-@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0, 8.0])
-def test_exp_fit_power_law_does_not_bend(alpha):
-    # U = rho^-alpha (1 + rho^-2): its log-slope falls toward alpha, so the
-    # closed-form start is beta <= 0
-    rho = np.geomspace(2.0, 20.0, 400)
-    beta, mu, resid = _exp_fit(rho, -alpha * np.log(rho) + np.log1p(rho**-2.0))
-    assert beta == 0.0 and math.isnan(mu) and resid == math.inf
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(_FAMILY_PARAMS)),
+       amplitude=st.floats(-5.0, 0.0) | st.floats(0.01, 10.0))
+def test_decay_classification(data, family, amplitude):
+    # each family's declared decay class holds for U sampled from its V
+    params = data.draw(st.fixed_dictionaries(_FAMILY_PARAMS[family]))
+    V = V_FAMILIES[family](amplitude=amplitude, **params)
+    prof = transverse_profile(V, PSI, 1.0)
+    assert prof.decay == V.decay
+    if amplitude <= 0:
+        assert prof.decay is None
+        return
+    d = prof.decay
+    if family == "gaussian_product":
+        assert d == ExponentialDecay(beta=1.0, mu=params["rho_rate"])
+        rho = np.linspace(0.0, 3.0, 31)
+        c = np.log(prof(rho)) + d.mu * rho ** (2.0 * d.beta)
+        assert np.all(np.abs(c - c[0]) <= 1e-12)
+    elif family == "power_radial":
+        assert d == PowerDecay(alpha=params["alpha"])
+        for rho in (30.0, 100.0):
+            ratio = rho**d.alpha * float(prof(rho)) / float(prof(0.0))
+            assert abs(ratio - 1.0) <= d.alpha / rho**2
+    else:
+        assert d == CompactSupport(radius=params["radius"])
+        R = d.radius
+        assert np.all(prof(R * np.array([1.0, 1.0 + 1e-9, 1.3, 2.0, 10.0])) == 0.0)
+        assert float(prof(R / 2.0)) > 0.0
 
 
 def test_unclassified_profile_still_computes():
-    # a profile the tail fit cannot pin down: oscillation-modulated decay
+    # a profile with no declared decay class: oscillation-modulated decay
     wob = TransverseProfile(
         u=lambda r: np.exp(-r) * (1.5 + np.sin(3 * r)), b=1.0, decay=None
     )
@@ -203,7 +209,7 @@ def test_nonnegative_spectrum_empty_n_minus():
 def test_law_prediction_power_closed_form():
     # U = (1 + rho^2)^(-alpha/2): measure of {U > eta} = pi (eta^(-2/alpha) - 1)
     prof = TransverseProfile(
-        u=lambda r: (1 + r * r) ** (-2.0), b=1.0, decay=PowerDecay(alpha=4.0, u0=1.0)
+        u=lambda r: (1 + r * r) ** (-2.0), b=1.0, decay=PowerDecay(alpha=4.0)
     )
     for eta in (1e-4, 1e-6):
         pred = law_prediction(prof, eta)
@@ -244,33 +250,10 @@ def test_law_prediction_exponential_branches():
 def test_law_prediction_compact_radius_independent():
     for radius in (0.5, 1.0, 3.0):
         prof = TransverseProfile(u=lambda r: r, b=1.0,
-                                 decay=CompactSupport(radius=radius, lower_bound=0.5))
+                                 decay=CompactSupport(radius=radius))
         assert law_prediction(prof, 1e-5) == pytest.approx(
             abs(math.log(1e-5)) / math.log(abs(math.log(1e-5))), rel=1e-12
         )
-
-
-def test_law_branch_continuity_at_selection():
-    # the branch selector snaps beta within 5e-3 of 1 to the beta = 1 law,
-    # so predictions at beta = 1 +- 1e-3 coincide with the beta = 1 branch
-    eta = 1e-5
-    base = law_prediction(
-        TransverseProfile(u=lambda r: r, b=1.0,
-                          decay=ExponentialDecay(beta=1.0, mu=0.5)), eta
-    )
-    for beta in (1.0 - 1e-3, 1.0 + 1e-3):
-        # the classifier snap happens at fit time; mimic by refitting samples
-        rho = np.geomspace(0.5, 18.0, 300)
-        uu = np.exp(-0.5 * rho ** (2 * beta))
-        from landau.toeplitz_ssf import _classify_tail
-
-        d = _classify_tail(lambda r: np.exp(-0.5 * np.asarray(r) ** (2 * beta)),
-                           rho, uu)
-        assert isinstance(d, ExponentialDecay) and d.beta == 1.0
-        pred = law_prediction(
-            TransverseProfile(u=lambda r: r, b=1.0, decay=d), eta
-        )
-        assert abs(pred - base) / base < 5e-2
 
 
 def test_sandwich_ordering():
@@ -291,9 +274,21 @@ def test_geometric_law_report():
 
 def test_power_law_report():
     prof = TransverseProfile(u=lambda r: (1 + r * r) ** (-2.0), b=1.0,
-                             decay=PowerDecay(alpha=4.0, u0=1.0))
+                             decay=PowerDecay(alpha=4.0))
     rep = law_convergence_report(prof, 0, np.geomspace(1e-6, 1e-3, 16))
     assert 0.9 <= rep.last_decade_mean <= 1.1
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 8.0])
+def test_m_cap_guard_premise(alpha):
+    # the power-law guard of toeplitz_eigenvalues estimates the eigenvalue at
+    # the m cap 4000 by U at b rho^2 / 2 = 4000; it refuses at 1% above
+    # eta_min/10, so the estimate must be well inside 1% of the computed value
+    b = 1.0
+    prof = TransverseProfile(u=lambda r: (1 + r * r) ** (-alpha / 2), b=b,
+                             decay=PowerDecay(alpha=alpha))
+    estimate = float(prof(math.sqrt(8000.0 / b)))
+    assert abs(estimate / toeplitz_eigenvalue(prof, 0, 4000) - 1.0) < 5e-3
 
 
 def test_power_law_report_samples_u_once_per_radius():
@@ -306,7 +301,7 @@ def test_power_law_report_samples_u_once_per_radius():
             sampled.append(float(r[-1]))
         return (1 + r * r) ** (-2.0)
 
-    prof = TransverseProfile(u=u, b=1.0, decay=PowerDecay(alpha=4.0, u0=1.0))
+    prof = TransverseProfile(u=u, b=1.0, decay=PowerDecay(alpha=4.0))
     etas = np.geomspace(1e-6, 1e-3, 16)
     rep = law_convergence_report(prof, 0, etas)
     assert sampled == [8.0, 16.0, 32.0]
@@ -359,8 +354,6 @@ def test_gap_accumulation_requires_sign_definite():
     bad = PerturbationProfile(
         evaluate=lambda rho, x: np.cos(np.asarray(rho))
         * np.exp(-np.asarray(x, float) ** 2),
-        m_perp=2.5,
-        m3=8.0,
         sign_definite=False,
     )
     with pytest.raises(DomainError):
