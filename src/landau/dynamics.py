@@ -12,8 +12,9 @@ sum on the self-adjoint truncation recurs after about pi / level spacing, far
 below the decay times at desk-scale boxes; the tests keep it as a short-time
 oracle.)  The pole w_h and its residue alpha come from inverse iteration on the
 base grid (alpha from the eigenvector); the pole used in the series is
-extrapolated over (h, h/2, h/4), and ``refined_poles`` finds the h/2 and h/4
-poles of every kappa one grid at a time.  The pole is then multiplied out:
+extrapolated over (h, h/2, h/4) by ``numutil.richardson``, and
+``refined_poles`` finds the h/2 and h/4 poles of every kappa one grid at a
+time.  The pole is then multiplied out:
 f(E) = (E - w_h) G(E) is analytic around the window [E0 - delta, E0 + delta],
 so it is interpolated at N Chebyshev-Lobatto points (one banded solve each) and
 certified against direct solves at the N - 1 midpoints that complete the
@@ -33,6 +34,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import AccuracyError, DomainError
 from .lapack import solve_banded
+from .numutil import richardson
 from .operators import assemble, coupling, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
@@ -192,15 +194,13 @@ def refined_poles(problem, basis, q, kappas, theta):
 
 
 def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, poles):
-    from .numutil import neville_to_zero
-
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     w_2, w_4 = poles or refined_poles(problem, basis, q, [kappa], theta)[0]
     op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
     h = basis.grid.h
-    w_pole, _ = neville_to_zero([h**2, h**2 / 4.0, h**2 / 16.0], [w_h, w_2, w_4])
+    w_pole = richardson(w_h, w_2, w_4)
 
     center = pair.energy
     coef, err, solves, nodes = _pole_free_surrogate(op, phi_th, h, w_h, center,
@@ -238,15 +238,13 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, pole
     return values, center, solves, err, nodes
 
 
-def autocorrelation(problem, basis, q, kappa, times, delta_window,
-                    method="resolvent", theta=0.3j, poles=None):
+def autocorrelation(problem, basis, q, kappa, times, delta_window, theta=0.3j,
+                    poles=None):
     """Smoothed autocorrelation of the embedded state by the complex-scaled
     spectral density (pole + smooth background): no recurrence, valid at all
-    times; requires dilatable inputs.  ``method`` must be ``"resolvent"``.
-    ``poles`` is this kappa's entry of ``refined_poles``, computed here if None.
+    times; requires dilatable inputs.  ``poles`` is this kappa's entry of
+    ``refined_poles``, computed here if None.
     """
-    if method != "resolvent":
-        raise DomainError(f"unknown method {method!r}")
     times = np.asarray(times, dtype=float)
     if not times.size or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise DomainError("times must be nonempty, nonnegative and strictly increasing")

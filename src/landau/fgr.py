@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .lapack import solve_banded
-from .numutil import richardson_h2
+from .numutil import richardson
 from .operators import checked_floor, coupling
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
                             scattering_states, tridiagonal_band)
@@ -62,18 +62,19 @@ def _coupling_rows(problem, basis, q):
     return coupling(problem, basis, 0j)[:, basis.mode_index(problem.m, q)]
 
 
-def _check_refine(refine):
+def _bases(basis, refine):
+    """The truncations on the grids (h, h/2)[:1 + refine]."""
     # one (h, h/2) step removes the O(h^2) term; a second step on the already
     # O(h^4) value would bring an O(h^2) error back
     if refine not in (0, 1):
         raise DomainError(f"refine must be >= 0 and <= 1, got {refine}")
+    return (basis, basis.refined())[:1 + refine]
 
 
 def _checked_bases(problem, basis, refine):
-    """The truncations on the grids (h, h/2)[:1 + refine], each refused as
-    ``operators.assemble`` refuses its grid unless inf spec(H_par) > -2b."""
-    _check_refine(refine)
-    bases = (basis, basis.refined())[:1 + refine]
+    """``_bases``, each refused as ``operators.assemble`` refuses its grid
+    unless inf spec(H_par) > -2b."""
+    bases = _bases(basis, refine)
     for b in bases:
         checked_floor(problem.v0, b.grid, problem.b)
     return bases
@@ -92,13 +93,10 @@ def first_order_shift(problem, basis, q, refine=1):
     ``refine`` = 1 Richardson-extrapolates over the (h, h/2) grid pair to remove
     the O(h^2) bias of the discretized bound state; 0 keeps the grid value.
     """
-    _check_refine(refine)
+    bases = _bases(basis, refine)
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    val = _first_order_on_grid(problem, basis, q)
-    if refine:
-        val = richardson_h2(val, _first_order_on_grid(problem, basis.refined(), q))
-    return float(val)
+    return float(richardson(*(_first_order_on_grid(problem, b, q) for b in bases)))
 
 
 def _channel_pairs_on_grid(problem, basis, q, js):
@@ -120,8 +118,8 @@ def _channel_pairs(problem, basis, q, js, refine):
     no open channel nothing is contracted."""
     grids = [_channel_pairs_on_grid(problem, b, q, js) if js else {}
              for b in _checked_bases(problem, basis, refine)]
-    return {j: [complex(richardson_h2(*a) if refine else a[0])
-                for a in zip(*(pairs[j] for pairs in grids))] for j in js}
+    return {j: [complex(richardson(*a)) for a in zip(*(pairs[j] for pairs in grids))]
+            for j in js}
 
 
 def fgr_channel(problem, basis, q, j, l, refine=1):
@@ -245,11 +243,8 @@ def fgr_value(problem, basis, q, refine=1):
 
     states = [ground_state(problem.v0, b.grid) for b in bases]
     routes = [_resolvent_route(problem, b, q, st) for b, st in zip(bases, states)]
-    f_val = routes[0][0]
-    lam = states[0].lam
-    if refine:
-        f_val = complex(richardson_h2(f_val, routes[1][0]))
-        lam = richardson_h2(lam, states[1].lam)
+    f_val = complex(richardson(*(f for f, _ in routes)))
+    lam = richardson(*(st.lam for st in states))
     counters = {"grid_n": [st.grid.n for st in states],
                 "banded_solves": basis.J * len(states),
                 "open_channels": [n for _, n in routes]}

@@ -6,7 +6,10 @@ The module is loaded from its file, so no scipy package ``__init__`` runs:
 run.  Each function below makes the LAPACK calls, with the arguments, that the
 ``scipy.linalg`` function of the same name makes for the call form the package
 uses, so its results are bitwise those of scipy; it keeps scipy's checks of
-finite input and of LAPACK's ``info``.
+finite input and of LAPACK's ``info``.  The package needs four call forms:
+the tridiagonal solve ``solve_banded``, the eigenpairs of a tridiagonal in a
+value window ``eigh_tridiagonal``, the eigenvalues of a symmetric band in a
+value window ``eig_banded``, and the banded LU ``zgbtrf``/``zgbtrs``.
 """
 
 import importlib.util
@@ -45,7 +48,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 zgbtrf = _flapack.zgbtrf
 zgbtrs = _flapack.zgbtrs
-_SELECT = {"v": 1, "i": 2}
 _ABSTOL = 2 * _flapack.dlamch("s")  # the abstol scipy passes to dsbevx
 
 
@@ -75,31 +77,17 @@ def solve_banded(l_and_u, ab, b):
     return x
 
 
-def _stebz(d, e, select, select_range, order):
-    _only(select in _SELECT, 'select="v" or select="i"')
-    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    sr = np.asarray(select_range)
-    vl, vu, il, iu = 0.0, 1.0, 1, 1
-    if select == "v":
-        vl, vu = sr
-    else:
-        il, iu = sr + 1  # LAPACK counts from 1
-    m, w, iblock, isplit, info = _flapack.dstebz(d, e, _SELECT[select], vl, vu,
-                                                 il, iu, 0.0, order)
-    _check_info(info, "stebz")
-    return d, e, w[:m], iblock, isplit
-
-
-def eigvalsh_tridiagonal(d, e, select, select_range):
-    """The selected eigenvalues, ascending, of the symmetric tridiagonal (d, e):
-    ``scipy.linalg.eigvalsh_tridiagonal`` by dstebz with tol 0."""
-    return _stebz(d, e, select, select_range, "E")[2]
-
-
 def eigh_tridiagonal(d, e, select, select_range):
-    """(w, v): the selected eigenpairs of the symmetric tridiagonal (d, e),
-    ascending; ``scipy.linalg.eigh_tridiagonal`` by dstebz and dstein."""
-    d, e, w, iblock, isplit = _stebz(d, e, select, select_range, "B")
+    """(w, v): the eigenpairs in (vl, vu] = ``select_range`` of the symmetric
+    tridiagonal (d, e), ascending; ``scipy.linalg.eigh_tridiagonal(d, e,
+    select="v", select_range=(vl, vu))`` by dstebz and dstein."""
+    _only(select == "v", 'eigh_tridiagonal(d, e, select="v", select_range=...)')
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    vl, vu = np.asarray(select_range)
+    # range 1 selects by value (il, iu unused), tol 0, as scipy calls it
+    m, w, iblock, isplit, info = _flapack.dstebz(d, e, 1, vl, vu, 1, 1, 0.0, "B")
+    _check_info(info, "stebz")
+    w = w[:m]
     v, info = _flapack.dstein(d, e, w, iblock, isplit)
     _check_info(info, "stein")
     order = np.argsort(w)

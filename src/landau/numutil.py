@@ -1,34 +1,24 @@
-"""Small numerical helpers: Neville extrapolation to zero and the O(h^2)
-Richardson step."""
+"""Richardson extrapolation to h = 0 of values on the grid ladder h, h/2, h/4, ...
+
+Every h -> 0 limit of the package (lambda, F, the resonance branch, the decay
+pole) is of a quantity with an even error expansion c1 h^2 + c2 h^4 + ...,
+sampled on halved grids; ``richardson`` is the Richardson table of such a
+ladder (Sidi, Practical Extrapolation Methods, 2003, ch. 1).
+"""
 
 import numpy as np
 
 
-def neville_to_zero(xs, ys):
-    """Polynomial extrapolation of samples (xs, ys) to x = 0 (Neville tableau).
+def richardson(*values):
+    """The h -> 0 limit of values computed at spacings h, h/2, h/4, ...
 
-    Returns (value, residual) where residual is the magnitude of the last
-    tableau correction, a standard error surrogate for the extrapolated limit.
+    Step p of the table replaces each neighbouring pair (coarse, fine) by
+    (4^p fine - coarse) / (4^p - 1), removing the O(h^(2p)) term; one value is
+    returned as it is, two give (4 fine - coarse) / 3.
     """
-    xs = np.asarray(xs, dtype=float)
-    t = np.asarray(ys, dtype=complex).copy()
-    n = len(xs)
-    if n != len(t) or n < 2:
-        raise ValueError("need at least two samples with matching abscissae")
-    prev_top = t[0]
-    for j in range(1, n):
-        for i in range(n - j):
-            t[i] = (xs[i + j] * t[i] - xs[i] * t[i + 1]) / (xs[i + j] - xs[i])
-        prev_top, last = t[0], abs(t[0] - prev_top)
-    return t[0], last
-
-
-def richardson_h2(coarse, fine):
-    """Eliminate the O(h^2) error from a pair computed at spacings h and h/2."""
-    coarse = np.asarray(coarse)
-    fine = np.asarray(fine)
-    out = (4.0 * fine - coarse) / 3.0
-    if out.ndim == 0:
-        return out[()]
-    return out
-
+    row = [np.asarray(v) for v in values]
+    for p in range(1, len(row)):
+        f = 4.0**p
+        row = [(f * fine - coarse) / (f - 1.0) for coarse, fine in zip(row, row[1:])]
+    out = row[0]
+    return out[()] if out.ndim == 0 else out

@@ -25,25 +25,27 @@ with a Cholesky certificate per step.
 
 Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
 (problem, basis, theta) is shared by every live operator built from it, and
-the guard inf spec(H_par) > -2b is cached per grid, so a kappa-continuation
-assembles each step from D = kappa C + ... alone.  ``fgr`` reads its rows
-C_aq(x3) from the theta = 0 coupling and applies the same guard.  The radial
-integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
+the guard inf spec(H_par) > -2b (``checked_floor``) reads the ground state
+that ``schrodinger1d.solved_bound_states`` holds for the grid, so a
+kappa-continuation assembles each step from D = kappa C + ... alone; a v0 that
+fails that solve's grid-end tail check is refused here too.  ``fgr`` reads its
+rows C_aq(x3) from the theta = 0 coupling and applies the same guard.  The
+radial integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
 """
 
 import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import lapack as _lapack
 from .errors import DegenerateInputError, DomainError, SolverError
-from .lapack import eigh_tridiagonal, eigvalsh_tridiagonal
+from .lapack import eigh_tridiagonal
 from .potentials import PerturbationProfile, Potential1D
-from .schrodinger1d import BoundState, Grid1D, ground_state, hamiltonian_tridiagonal
+from .schrodinger1d import (BoundState, Grid1D, ground_state, hamiltonian_tridiagonal,
+                            solved_bound_states)
 from .specfun import RadialMode, m_minus, radial_eigenfunction, radial_rule
 
 _DENSE_DIM_LIMIT = 12000
@@ -299,22 +301,16 @@ def inertia_counts(D, hpar_off, sigmas, norms):
     return counts, singular, eigh_steps
 
 
-def inf_longitudinal_spectrum(v0, grid):
-    """Smallest eigenvalue of the discretized longitudinal operator."""
-    d, e = hamiltonian_tridiagonal(v0, grid)
-    return float(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0])
-
-
-@lru_cache(maxsize=3)
 def checked_floor(v0, grid, b):
-    """inf spec(H_par) on the grid, refused unless it lies above -2b."""
-    lam_min = inf_longitudinal_spectrum(v0, grid)
-    if lam_min <= -2 * b:
+    """Refuse the grid unless inf spec(H_par) lies above -2b.  The bottom is
+    the ground state of ``solved_bound_states``; with no bound state every
+    eigenvalue lies above -1e-12, so above -2b."""
+    states = solved_bound_states(v0, grid)
+    if states and states[0].lam <= -2 * b:
         raise DomainError(
-            f"inf spec(H_par) = {lam_min:.6f} <= -2b = {-2 * b}; "
+            f"inf spec(H_par) = {states[0].lam:.6f} <= -2b = {-2 * b}; "
             "the fibered analysis requires the bound-state band above -2b"
         )
-    return lam_min
 
 
 # Couplings shared by the live operators (and fgr calls) of one (problem, basis,
@@ -372,9 +368,9 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
     """
     theta = complex(theta)
     grid = basis.grid
+    checked_floor(problem.v0, grid, problem.b)
     hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
-    checked_floor(problem.v0, grid, problem.b)
 
     qs = basis.landau_indices(problem.m)
     return AssembledOperator(
@@ -520,8 +516,10 @@ def mourre_quantity(problem, basis, q, delta, check_tails=True):
     d, e = hamiltonian_tridiagonal(problem.v0, grid)
     wd, we = _commutator_tridiagonal(problem.v0, grid, 1)  # 2 H_0par - v_1
 
+    # the compressed commutator is block-diagonal over the radial modes, so its
+    # spectrum is the union of the spectra of the symmetrized blocks
     qs = basis.landau_indices(problem.m)
-    blocks = []
+    spectra = []
     for qa in qs:
         wlo, whi = lo - 2 * b * qa, hi - 2 * b * qa
         if whi <= d.min() - 2 * abs(e[0] if len(e) else 0) - 1:
@@ -532,25 +530,17 @@ def mourre_quantity(problem, basis, q, delta, check_tails=True):
         wu = wd[:, None] * vecs
         wu[:-1] += we * vecs[1:]
         wu[1:] += we * vecs[:-1]
-        blocks.append(vecs.T @ wu)
-    if not blocks:
+        blk = vecs.T @ wu
+        spectra.append(np.linalg.eigvalsh(0.5 * (blk + blk.T)))
+    if not spectra:
         raise DegenerateInputError("spectral window contains no truncation eigenvalues")
-
-    total = sum(blk.shape[0] for blk in blocks)
-    compressed = np.zeros((total, total))
-    pos = 0
-    for blk in blocks:
-        sz = blk.shape[0]
-        compressed[pos : pos + sz, pos : pos + sz] = blk
-        pos += sz
-    compressed = 0.5 * (compressed + compressed.T)
+    vals = np.sort(np.concatenate(spectra))
 
     free = free_kinetic_eigenvalues(grid) + v_inf
     r = 0
     for qa in qs:
         if qa < q:
             r += int(np.count_nonzero((free + 2 * b * qa > lo) & (free + 2 * b * qa < hi)))
-    vals = np.linalg.eigvalsh(compressed)
     if r >= len(vals):
         return float(vals.min())  # nothing left after removal; report raw bottom
     order = np.argsort(-np.abs(vals))

@@ -58,7 +58,6 @@ class Potential1D:
     evaluate: callable
     derivatives: tuple = ()
     theta0: float = None
-    name: str = "custom"
 
     @property
     def derivative_order(self):
@@ -98,7 +97,6 @@ class PerturbationProfile:
     evaluate: callable
     theta0: float = None
     sign_definite: bool = False
-    name: str = "custom"
     breaks: tuple = ()
     decay: object = None
 
@@ -148,7 +146,6 @@ def sech2(depth=2.0):
         evaluate=v,
         derivatives=(d1, d2, d3, d4),
         theta0=math.pi / 2 - 1e-9,
-        name="sech2",
     )
 
 
@@ -166,7 +163,7 @@ def square_well(depth=0.5, half_width=1.0):
         out = np.where(np.abs(np.abs(x) - a) < 1e-12, -0.5 * d, out)
         return out if out.ndim else out[()]
 
-    return Potential1D(evaluate=v, name="square_well")
+    return Potential1D(evaluate=v)
 
 
 def zero_potential():
@@ -180,7 +177,6 @@ def zero_potential():
         evaluate=zero,
         derivatives=(zero, zero, zero, zero),
         theta0=math.pi / 2 - 1e-9,
-        name="zero",
     )
 
 
@@ -205,7 +201,6 @@ def gaussian_product(amplitude=1.0, rho_rate=1.0, x3_rate=1.0):
         evaluate=v,
         theta0=math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
-        name="gaussian_product",
         decay=ExponentialDecay(beta=1.0, mu=ar) if A > 0 else None,
     )
 
@@ -231,7 +226,6 @@ def power_radial(alpha=4.0, amplitude=1.0, x3_rate=None):
         evaluate=v,
         theta0=None if ax is None else math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
-        name="power_radial",
         decay=PowerDecay(alpha=al) if A > 0 else None,
     )
 
@@ -255,7 +249,6 @@ def compact_radial(radius=1.0, amplitude=1.0, x3_rate=None):
         evaluate=v,
         theta0=None,
         sign_definite=A >= 0,
-        name="compact_radial",
         breaks=(0.7 * R, R),
         decay=CompactSupport(radius=R) if A > 0 else None,
     )

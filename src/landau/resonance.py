@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, DomainError, SolverError
-from .numutil import richardson_h2
-from .operators import assemble, embedded_eigenpair
+from .numutil import richardson
+from .operators import assemble, coupling, embedded_eigenpair
 
 _EPS = np.finfo(float).eps
 _TOL = 1e-10
@@ -169,13 +169,18 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
         raise DomainError("kappa grid must start at 0")
     if np.any(np.diff(kappa_grid) <= 0):
         raise DomainError("kappa grid must be strictly increasing")
+    # the branch's operators share one coupling C(theta), held from here on;
+    # the loop keeps one operator alive at a time
+    shared = coupling(problem, basis, complex(theta))
     pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
     x0 = pair.vector.astype(complex)
     w_prev = complex(pair.energy)
+    op = None
     for kappa in kappa_grid:
         kappa = float(kappa)
+        op = None  # free this step's operator before the next one is built
         op = assemble(problem, basis, theta=theta, kappa=kappa)
         if not results:
             shift = w_prev
@@ -203,7 +208,7 @@ def richardson_branch(problem, basis, theta, q, kappa_grid):
     coarse = continue_in_kappa(problem, basis, theta, q, kappa_grid)
     fine = continue_in_kappa(problem, basis.refined(), theta, q, kappa_grid)
     return [
-        ResonanceResult(c.kappa, complex(richardson_h2(c.w, f.w)),
+        ResonanceResult(c.kappa, complex(richardson(c.w, f.w)),
                         max(c.residual, f.residual), c.iterations + f.iterations,
                         c.theta_used)
         for c, f in zip(coarse, fine)

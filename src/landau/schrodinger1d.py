@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .lapack import eigh_tridiagonal, solve_banded
-from .numutil import richardson_h2
+from .numutil import richardson
 
 __all__ = [
     "Grid1D",
@@ -243,7 +243,7 @@ def richardson_ground_state(v0, grid, which=0):
     fine = solved_bound_states(v0, grid.refined())
     if which >= len(coarse) or which >= len(fine):
         raise DomainError(f"bound state #{which} not present on both grids")
-    lam = richardson_h2(coarse[which].lam, fine[which].lam)
+    lam = richardson(coarse[which].lam, fine[which].lam)
     return float(lam), fine[which]
 
 

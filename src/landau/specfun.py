@@ -16,8 +16,8 @@ exponentially for any W analytic on them (Trefethen, SIAM Rev. 50 (2008) 67).
 ``radial_rule`` places the panels [0, s0], [s0, 2 s0], ..., [1/2, 1], [1, 2], ...
 and splits them at the radii where W is declared non-analytic.
 
-``gammaln`` (integer arguments) is a step-for-step port of cephes ``lgam``,
-bitwise equal to it, so the package imports no ``scipy.special``.
+The ln m! of the normalization is ``math.lgamma(m + 1)``, within 7.3e-12 (a few
+ulp) of the exact value for m < 4200, so the package imports no ``scipy.special``.
 """
 
 import math
@@ -27,45 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-
-# cephes lgam: the coefficients of its Stirling correction for 13 <= x < 1000,
-# ln sqrt(2 pi), and the argument beyond which ln Gamma overflows
-_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
-                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
-                  8.33333333333331927722e-2)
-_LN_SQRT_2PI = 0.91893853320467274178
-_LGAM_MAX = 2.556348e305
-
-
-def gammaln(k):
-    """ln Gamma(k) = ln (k-1)! for an integer k >= 1, as cephes ``lgam`` computes it.
-
-    Below 13 the factorial is an exact product and one log; from 13 on, Stirling's
-    series with cephes' correction polynomial, in its operation order.
-    """
-    x = float(k)
-    if not (x >= 1.0 and x.is_integer()):
-        raise DomainError(f"gammaln takes integers >= 1, got {k!r}")
-    if x < 13.0:
-        z = 1.0
-        u = x
-        while u >= 3.0:
-            u -= 1.0
-            z *= u
-        return math.log(z)
-    if x > _LGAM_MAX:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    c = _LGAM_STIRLING[0]
-    for a in _LGAM_STIRLING[1:]:
-        c = c * p + a
-    return q + c / x
 
 
 def m_minus(m):
@@ -103,7 +64,7 @@ def _phi_nonneg_m(b, q, m, rho):
         0.5 * math.log(2.0)
         + 0.5 * (m + 1) * math.log(0.5 * b)
         - 0.5 * s
-        - 0.5 * gammaln(m + 1)
+        - 0.5 * math.lgamma(m + 1)
     )
     if m > 0:
         with np.errstate(divide="ignore"):

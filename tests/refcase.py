@@ -4,7 +4,9 @@ The reference setup (b = 1, v0 = -2 sech^2, V = e^(-rho^2) e^(-x3^2), m = 0,
 q = 1, Im theta = 0.3) exercises every pipeline; several suites need the same
 branches and golden-rule values, so they are computed once per session.
 ``eigh_series`` is the dense exact-truncation oracle for the autocorrelation,
-``radial_quad`` the adaptive-quadrature oracle for the radial rule.
+``radial_quad`` the adaptive-quadrature oracle for the radial rule, and
+``neville_to_zero`` the polynomial extrapolation behind the long-box
+delta -> 0 oracle of the resolvent route.
 """
 
 import math
@@ -96,3 +98,22 @@ def radial_quad(f, b, degree, breaks=()):
                       limit=200)[0]
         mass += quad(lambda r: abs(f(r)) * r, lo, hi, epsrel=1e-3, limit=200)[0]
     return total, mass
+
+
+def neville_to_zero(xs, ys):
+    """Polynomial extrapolation of samples (xs, ys) to x = 0 (Neville tableau).
+
+    Returns (value, residual) where residual is the magnitude of the last
+    tableau correction, a standard error surrogate for the extrapolated limit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    t = np.asarray(ys, dtype=complex).copy()
+    n = len(xs)
+    if n != len(t) or n < 2:
+        raise ValueError("need at least two samples with matching abscissae")
+    prev_top = t[0]
+    for j in range(1, n):
+        for i in range(n - j):
+            t[i] = (xs[i + j] * t[i] - xs[i] * t[i + 1]) / (xs[i + j] - xs[i])
+        prev_top, last = t[0], abs(t[0] - prev_top)
+    return t[0], last

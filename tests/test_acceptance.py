@@ -144,8 +144,7 @@ def test_criterion_08_dynamics():
     for kappa in (0.02, 0.04, 0.08):
         gamma_gr = 2.0 * kappa**2 * imf
         win = default_fit_window(0.25, gamma_gr)
-        ser = autocorrelation(problem, basis, 1, kappa, default_times(win[1]), 0.25,
-                              method="resolvent")
+        ser = autocorrelation(problem, basis, 1, kappa, default_times(win[1]), 0.25)
         fit = fit_decay(ser, win)
         ok &= abs(fit.gamma - gamma_gr) / gamma_gr < 0.10
         anorm.append(abs(fit.a - 1.0) / kappa**2)

@@ -172,9 +172,9 @@ def test_gap_run_does_not_import_scipy_optimize(tmp_path):
 
 
 def test_package_imports_no_scipy_special():
-    # gammaln is specfun's port, and LAPACK comes from landau.lapack, not
-    # through scipy.linalg's package init; the benchmark's
-    # layer modules are the import set every subcommand can reach
+    # ln m! is math.lgamma, and LAPACK comes from landau.lapack, not through
+    # scipy.linalg's package init; the benchmark's layer modules are the
+    # import set every subcommand can reach
     code = ("import importlib, sys\n"
             f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
             "from layers import MODULES\n"

@@ -94,9 +94,6 @@ def test_times_validation():
         autocorrelation(PROBLEM, SMALL, 1, 0.0, np.array([0.0, 0.0, 1.0]), 0.25)
     with pytest.raises(DomainError, match="nonempty"):
         autocorrelation(PROBLEM, SMALL, 1, 0.05, np.array([]), 0.25)
-    with pytest.raises(DomainError):
-        autocorrelation(PROBLEM, SMALL, 1, 0.0, np.array([0.0, 1.0]), 0.25,
-                        method="nope")
 
 
 def test_resolvent_route_matches_eigh_at_short_times():
@@ -105,7 +102,7 @@ def test_resolvent_route_matches_eigh_at_short_times():
     times = np.linspace(0.0, 12.0, 60)
     basis = refcase.basis(n=1201, J=5)
     values, _, _ = refcase.eigh_series(PROBLEM, basis, 1, 0.05, times, 0.25)
-    sr = autocorrelation(PROBLEM, basis, 1, 0.05, times, 0.25, method="resolvent")
+    sr = autocorrelation(PROBLEM, basis, 1, 0.05, times, 0.25)
     assert np.max(np.abs(values - sr.values)) < 1e-3
 
 
@@ -114,8 +111,7 @@ def test_resolvent_series_decays_monotonically_after_transient():
     kappa = 0.05
     t0, t1 = default_fit_window(0.25, 2 * kappa**2 * imf)
     times = default_times(t1)
-    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25,
-                          method="resolvent")
+    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25)
     mod = np.abs(ser.values[(ser.times >= t0)])
     assert np.all(np.diff(mod) < 1e-12)
     assert np.all(np.abs(ser.values) <= 1.0 + 1e-6)
@@ -129,8 +125,7 @@ def test_decay_rates_match_golden_rule():
         gamma_est = 2 * kappa**2 * imf
         t0, t1 = default_fit_window(0.25, gamma_est)
         times = default_times(t1)
-        ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25,
-                              method="resolvent")
+        ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25)
         fit = fit_decay(ser, (t0, t1))
         ratios.append(fit.gamma / gamma_est)
         anorm.append(abs(fit.a - 1.0) / kappa**2)
@@ -152,8 +147,7 @@ def test_three_rates_consistent():
     gamma_est = 2 * kappa**2 * imf
     t0, t1 = default_fit_window(0.25, gamma_est)
     times = default_times(t1)
-    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25,
-                          method="resolvent")
+    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25)
     rate_fit = fit_decay(ser, (t0, t1)).gamma
     for a, b in [(rate_c2, rate_w), (rate_c2, rate_fit), (rate_w, rate_fit)]:
         assert abs(a - b) / max(a, b) < 0.10
@@ -166,8 +160,7 @@ def test_omega_matches_branch_real_part():
     imf = refcase.reference_fgr().im_from_channels
     t0, t1 = default_fit_window(0.25, 2 * kappa**2 * imf)
     times = default_times(t1)
-    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25,
-                          method="resolvent")
+    ser = autocorrelation(PROBLEM, refcase.basis(), 1, kappa, times, 0.25)
     fit = fit_decay(ser, (t0, t1))
     assert abs(fit.omega - w_at.w.real) < 1e-4
 
@@ -183,10 +176,8 @@ def test_series_stability_under_refinement():
     imf = refcase.reference_fgr().im_from_channels
     t0, _ = default_fit_window(0.25, 2 * kappa**2 * imf)
     times = np.linspace(t0, 4000.0, 120)
-    s1 = autocorrelation(PROBLEM, refcase.basis(n=1201, J=13), 1, kappa, times, 0.25,
-                         method="resolvent")
-    s2 = autocorrelation(PROBLEM, refcase.basis(n=1801, J=15), 1, kappa, times, 0.25,
-                         method="resolvent")
+    s1 = autocorrelation(PROBLEM, refcase.basis(n=1201, J=13), 1, kappa, times, 0.25)
+    s2 = autocorrelation(PROBLEM, refcase.basis(n=1801, J=15), 1, kappa, times, 0.25)
     early = times <= 500.0
     assert np.max(np.abs(s1.values[early] - s2.values[early])) < 1e-6
     assert np.max(np.abs(np.abs(s1.values) - np.abs(s2.values))) < 2e-6
@@ -252,7 +243,7 @@ def test_uncertified_surrogate_raises(monkeypatch):
     monkeypatch.setattr(dynamics, "_SURROGATE_TOP", 3)
     times = np.linspace(0.0, 10.0, 20)
     with pytest.raises(AccuracyError, match="not certified.*with 3 nodes"):
-        autocorrelation(PROBLEM, SMALL, 1, 0.05, times, 0.25, method="resolvent")
+        autocorrelation(PROBLEM, SMALL, 1, 0.05, times, 0.25)
 
 
 def _dense_phase_sum(fw, energies, times):

@@ -21,7 +21,6 @@ from landau.fgr import (
     im_from_amplitudes,
     overlap_polynomial_check,
 )
-from landau.numutil import neville_to_zero
 from landau.potentials import (
     PerturbationProfile,
     compact_radial,
@@ -43,7 +42,6 @@ def zero_v():
         evaluate=lambda rho, x: np.zeros(np.broadcast(np.asarray(rho), np.asarray(x)).shape),
         theta0=math.pi / 4,
         sign_definite=True,
-        name="zero",
     )
 
 
@@ -83,7 +81,6 @@ def test_channel_radial_only_separability():
     vrad = PerturbationProfile(
         evaluate=lambda rho, x: np.exp(-np.asarray(rho) ** 2)
         * np.ones_like(np.asarray(x, dtype=float)),
-        name="radial_only",
     )
     prob = replace(PROBLEM, V=vrad)
     amp = fgr_channel(prob, BASIS, 1, 0, 1, refine=0)
@@ -248,7 +245,7 @@ def test_positivity_scan_zero_fails_all():
     assert rows and all(not r["passes"] for r in rows)
 
 
-def _product_candidate(w_perp, omega, grid, name):
+def _product_candidate(w_perp, omega, grid):
     """V(rho, x) = W(rho) omega(x) / ||omega||^2 with omega sampled on the grid."""
     xs = grid.points
     norm2 = grid.h * float(np.dot(omega, omega))
@@ -257,7 +254,7 @@ def _product_candidate(w_perp, omega, grid, name):
         om = np.interp(np.asarray(x, dtype=float), xs, omega)
         return w_perp(np.asarray(rho)) * om / norm2
 
-    return PerturbationProfile(evaluate=ev, name=name)
+    return PerturbationProfile(evaluate=ev)
 
 
 def test_positivity_scan_candidate_family():
@@ -268,8 +265,7 @@ def test_positivity_scan_candidate_family():
     for alpha in (0.4, 0.9, 1.7):
         w = lambda rho, a=alpha: np.exp(-0.5 * a * rho**2)
         fam.append(
-            (f"alpha={alpha}", replace(PROBLEM, V=_product_candidate(w, omega, BASIS.grid,
-                                                                     "Walpha")))
+            (f"alpha={alpha}", replace(PROBLEM, V=_product_candidate(w, omega, BASIS.grid)))
         )
     rows = fgr_positivity_scan(fam, BASIS, range(1, 3), range(-1, 2), threshold=1e-16)
     assert rows
@@ -300,8 +296,7 @@ def test_positivity_scan_adjusted_candidate():
         om = np.interp(np.asarray(x, dtype=float), xs, omega)
         return v_raw(rho, x) + (w_good(rho) - v_perp(rho)) * om / norm2
 
-    prob_adj = replace(PROBLEM, V=PerturbationProfile(
-        evaluate=v_adjusted, name="adjusted"))
+    prob_adj = replace(PROBLEM, V=PerturbationProfile(evaluate=v_adjusted))
     rows = fgr_positivity_scan([("adjusted", prob_adj)], BASIS, range(1, 3),
                                range(-1, 2), threshold=1e-16)
     assert all(r["passes"] for r in rows)
@@ -384,7 +379,7 @@ def _full_grid_route(problem, basis, q, grid, deltas):
             u = solve_banded((1, 1), ab, w_proj[a])
             total += h * np.dot(u, w[a])
         vals.append(total)
-    value, _ = neville_to_zero(deltas, vals)
+    value, _ = refcase.neville_to_zero(deltas, vals)
     return complex(value)
 
 

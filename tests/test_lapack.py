@@ -56,25 +56,6 @@ def test_tridiagonal_value_window_matches_scipy(n, seed, window):
     w, v = lapack.eigh_tridiagonal(d, e, select="v", select_range=sr)
     w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=sr)
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-    assert np.array_equal(lapack.eigvalsh_tridiagonal(d, e, select="v", select_range=sr),
-                          scipy.linalg.eigvalsh_tridiagonal(d, e, select="v",
-                                                            select_range=sr))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=SIZES, seed=SEEDS, data=st.data())
-def test_tridiagonal_index_window_matches_scipy(n, seed, data):
-    rng = np.random.default_rng(seed)
-    d, e = _tridiagonal(rng, n)
-    lo = data.draw(st.integers(0, n - 1))
-    sr = (lo, data.draw(st.integers(lo, n - 1)))
-    w, v = lapack.eigh_tridiagonal(d, e, select="i", select_range=sr)
-    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=sr)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-    assert len(w) == sr[1] - sr[0] + 1
-    assert np.array_equal(lapack.eigvalsh_tridiagonal(d, e, select="i", select_range=sr),
-                          scipy.linalg.eigvalsh_tridiagonal(d, e, select="i",
-                                                            select_range=sr))
 
 
 def test_tridiagonal_empty_value_window():
@@ -84,7 +65,6 @@ def test_tridiagonal_empty_value_window():
     w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=sr)
     assert w.size == 0 and v.shape == v_ref.shape == (50, 0)
     assert np.array_equal(w, w_ref)
-    assert lapack.eigvalsh_tridiagonal(d, e, select="v", select_range=sr).size == 0
 
 
 _SMALL = assemble(refcase.problem(), BasisTruncation(J=3, grid=Grid1D(-12.0, 12.0, 61)),
@@ -113,7 +93,6 @@ def test_non_finite_input_raises_value_error(bad):
         lambda: lapack.solve_banded((1, 1), ab_bad, b),
         lambda: lapack.solve_banded((1, 1), ab, b_bad),
         lambda: lapack.eigh_tridiagonal(d_bad, e, select="v", select_range=(-1.0, 1.0)),
-        lambda: lapack.eigvalsh_tridiagonal(d_bad, e, select="i", select_range=(0, 0)),
         lambda: lapack.eig_banded(ab_bad[1:], lower=True, eigvals_only=True, select="v",
                                   select_range=(-1.0, 1.0)),
     ]

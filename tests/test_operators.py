@@ -6,6 +6,7 @@ import pytest
 
 import refcase
 from landau.errors import DegenerateInputError, DomainError
+from landau.fgr import fgr_value
 from landau.operators import (
     BasisTruncation,
     LandauProblem,
@@ -95,6 +96,26 @@ def test_deep_well_rejected():
     prob = LandauProblem(b=0.4, v0=sech2(), V=gaussian_product(), m=0)
     with pytest.raises(DomainError):
         assemble(prob, BASIS)
+
+
+def test_floor_guard_reads_the_grid_bound_states():
+    # the guard takes lambda_0 from the solved bound states: a deep well is
+    # refused with the inf spec message by assemble and by fgr alike ...
+    prob = LandauProblem(b=0.4, v0=sech2(), V=gaussian_product(), m=0)
+    for call in (lambda: assemble(prob, BASIS, kappa=0.05),
+                 lambda: fgr_value(prob, BASIS, 1, refine=0)):
+        with pytest.raises(DomainError, match=r"inf spec\(H_par\) = -1\.0000\d+ <= -2b"):
+            call()
+    # ... a v0 with no bound state has nothing to refuse ...
+    free = LandauProblem(b=1.0, v0=zero_potential(), V=gaussian_product(), m=0)
+    assert bound_states(free.v0, BASIS.grid) == []
+    assert assemble(free, BASIS, kappa=0.05).coupling is not None
+    # ... and a v0 that is not negligible at the grid ends fails that solve's
+    # tail check, so assemble refuses it as ground_state does
+    wide = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
+    narrow = BasisTruncation(J=2, grid=Grid1D(-3.0, 3.0, 301))
+    with pytest.raises(DomainError, match="not negligible at the grid ends"):
+        assemble(wide, narrow)
 
 
 def test_banded_solver_matches_dense():
@@ -224,7 +245,6 @@ def test_mourre_constant_shift_invariance():
         evaluate=lambda x: np.asarray(v.evaluate(x)) + c,
         derivatives=v.derivatives,
         theta0=None,
-        name="shifted",
     )
     prob_shift = LandauProblem(b=1.0, v0=vshift, V=gaussian_product(), m=0)
     base = mourre_quantity(PROBLEM, BASIS, q=1, delta=0.1)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import refcase
 from landau.errors import DomainError
-from landau.numutil import neville_to_zero, richardson_h2
+from landau.numutil import richardson
 from landau.potentials import (
     compact_radial,
     gaussian_product,
@@ -97,7 +100,7 @@ def test_zero_potential_family():
 def test_neville_extrapolation():
     xs = np.array([0.4, 0.2, 0.1, 0.05])
     ys = 2.0 + 3.0 * xs - xs**2
-    val, resid = neville_to_zero(xs, ys)
+    val, resid = refcase.neville_to_zero(xs, ys)
     assert val == pytest.approx(2.0, abs=1e-12)
     assert resid < 1e-10 or resid == pytest.approx(abs(val - 2.0), abs=1.0)
 
@@ -105,5 +108,27 @@ def test_neville_extrapolation():
 def test_richardson_pair():
     # f(h) = L + c h^2: the pair (h, h/2) recovers L exactly
     L, c, h = 1.37, 0.81, 0.1
-    assert richardson_h2(L + c * h**2, L + c * (h / 2) ** 2) == pytest.approx(L)
+    assert richardson(L + c * h**2, L + c * (h / 2) ** 2) == pytest.approx(L)
+
+
+FINITE = st.floats(-1e6, 1e6)
+
+
+@given(x=FINITE)
+def test_richardson_returns_a_single_value_unchanged(x):
+    assert richardson(x) == x
+
+
+@given(coarse=FINITE, fine=FINITE)
+def test_richardson_pair_is_the_h2_step_bitwise(coarse, fine):
+    got = np.float64(richardson(coarse, fine))
+    assert got.tobytes() == np.float64((4.0 * fine - coarse) / 3.0).tobytes()
+
+
+@given(limit=st.floats(0.1, 10.0), sign=st.sampled_from([-1.0, 1.0]),
+       c1=st.floats(-10.0, 10.0), c2=st.floats(-10.0, 10.0), h=st.floats(1e-3, 0.2))
+def test_richardson_ladder_of_three_removes_h2_and_h4(limit, sign, c1, c2, h):
+    L = sign * limit
+    vals = [L + c1 * x**2 + c2 * x**4 for x in (h, h / 2, h / 4)]
+    assert abs(richardson(*vals) - L) <= 1e-12 * abs(L)
 
