@@ -116,15 +116,23 @@ class Config:
     def get_str(self, key, default=None, required=False):
         return self.raw(key, default=default, required=required)
 
+    def _list(self, key, required):
+        vals = self._typed(key, _float_list, None, required)
+        if vals == []:
+            raise ConfigError(f"{key!r} lists no values", line=self.entries[key][1])
+        return vals
+
     def get_floats(self, key, default=None, required=False):
-        vals = self._typed(key, _float_list, default, required)
-        if not all(map(math.isfinite, vals or ())):
+        vals = self._list(key, required)
+        if vals is None:
+            return default
+        if not all(map(math.isfinite, vals)):
             raise ConfigError(f"{key!r} must be finite, got {self.entries[key][0]!r}",
                               line=self.entries[key][1])
         return vals
 
     def get_ints(self, key, default=None):
-        vals = self._typed(key, _float_list, None, False)
+        vals = self._list(key, False)
         if vals is None:
             return default
         if not all(v.is_integer() for v in vals):

@@ -12,25 +12,29 @@ coupled operator reads
 
 H_par(theta) is the tridiagonal of ``schrodinger1d.hamiltonian_tridiagonal``,
 which also checks theta against v0.  The matrix is complex symmetric (exactly,
-by construction) for Im theta > 0 and real symmetric for theta = 0.  In
-grid-major order it is block tridiagonal, and that is its one stored form: the
-J x J diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) plus the
-scalar kinetic coupling H_par,i,i+1 times I.  Everything else is derived from
-D: the dense matrix (small truncations and oracles), the LAPACK band of a
-banded LU (laid out from D for each shift and factorized in place, so no band
-outlives its solver), the symmetric band for eig_banded, and eigenvalue counts
-by Sylvester inertia: ``inertia_counts`` sweeps a stack of real operators on
-one grid (the angular-momentum fibers of one problem) and every shift at once,
-with a Cholesky certificate per step.
+by construction) for Im theta > 0 and real symmetric for theta = 0.  An operator
+stores only the parameters that define it: the stencil of H_par (its diagonal
+and its scalar off-diagonal), the shifts 2 b q_a, kappa and the shared
+read-only coupling C.  In grid-major order it is block tridiagonal, with J x J
+diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) and off-diagonal
+blocks H_par,i,i+1 times I.  Every storage layout is derived from the
+parameters with the float operations of that formula, so every layout holds
+the same bits: the LAPACK band of a banded LU is written straight from them for
+each shift and factorized in place (no band outlives its solver), and the
+blocks D, computed on demand, feed the dense matrix (small truncations and
+oracles), the symmetric band for eig_banded, and eigenvalue counts by Sylvester
+inertia: ``inertia_counts`` sweeps a stack of real operators on one grid (the
+angular-momentum fibers of one problem) and every shift at once, with a
+Cholesky certificate per step.
 
-Only H_par(theta) and D depend on kappa.  The coupling C(theta) of a
-(problem, basis, theta) is shared by every live operator built from it, and
-the guard inf spec(H_par) > -2b (``checked_floor``) reads the ground state
-that ``schrodinger1d.solved_bound_states`` holds for the grid, so a
-kappa-continuation assembles each step from D = kappa C + ... alone; a v0 that
-fails that solve's grid-end tail check is refused here too.  ``fgr`` reads its
-rows C_aq(x3) from the theta = 0 coupling and applies the same guard.  The
-radial integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
+Of the parameters only kappa changes along a kappa-continuation.  The coupling
+C(theta) of a (problem, basis, theta) is shared by every live operator built
+from it, and the guard inf spec(H_par) > -2b (``checked_floor``) reads the
+ground state that ``schrodinger1d.solved_bound_states`` holds for the grid, so
+each step of a continuation assembles only the stencil; a v0 that fails that
+solve's grid-end tail check is refused here too.  ``fgr`` reads its rows
+C_aq(x3) from the theta = 0 coupling and applies the same guard.  The radial
+integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
 """
 
 import cmath
@@ -116,19 +120,23 @@ class _BandSolver:
 
     def solve(self, rhs):
         J, n = self._J, self._n
-        r = np.asarray(rhs, dtype=complex).reshape(J, n).T.reshape(-1)
-        x, info = _lapack.zgbtrs(self._lu, J, J, r, self._piv)
+        # flatten copies even at J = 1, where the reordering is a view of rhs,
+        # so zgbtrs may overwrite its own right-hand side
+        r = np.asarray(rhs, dtype=complex).reshape(J, n).T.flatten()
+        x, info = _lapack.zgbtrs(self._lu, J, J, r, self._piv, overwrite_b=1)
         if info != 0:
             raise SolverError(f"zgbtrs failed with info={info}")
         return x.reshape(n, J).T.reshape(-1)
 
 
 class AssembledOperator:
-    """Block-tridiagonal matrix of the truncated operator; see the module docstring.
+    """The truncated operator by its defining parameters; see the module docstring.
 
-    ``D[i]`` is the J x J diagonal block at interior grid point i; the
-    off-diagonal blocks are ``hpar_off * I``.  Vectors are flat in mode-major
-    order: index = a * n_interior + i.
+    Stored: the longitudinal stencil ``hpar_diag`` (n_int,) and ``hpar_off``
+    (a scalar), ``mode_shifts`` 2 b q_a (J,), ``kappa`` and the shared
+    read-only ``coupling`` C (J, J, n_int), or None when kappa = 0.  Derived:
+    the diagonal blocks ``D`` (n_int, J, J), the dense matrix, the banded LU.
+    Vectors are flat in mode-major order: index = a * n_interior + i.
     """
 
     def __init__(self, b, m, qs, grid, theta, kappa, mode_shifts, hpar_diag, hpar_off,
@@ -145,20 +153,28 @@ class AssembledOperator:
         self.coupling = coupling  # (J, J, n_int) or None
         self.J = len(self.qs)
         self.n_int = len(self.hpar_diag)
-        self.D = self._diagonal_blocks()
 
-    def _diagonal_blocks(self):
-        # float-operation order (hpar_diag + mode_shift) + kappa C_aa, shared
-        # by every storage derived from D
-        diag = self.hpar_diag[None, :] + self.mode_shifts[:, None]
+    @property
+    def _coupled(self):
+        return self.coupling is not None and self.kappa != 0
+
+    def _block_diagonal(self, a):
+        """Diagonal entries of mode a, (n_int,): (hpar_diag + 2bq_a) + kappa C_aa,
+        the float-operation order every derived storage shares."""
+        diag = self.hpar_diag + self.mode_shifts[a]
+        if self._coupled:
+            diag = diag + self.kappa * self.coupling[a, a]
+        return diag
+
+    @property
+    def D(self):
+        """The J x J diagonal blocks (n_int, J, J), computed on each access."""
         D = np.zeros((self.n_int, self.J, self.J),
                      dtype=float if self.is_real else complex)
-        if self.coupling is not None and self.kappa != 0:
-            kc = self.kappa * self.coupling
-            D[...] = kc.transpose(2, 0, 1)
-            diag = diag + np.einsum("aax->ax", kc)
-        idx = np.arange(self.J)
-        D[:, idx, idx] = diag.T
+        for a in range(self.J):
+            if self._coupled:
+                D[:, a, :] = (self.kappa * self.coupling[a]).T
+            D[:, a, a] = self._block_diagonal(a)
         return D
 
     @property
@@ -180,9 +196,10 @@ class AssembledOperator:
                 f"refusing dense materialization at dimension {self.dim}"
             )
         J, n = self.J, self.n_int
-        out = np.zeros((J, n, J, n), dtype=self.D.dtype)
+        D = self.D
+        out = np.zeros((J, n, J, n), dtype=D.dtype)
         i = np.arange(n)
-        out[:, i, :, i] = self.D
+        out[:, i, :, i] = D
         a = np.arange(J)[:, None]
         out[a, i[:-1], a, i[:-1] + 1] = self.hpar_off
         out[a, i[:-1] + 1, a, i[:-1]] = self.hpar_off
@@ -193,27 +210,31 @@ class AssembledOperator:
         out = (self.hpar_diag + self.mode_shifts[:, None]) * v
         out[:, :-1] += self.hpar_off * v[:, 1:]
         out[:, 1:] += self.hpar_off * v[:, :-1]
-        if self.coupling is not None and self.kappa != 0:
-            out = out + self.kappa * np.einsum("abx,bx->ax", self.coupling, v)
+        if self._coupled:
+            cv = np.einsum("abx,bx->ax", self.coupling, v)
+            cv *= self.kappa
+            out += cv
         return out.reshape(-1)
 
     def norm_estimate(self):
         """Cheap upper bound on the operator norm (Gershgorin-flavored)."""
         est = np.max(np.abs(self.hpar_diag)) + 2 * abs(self.hpar_off)
         est += np.max(np.abs(self.mode_shifts))
-        if self.coupling is not None and self.kappa != 0:
+        if self._coupled:
             est += abs(self.kappa) * float(np.max(np.sum(np.abs(self.coupling), axis=1)))
         return float(est)
 
     def _shifted_band(self, shift):
         """zgbtrf storage of M - shift (grid-major, kl = ku = J, kl fill rows on
-        top), laid out from D by J slice copies."""
+        top), written from the parameters one mode column at a time."""
         J, n, N = self.J, self.n_int, self.dim
         ab = np.zeros((3 * J + 1, N), dtype=complex, order="F")
         # entry (i J + a, i J + b) sits in row 2J + a - b, column i J + b
         cols = ab.T.reshape(n, J, 3 * J + 1)
         for b in range(J):
-            cols[:, b, 2 * J - b : 3 * J - b] = self.D[:, :, b]
+            if self._coupled:
+                cols[:, b, 2 * J - b : 3 * J - b] = (self.kappa * self.coupling[:, b]).T
+            cols[:, b, 2 * J] = self._block_diagonal(b)
         ab[3 * J, : N - J] = self.hpar_off
         ab[J, J:] = self.hpar_off
         ab[2 * J] -= shift

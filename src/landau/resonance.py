@@ -99,7 +99,7 @@ def find_eigenvalue_near(op, shift, x0=None):
         mu = (x @ mx) / denom
         r = float(np.linalg.norm(mx - mu * x))
         if r < best[2]:
-            best = (complex(mu), x.copy(), r, it)
+            best = (complex(mu), x, r, it)  # x is rebound, never written in place
         if r <= target:
             return complex(mu), x, r, it
         if r > 0.5 * prev_res:
@@ -113,7 +113,7 @@ def find_eigenvalue_near(op, shift, x0=None):
             stagnant = 0
         prev_res = r
         sigma = mu
-        solver = None  # free this LU before the next one is built
+        solver = y = mx = None  # free this step's LU and vectors before the next LU
         try:
             solver = op.factorized(sigma)
         except SolverError:

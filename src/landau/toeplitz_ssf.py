@@ -303,15 +303,13 @@ def _block_counts(problem, basis, kappa, shifts, batch_end, tally):
     m = 0
     while m <= _GAP_M_CAP:
         ms = range(m, min(batch_end(m), m + _GAP_BATCH - 1) + 1)
-        blocks = None
+        blocks = np.empty((len(ms), basis.grid.n - 2, basis.J, basis.J))
         norms = np.empty(len(ms))
         for k, mk in enumerate(ms):
             op = assemble(replace(problem, m=mk), basis, theta=0.0, kappa=kappa)
-            if blocks is None:
-                blocks = np.empty((len(ms),) + op.D.shape)
-                hpar_off = op.hpar_off
             blocks[k] = op.D
             norms[k] = op.norm_estimate()
+            hpar_off = op.hpar_off
             del op  # one operator alive at a time, next to the stack
         below, singular, eigh_steps = inertia_counts(blocks, hpar_off, shifts, norms)
         tally["eigh_steps"] += eigh_steps

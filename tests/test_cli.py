@@ -650,6 +650,23 @@ def test_dynamics_zero_coupling_exit_2(tmp_path, monkeypatch, capsys, kappas):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,text,key", [
+    ("dynamics", DYN_CFG, "task.kappa_values"),
+    ("bound", BOUND_CFG, "task.k_values"),
+    ("fgr", FGR_CFG, "task.m_values"),
+    ("gap", GAP_CFG, "task.eta_fractions"),
+], ids=["dynamics-kappa_values", "bound-k_values", "fgr-m_values", "gap-eta_fractions"])
+def test_list_key_with_no_values_exit_2(tmp_path, capsys, subcommand, text, key):
+    # "," parses to no values: refused at its line, not run on an empty list
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    cfg = _write(tmp_path, "\n".join(lines + [f"{key} = ,"]) + "\n")
+    out = tmp_path / "x"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: line {len(lines) + 1}: {key!r} lists no values" in err
+    assert not out.exists()
+
+
 def test_dynamics_method_other_than_resolvent_exit_2(tmp_path, monkeypatch, capsys):
     # the exact-truncation series cannot reach the fit window (its recurrence
     # horizon is 17.4 on the reference box at J = 3, the window opens at 20):

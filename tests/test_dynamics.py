@@ -89,6 +89,22 @@ def test_eigh_t0_value_and_unitarity():
     assert np.all(np.abs(values) <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.05])
+@pytest.mark.parametrize("dense_fallback", [False, True])
+def test_window_eigh_series_matches_dense(monkeypatch, kappa, dense_fallback):
+    # the window-only oracle, by inverse iteration or by its dense fallback for
+    # near-degenerate levels, against the dense eigh of the whole truncation
+    if dense_fallback:
+        monkeypatch.setattr(refcase, "_LEVEL_GAP", 1.0)
+    times = np.linspace(0.0, 60.0, 200)
+    values, center, horizon = refcase.eigh_series(PROBLEM, SMALL, 1, kappa, times, 0.25)
+    dense, dense_center, dense_horizon = refcase.dense_eigh_series(PROBLEM, SMALL, 1,
+                                                                   kappa, times, 0.25)
+    assert center == dense_center
+    assert horizon == pytest.approx(dense_horizon, rel=1e-10)
+    assert np.max(np.abs(values - dense)) <= 1e-10
+
+
 def test_times_validation():
     with pytest.raises(DomainError):
         autocorrelation(PROBLEM, SMALL, 1, 0.0, np.array([0.0, 0.0, 1.0]), 0.25)

@@ -1,12 +1,14 @@
 """Property tests of the block-tridiagonal operator core.
 
 Inertia counting is checked against dense eigenvalues on random real
-operators, one at a time and in stacks on one grid.  The per-shift band is
-checked bit for bit against a fancy-index construction, its factorization
-against dense solves on dilated operators and against itself, and the pole
-search against a memory bound of one live band.  The assembled diagonal blocks
-are exactly complex symmetric and carry the shared longitudinal stencil bit
-for bit.
+operators, one at a time and in stacks on one grid.  The derived diagonal
+blocks and the matrix-vector product are checked bit for bit against the
+stored-block kernels they replaced, the per-shift band against a fancy-index
+scatter of those blocks, its factorization against dense solves on dilated
+operators and against itself, and the pole search and assembly against memory
+bounds of one live band and no block array.  The assembled diagonal blocks are
+exactly complex symmetric and carry the shared longitudinal stencil bit for
+bit.
 """
 
 import tracemalloc
@@ -30,9 +32,10 @@ SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
 
 
-def _real_operator(draw, J, n):
+def _real_operator(draw, J, n, uncoupled=False):
     m = draw(st.integers(-2, 3))
-    kappa = draw(st.floats(0.05, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    kappa = 0.0 if uncoupled else (draw(st.floats(0.05, 3.0))
+                                   * draw(st.sampled_from([-1.0, 1.0])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = Grid1D(-18.0, 18.0, n)
     h = grid.h
@@ -165,14 +168,42 @@ def test_factorizations_at_one_shift_are_bitwise_equal(shifts):
     assert first.tobytes() == again.tobytes()
 
 
+def _stored_blocks(op):
+    """The diagonal blocks D as operators stored them, built from the whole
+    kappa C at once: the oracle of the derived ``op.D`` and, through
+    ``_fancy_index_band``, of the band written from the parameters."""
+    diag = op.hpar_diag[None, :] + op.mode_shifts[:, None]
+    D = np.zeros((op.n_int, op.J, op.J), dtype=float if op.is_real else complex)
+    if op.coupling is not None and op.kappa != 0:
+        kc = op.kappa * op.coupling
+        D[...] = kc.transpose(2, 0, 1)
+        diag = diag + np.einsum("aax->ax", kc)
+    idx = np.arange(op.J)
+    D[:, idx, idx] = diag.T
+    return D
+
+
+def _out_of_place_matvec(op, vec):
+    """M vec with the coupling term added out of place: the oracle of the
+    in-place ``op.matvec``."""
+    v = np.asarray(vec).reshape(op.J, op.n_int)
+    out = (op.hpar_diag + op.mode_shifts[:, None]) * v
+    out[:, :-1] += op.hpar_off * v[:, 1:]
+    out[:, 1:] += op.hpar_off * v[:, :-1]
+    if op.coupling is not None and op.kappa != 0:
+        out = out + op.kappa * np.einsum("abx,bx->ax", op.coupling, v)
+    return out.reshape(-1)
+
+
 def _fancy_index_band(op, shift):
-    """The zgbtrf band of M - shift by one fancy-indexed scatter of D: the
-    construction the slice copies replaced, kept as their oracle."""
+    """The zgbtrf band of M - shift by one fancy-indexed scatter of the stored
+    blocks: the construction the per-mode writes replaced, kept as their
+    oracle."""
     J, n, N = op.J, op.n_int, op.dim
     ab = np.zeros((3 * J + 1, N), dtype=complex, order="F")
     a = np.arange(J)[:, None]
     b = np.arange(J)[None, :]
-    ab[2 * J + a - b, np.arange(n)[:, None, None] * J + b] = op.D
+    ab[2 * J + a - b, np.arange(n)[:, None, None] * J + b] = _stored_blocks(op)
     ab[3 * J, : N - J] = op.hpar_off
     ab[J, J:] = op.hpar_off
     ab[2 * J] -= shift
@@ -181,14 +212,27 @@ def _fancy_index_band(op, shift):
 
 @st.composite
 def band_operators(draw):
-    """Real random operators and dilated assembled ones, J = 1..4."""
+    """Real random operators and dilated assembled ones, J = 1..4, each also
+    at kappa = 0 (no coupling term)."""
     J = draw(st.integers(1, 4))
+    uncoupled = draw(st.booleans())
     if draw(st.booleans()):
-        return _real_operator(draw, J, draw(st.integers(20, 80)))
+        return _real_operator(draw, J, draw(st.integers(20, 80)), uncoupled)
     problem = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
     basis = BasisTruncation(J=J, grid=Grid1D(-18.0, 18.0, draw(st.integers(41, 121))))
     return assemble(problem, basis, theta=1j * draw(st.floats(0.05, 0.45)),
-                    kappa=draw(st.floats(-0.1, 0.1)))
+                    kappa=0.0 if uncoupled else draw(st.floats(-0.1, 0.1)))
+
+
+@SETTINGS
+@given(op=band_operators(), seed=st.integers(0, 2**32 - 1), real=st.booleans())
+def test_derived_blocks_and_matvec_are_bitwise_the_stored_block_ones(op, seed, real):
+    assert op.D.tobytes() == _stored_blocks(op).tobytes()
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(op.dim)
+    if not real:
+        vec = vec + 1j * rng.standard_normal(op.dim)
+    assert op.matvec(vec).tobytes() == _out_of_place_matvec(op, vec).tobytes()
 
 
 @SETTINGS
@@ -222,6 +266,24 @@ def test_pole_search_keeps_one_band_alive():
         tracemalloc.stop()
     assert iterations >= 2  # at least two factorizations
     assert peak - start < 1.5 * band_bytes
+
+
+def test_assembled_operator_holds_no_block_array():
+    # with the dilated coupling held, assembly adds only the stencil: storing
+    # D, or forming kappa C whole, would each take one block array
+    problem, basis = refcase.problem(), refcase.basis(n=1201, J=7)
+    held = operators.coupling(problem, basis, 0.3j)
+    assemble(problem, basis, theta=0.3j, kappa=0.05)  # solves the -2b guard's states
+    block_bytes = (basis.grid.n - 2) * basis.J**2 * 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = assemble(problem, basis, theta=0.3j, kappa=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.coupling is held
+    assert peak - start < block_bytes
 
 
 def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
