@@ -10,11 +10,13 @@ resonance expansion a(kappa) e^(-iwt) + b(t) directly and has no recurrence,
 which is what the decay-rate acceptance checks require.  (The exact spectral
 sum on the self-adjoint truncation recurs after about pi / level spacing, far
 below the decay times at desk-scale boxes; the tests keep it as a short-time
-oracle.)  The pole w_h and its residue alpha come from inverse iteration on the
-base grid (alpha from the eigenvector); the pole used in the series is
+oracle.)  Phi is even in x3, so every complex-scaled solve here runs on the
+even sector (``assemble(..., even_sector=True)``), where the pairings keep
+their values.  The pole w_h and its residue alpha come from inverse iteration
+on the base grid (alpha from the eigenvector); the pole used in the series is
 extrapolated over (h, h/2, h/4) by ``numutil.richardson``, and
 ``refined_poles`` finds the h/2 and h/4 poles of every kappa one grid at a
-time.  The pole is then multiplied out:
+time, from one embedded state per grid.  The pole is then multiplied out:
 f(E) = (E - w_h) G(E) is analytic around the window [E0 - delta, E0 + delta],
 so it is interpolated at N Chebyshev-Lobatto points (one banded solve each) and
 certified against direct solves at the N - 1 midpoints that complete the
@@ -34,7 +36,7 @@ from numpy.polynomial import chebyshev
 
 from .errors import AccuracyError, DomainError
 from .lapack import solve_banded
-from .numutil import richardson
+from .numutil import dot, norm, richardson
 from .operators import assemble, coupling, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
@@ -104,36 +106,41 @@ def dilated_bound_vector(problem, basis, theta):
     ab = tridiagonal_band(d, e, w)
     for _ in range(50):
         y = solve_banded((1, 1), ab, u)
-        u = y / np.linalg.norm(y)
+        u = y / norm(y)
         mu = d * u
         mu[:-1] += e * u[1:]
         mu[1:] += e * u[:-1]
-        w_new = (u @ mu) / (u @ u)
+        w_new = dot(u, mu) / dot(u, u)
         if abs(w_new - w) < 1e-12:
             w = w_new
             break
         w = w_new
         ab[1] = d - w
-    norm = np.sqrt(h * (u @ u))
-    u = u / norm
+    u = u / np.sqrt(h * dot(u, u))
     if (h * np.sum(u * st.psi[1:-1])).real < 0:
         u = -u
     return complex(w), u
 
 
-def _dilated_pole(problem, basis, q, kappa, theta):
-    """Resonance pole and residue of the dilated resolvent on one grid."""
-    op = assemble(problem, basis, theta=theta, kappa=kappa)
-    pair = embedded_eigenpair(problem, basis, q)
-    h = basis.grid.h
-    _, u_th = dilated_bound_vector(problem, basis, theta)
-    phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
-    a_idx = basis.mode_index(problem.m, q)
-    phi_th[a_idx] = u_th
-    phi_th = phi_th.reshape(-1)
-    w, v, _, _ = find_eigenvalue_near(op, pair.energy, x0=phi_th)
-    alpha = h * (v @ phi_th) ** 2 / (v @ v)
-    return op, pair, phi_th, w, alpha
+def _dilated_pole(problem, basis, q, kappa, theta, state=None):
+    """Resonance pole and residue of the dilated resolvent on one grid.
+
+    Returns (op, state, w, alpha): the operator on the even sector, the
+    embedded state (2bq + lambda, phi_theta) in its coordinates, the pole and
+    alpha = h (v^T phi_theta)^2 / (v^T v).  A grid's ``state`` does not depend
+    on kappa, so a caller passes back the one an earlier call returned.
+    """
+    op = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=True)
+    if state is None:
+        pair = embedded_eigenpair(problem, basis, q)
+        _, u_th = dilated_bound_vector(problem, basis, theta)
+        phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
+        phi_th[basis.mode_index(problem.m, q)] = u_th
+        state = (pair.energy, op.restrict(phi_th.reshape(-1)))
+    energy, phi_th = state
+    w, v, _, _ = find_eigenvalue_near(op, energy, x0=phi_th)
+    alpha = basis.grid.h * dot(v, phi_th) ** 2 / dot(v, v)
+    return op, state, w, alpha
 
 
 def _pole_free_surrogate(op, phi, h, w_h, center, delta):
@@ -150,7 +157,7 @@ def _pole_free_surrogate(op, phi, h, w_h, center, delta):
     """
     def f(x):
         energies = center + delta * x
-        return np.array([(en - w_h) * h * (op.factorized(en).solve(phi) @ phi)
+        return np.array([(en - w_h) * h * dot(op.factorized(en).solve(phi), phi)
                          for en in energies])
 
     n = _SURROGATE_START
@@ -182,13 +189,17 @@ def _horner_phase_sum(fw, e0, d_e, times):
 
 def refined_poles(problem, basis, q, kappas, theta):
     """The poles (w_2, w_4) of each kappa on the grids h/2 and h/4, one grid at
-    a time, each holding its dilated coupling across the kappas: one such
-    coupling is alive at a time, and each is contracted once."""
+    a time, each holding its dilated coupling and embedded state across the
+    kappas: one such coupling is alive at a time, and each is contracted once."""
     b2 = basis.refined()
     per_grid = []
     for fine in (b2, b2.refined()):
         shared = coupling(problem, fine, theta)  # see ``operators.coupling``
-        per_grid.append([_dilated_pole(problem, fine, q, k, theta)[3] for k in kappas])
+        state, poles = None, []
+        for k in kappas:
+            _, state, w, _ = _dilated_pole(problem, fine, q, k, theta, state)
+            poles.append(w)
+        per_grid.append(poles)
         del shared
     return list(zip(*per_grid))
 
@@ -198,11 +209,10 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, pole
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     w_2, w_4 = poles or refined_poles(problem, basis, q, [kappa], theta)[0]
-    op, pair, phi_th, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
+    op, (center, phi_th), w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
     h = basis.grid.h
     w_pole = richardson(w_h, w_2, w_4)
 
-    center = pair.energy
     coef, err, solves, nodes = _pole_free_surrogate(op, phi_th, h, w_h, center,
                                                     delta_window)
     if not err <= _SURROGATE_TOL:

@@ -27,6 +27,11 @@ inertia: ``inertia_counts`` sweeps a stack of real operators on one grid (the
 angular-momentum fibers of one problem) and every shift at once, with a
 Cholesky certificate per step.
 
+When v0, V and the grid are even in x3, so is the embedded state
+phi_q (x) psi_0, and ``assemble(..., even_sector=True)`` returns the
+compression of the operator to the even sector (``landau.sector``), a subclass
+that overrides the layouts its first link changes.
+
 Of the parameters only kappa changes along a kappa-continuation.  The coupling
 C(theta) of a (problem, basis, theta) is shared by every live operator built
 from it, and the guard inf spec(H_par) > -2b (``checked_floor``) reads the
@@ -169,6 +174,9 @@ class AssembledOperator:
     @property
     def D(self):
         """The J x J diagonal blocks (n_int, J, J), computed on each access."""
+        return self._blocks()
+
+    def _blocks(self):
         D = np.zeros((self.n_int, self.J, self.J),
                      dtype=float if self.is_real else complex)
         for a in range(self.J):
@@ -196,20 +204,30 @@ class AssembledOperator:
                 f"refusing dense materialization at dimension {self.dim}"
             )
         J, n = self.J, self.n_int
-        D = self.D
+        D = self._blocks()
         out = np.zeros((J, n, J, n), dtype=D.dtype)
         i = np.arange(n)
         out[:, i, :, i] = D
         a = np.arange(J)[:, None]
-        out[a, i[:-1], a, i[:-1] + 1] = self.hpar_off
-        out[a, i[:-1] + 1, a, i[:-1]] = self.hpar_off
+        links = self._links()
+        out[a, i[:-1], a, i[:-1] + 1] = links
+        out[a, i[:-1] + 1, a, i[:-1]] = links
         return out.reshape(self.dim, self.dim)
+
+    def _links(self):
+        """The longitudinal off-diagonal, one scalar on the full grid."""
+        return self.hpar_off
+
+    def restrict(self, vec):
+        """A full-grid vector in this operator's coordinates: itself."""
+        return vec
 
     def matvec(self, vec):
         v = np.asarray(vec).reshape(self.J, self.n_int)
         out = (self.hpar_diag + self.mode_shifts[:, None]) * v
-        out[:, :-1] += self.hpar_off * v[:, 1:]
-        out[:, 1:] += self.hpar_off * v[:, :-1]
+        links = self._links()
+        out[:, :-1] += links * v[:, 1:]
+        out[:, 1:] += links * v[:, :-1]
         if self._coupled:
             cv = np.einsum("abx,bx->ax", self.coupling, v)
             cv *= self.kappa
@@ -379,13 +397,15 @@ def coupling(problem, basis, theta):
     return c
 
 
-def assemble(problem, basis, theta=0.0, kappa=0.0):
+def assemble(problem, basis, theta=0.0, kappa=0.0, even_sector=False):
     """Matrix of H^(m)(theta) + kappa V_theta on the truncation.
 
     theta real is an exact change of variables (spectrum-preserving up to
     discretization); Im theta > 0 requires dilatable v0 (and V when kappa != 0,
     checked by ``coupling``) and rotates the continuum strings into the lower
     half-plane.  C and the -2b guard may be shared (see the module docstring).
+    ``even_sector=True`` returns the even sector (``landau.sector``) when v0
+    and V declare themselves even and the grid is symmetric about 0.
     """
     theta = complex(theta)
     grid = basis.grid
@@ -394,7 +414,7 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
 
     qs = basis.landau_indices(problem.m)
-    return AssembledOperator(
+    op = AssembledOperator(
         b=problem.b,
         m=problem.m,
         qs=qs,
@@ -406,6 +426,11 @@ def assemble(problem, basis, theta=0.0, kappa=0.0):
         hpar_off=hpar_off,
         coupling=coupling(problem, basis, theta) if kappa != 0.0 else None,
     )
+    if even_sector and problem.v0.even and problem.V.even and grid.x_min == -grid.x_max:
+        from .sector import EvenSectorOperator
+
+        return EvenSectorOperator(op)
+    return op
 
 
 @dataclass(frozen=True)

@@ -53,11 +53,14 @@ class Potential1D:
     evaluate        vectorized v0(x); must accept complex x when theta0 is set
     derivatives     analytic derivatives (v0', v0'', ...) as far as available
     theta0          analyticity half-angle of the sector; None = not dilatable
+    even            v0(-x) = v0(x); with an even V and a grid symmetric about 0,
+                    ``operators.assemble`` may work on the even sector
     """
 
     evaluate: callable
     derivatives: tuple = ()
     theta0: float = None
+    even: bool = False
 
     @property
     def derivative_order(self):
@@ -92,6 +95,7 @@ class PerturbationProfile:
                      longitudinal average U (PowerDecay, ExponentialDecay or
                      CompactSupport); None leaves U unclassified, and the
                      counting laws of ``toeplitz_ssf`` unavailable
+    even             V(rho, -x3) = V(rho, x3); see ``Potential1D.even``
     """
 
     evaluate: callable
@@ -99,6 +103,7 @@ class PerturbationProfile:
     sign_definite: bool = False
     breaks: tuple = ()
     decay: object = None
+    even: bool = False
 
     @property
     def dilatable(self):
@@ -146,6 +151,7 @@ def sech2(depth=2.0):
         evaluate=v,
         derivatives=(d1, d2, d3, d4),
         theta0=math.pi / 2 - 1e-9,
+        even=True,
     )
 
 
@@ -163,7 +169,7 @@ def square_well(depth=0.5, half_width=1.0):
         out = np.where(np.abs(np.abs(x) - a) < 1e-12, -0.5 * d, out)
         return out if out.ndim else out[()]
 
-    return Potential1D(evaluate=v)
+    return Potential1D(evaluate=v, even=True)
 
 
 def zero_potential():
@@ -177,6 +183,7 @@ def zero_potential():
         evaluate=zero,
         derivatives=(zero, zero, zero, zero),
         theta0=math.pi / 2 - 1e-9,
+        even=True,
     )
 
 
@@ -202,6 +209,7 @@ def gaussian_product(amplitude=1.0, rho_rate=1.0, x3_rate=1.0):
         theta0=math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
         decay=ExponentialDecay(beta=1.0, mu=ar) if A > 0 else None,
+        even=True,
     )
 
 
@@ -227,6 +235,7 @@ def power_radial(alpha=4.0, amplitude=1.0, x3_rate=None):
         theta0=None if ax is None else math.pi / 4 - 1e-9,
         sign_definite=A >= 0,
         decay=PowerDecay(alpha=al) if A > 0 else None,
+        even=True,
     )
 
 
@@ -251,6 +260,7 @@ def compact_radial(radius=1.0, amplitude=1.0, x3_rate=None):
         sign_definite=A >= 0,
         breaks=(0.7 * R, R),
         decay=CompactSupport(radius=R) if A > 0 else None,
+        even=True,
     )
 
 

@@ -8,7 +8,9 @@ fit is a polynomial whose degree is the lowest that reproduces the branch to
 its own inverse-iteration residual: the fit has no tuning parameter.  The same
 analyticity lets the continuation predict each step's shift from the branch
 so far, so most steps converge on one factorization; the kappa-independent
-coupling is assembled once per grid (``operators.assemble``)."""
+coupling is assembled once per grid (``operators.assemble``).  The embedded
+state is even in x3, so the branch is tracked on the even sector, at half the
+band."""
 
 import cmath
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationError, DomainError, SolverError
-from .numutil import richardson
+from .numutil import dot, norm, richardson
 from .operators import assemble, coupling, embedded_eigenpair
 
 _EPS = np.finfo(float).eps
@@ -59,13 +61,15 @@ def find_eigenvalue_near(op, shift, x0=None):
     matrices produced by dilation.  Returns (w, eigenvector, residual, iterations);
     the residual is ||(M - w) u||_2 with ||u||_2 = 1.  The iteration stops at
     residual ``_TOL`` (or the roundoff floor) or after ``_MAXITER`` steps.
-    At most one LU of ``op`` is alive at a time.
+    At most one LU of ``op`` is alive at a time.  ``x0`` and the eigenvector
+    are in the operator's coordinates (``op.restrict``); every long reduction
+    is ``numutil``'s, so the bits do not depend on the BLAS thread count.
     """
     if x0 is None:
         x = np.ones(op.dim, dtype=complex)
     else:
         x = np.asarray(x0, dtype=complex).copy()
-    nx = np.linalg.norm(x)
+    nx = norm(x)
     if nx == 0:
         raise DomainError("zero start vector")
     x /= nx
@@ -88,16 +92,16 @@ def find_eigenvalue_near(op, shift, x0=None):
     stagnant = 0
     for it in range(1, _MAXITER + 1):
         y = solver.solve(x)
-        ny = np.linalg.norm(y)
+        ny = norm(y)
         if not np.isfinite(ny) or ny == 0:
             raise SolverError("inverse iteration produced a non-finite vector")
         x = y / ny
-        denom = x @ x
+        denom = dot(x, x)
         if abs(denom) < 1e-12:
             raise SolverError("bilinear normalization degenerate (exceptional point?)")
         mx = op.matvec(x)
-        mu = (x @ mx) / denom
-        r = float(np.linalg.norm(mx - mu * x))
+        mu = dot(x, mx) / denom
+        r = norm(mx - mu * x)
         if r < best[2]:
             best = (complex(mu), x, r, it)  # x is rebound, never written in place
         if r <= target:
@@ -162,7 +166,8 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     new operator.  A good prediction lets the first inverse-iteration step meet
     the residual target on one factorization; a poor one costs only the
     ordinary Rayleigh refinement.  A step that leaves the isolation radius
-    aborts with the partial branch attached to the error.
+    aborts with the partial branch attached to the error.  The branch lives in
+    the even sector of the embedded state (``assemble(..., even_sector=True)``).
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     if kappa_grid[0] != 0.0:
@@ -175,17 +180,19 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
     pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
-    x0 = pair.vector.astype(complex)
+    x0 = None
     w_prev = complex(pair.energy)
     op = None
     for kappa in kappa_grid:
         kappa = float(kappa)
         op = None  # free this step's operator before the next one is built
-        op = assemble(problem, basis, theta=theta, kappa=kappa)
+        op = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=True)
+        if x0 is None:
+            x0 = op.restrict(pair.vector).astype(complex)
         if not results:
             shift = w_prev
         elif len(results) == 1:
-            shift = (x0 @ op.matvec(x0)) / (x0 @ x0)
+            shift = dot(x0, op.matvec(x0)) / dot(x0, x0)
         else:
             shift = _extrapolated(results[-3:], kappa)
         w, x0, res, its = find_eigenvalue_near(op, shift, x0=x0)

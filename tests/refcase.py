@@ -5,6 +5,7 @@ q = 1, Im theta = 0.3) exercises every pipeline; several suites need the same
 branches and golden-rule values, so they are computed once per session.
 ``eigh_series`` is the exact-truncation oracle for the autocorrelation (from
 the energy window only, with ``dense_eigh_series`` as its oracle),
+``even_sector_basis`` the orthonormal columns S of the even sector,
 ``radial_quad`` the adaptive-quadrature oracle for the radial rule, and
 ``neville_to_zero`` the polynomial extrapolation behind the long-box
 delta -> 0 oracle of the resolvent route.
@@ -134,6 +135,23 @@ def _spectral_series(energies, vecs, pair, h, times, delta):
     phases = np.exp(-1j * np.outer(times, en))
     values = phases @ wg
     return values, pair.energy, horizon
+
+
+def even_sector_basis(J, n):
+    """The orthonormal columns S (J n, J n_sector) of the even sector of J modes
+    on n interior nodes, built node by node: e_c and (e_(c+i) + e_(c-i)) /
+    sqrt(2) about the centre node c for odd n, (e_(c+i) + e_(c-1-i)) / sqrt(2)
+    for even n, with c = n // 2."""
+    c = n // 2
+    pairs = [(c, c)] if n % 2 else []
+    pairs += [(c + i, c - i) for i in range(1, n - c)] if n % 2 else [
+        (c + i, c - 1 - i) for i in range(n - c)]
+    S = np.zeros((J, n, J, len(pairs)))
+    for k, (right, left) in enumerate(pairs):
+        weight = 1.0 if right == left else math.sqrt(0.5)
+        for a in range(J):
+            S[a, right, a, k] = S[a, left, a, k] = weight
+    return S.reshape(J * n, J * len(pairs))
 
 
 def radial_quad(f, b, degree, breaks=()):

@@ -212,15 +212,29 @@ def test_fgr_run_does_not_import_scipy_sparse(tmp_path):
     assert _run_fresh("fgr", tmp_path / "fgr", 1, "scipy.sparse") == (0, False)
 
 
+def _assert_same_bytes(outs):
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_fgr_output_independent_of_thread_count(tmp_path):
     # the solves are short tridiagonal ones; no BLAS reduction splits by thread
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
         assert _run_fresh("fgr", out, n, "scipy.sparse") == (0, False)
-    names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1]))
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _assert_same_bytes(outs)
+
+
+@pytest.mark.parametrize("subcommand", ["resonance", "dynamics", "all"])
+def test_complex_scaled_output_independent_of_thread_count(subcommand, tmp_path):
+    # the inverse iterations' long dot products and norms are numutil's
+    # pairwise sums, which BLAS threads cannot reorder
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert _run_fresh(subcommand, out, n, "scipy.sparse")[0] == 0
+    _assert_same_bytes(outs)
 
 
 def test_gap_output_independent_of_thread_count(tmp_path):
@@ -229,10 +243,7 @@ def test_gap_output_independent_of_thread_count(tmp_path):
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
         assert _run_fresh("gap", out, n, "scipy.optimize") == (0, False)
-    names = sorted(os.listdir(outs[0]))
-    assert names == sorted(os.listdir(outs[1]))
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    _assert_same_bytes(outs)
 
 
 def test_toeplitz_run(tmp_path):
@@ -846,15 +857,8 @@ def _shipped_lines(name):
 
 
 def _small_lines(subcommand):
-    """The shipped config at n = 201, J = 3; `all` takes the reference problem
-    with the task keys of the four subcommands it runs."""
-    if subcommand == "all":
-        lines = [line for line in _shipped_lines("resonance")
-                 if not line.startswith("task.")]
-        lines += [line for name in ("bound", "fgr", "resonance", "toeplitz")
-                  for line in _shipped_lines(name) if line.startswith("task.")]
-    else:
-        lines = _shipped_lines(subcommand)
+    """The shipped config at n = 201, J = 3."""
+    lines = _shipped_lines(subcommand)
     small = {"numerics.n": "201", "numerics.J": "3"}
     keys = [line.split("=", 1)[0].strip() for line in lines]
     return [f"{key} = {small[key]}" if key in small else line

@@ -15,7 +15,9 @@ from landau.operators import (
     commutator_coefficients,
     coupling,
     embedded_eigenpair,
+    inertia_counts,
     mourre_quantity,
+    symmetric_band_lower,
 )
 from landau.potentials import (
     Potential1D,
@@ -289,3 +291,53 @@ def test_coupling_matches_adaptive_quadrature(family, b, m):
             warnings.simplefilter("ignore")  # quad's roundoff notes at 1e-13
             want, mass = refcase.radial_quad(f, b, int(qs[-1]) + abs(m), V.breaks)
         assert abs(c[a, 1, i] - want) <= 1e-12 * mass, (a, x3, c[a, 1, i], want)
+
+
+# -- the even sector
+
+
+@pytest.mark.parametrize("n", [121, 122])  # odd and even interior counts
+@pytest.mark.parametrize("theta", [0.0, 0.3j])
+def test_even_sector_is_the_compression_to_even_vectors(n, theta):
+    # S^T M S from the full operator, and M S = S (S^T M S): the sector is
+    # invariant, which is what lets even solves run on it
+    basis = BasisTruncation(J=3, grid=Grid1D(-12.0, 12.0, n))
+    full = assemble(PROBLEM, basis, theta=theta, kappa=0.3)
+    sector = assemble(PROBLEM, basis, theta=theta, kappa=0.3, even_sector=True)
+    S = refcase.even_sector_basis(3, n - 2)
+    assert sector.dim == S.shape[1] == 3 * ((n - 1) // 2)
+    M = full.dense()
+    scale = np.abs(M).max()
+    assert np.abs(sector.dense() - S.T @ M @ S).max() <= 1e-14 * scale
+    assert np.abs(M @ S - S @ sector.dense()).max() <= 1e-14 * scale
+    v = np.random.default_rng(n).standard_normal(full.dim)
+    assert np.abs(sector.restrict(v) - S.T @ v).max() <= 1e-15 * np.abs(v).max()
+    assert np.abs(sector.matvec(S.T @ v) - sector.dense() @ (S.T @ v)).max() <= (
+        1e-14 * scale * np.abs(v).max())
+
+
+def _undeclared(v0):
+    return Potential1D(evaluate=v0.evaluate, derivatives=v0.derivatives, theta0=v0.theta0)
+
+
+@pytest.mark.parametrize("problem, grid", [
+    (PROBLEM, Grid1D(-17.0, 18.0, 121)),  # asymmetric grid
+    (LandauProblem(b=1.0, v0=_undeclared(sech2()), V=gaussian_product(), m=0),
+     Grid1D(-12.0, 12.0, 121)),  # v0 not declared even
+])
+def test_even_sector_needs_a_declared_symmetry(problem, grid):
+    basis = BasisTruncation(J=3, grid=grid)
+    op = assemble(problem, basis, theta=0.3j, kappa=0.05, even_sector=True)
+    assert op.dim == basis.J * (grid.n - 2)
+    v = np.arange(op.dim, dtype=float)
+    assert op.restrict(v) is v
+
+
+def test_layouts_of_D_refuse_a_sector_operator():
+    # D and a scalar hpar_off would drop the sector's first link
+    basis = BasisTruncation(J=2, grid=Grid1D(-12.0, 12.0, 61))
+    op = assemble(PROBLEM, basis, kappa=0.05, even_sector=True)
+    with pytest.raises(DomainError, match="first link"):
+        symmetric_band_lower(op.D, op.hpar_off)
+    with pytest.raises(DomainError, match="first link"):
+        inertia_counts(op.D[None], op.hpar_off, [0.0], [op.norm_estimate()])

@@ -1,4 +1,4 @@
-"""Stored outputs of the seven subcommands on `configs/`.
+"""Stored outputs of the seven subcommands and `all` on `configs/`.
 
 A column that moves between versions fails here: integers and strings must
 match exactly, other numbers to 1e-12 relative.  Roundoff-level columns (the
@@ -7,10 +7,10 @@ inverse-iteration ``residual``, ``c1_im``, ``fit_residual``,
 route disagreements) carry no digits worth pinning: they pass while they stay
 within a factor ``MAGNITUDE`` of the reference.
 
-`resonance` and `dynamics` run in a fresh interpreter under `--threads 1`,
-because their bytes depend on the BLAS thread count, which is fixed when numpy
-loads; the others are thread-independent and run in-process.  After a
-deliberate change, regenerate the references with
+`resonance`, `dynamics` and `all` run in a fresh interpreter under
+`--threads 1`, as a user runs them, with the thread count fixed before numpy
+loads (``test_cli`` checks that their bytes do not depend on it); the others
+run in-process.  After a deliberate change, regenerate the references with
 
     PYTHONPATH=src python tests/test_reference.py [subcommand ...]
 
@@ -31,7 +31,7 @@ from landau.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = Path(__file__).resolve().parent / "reference"
-FRESH = ("resonance", "dynamics")
+FRESH = ("resonance", "dynamics", "all")
 SUBCOMMANDS = ("bound", "fgr", "toeplitz", "gap", "mourre") + FRESH
 REL = 1e-12
 MAGNITUDE = 10.0

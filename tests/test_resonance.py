@@ -49,6 +49,27 @@ def test_small_matrix_dense_oracle():
     assert np.min(np.abs(dense_ev - w)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [601, 602])
+def test_even_sector_eigenvalue_equals_full(n):
+    # the embedded state is even, so its resonance is an eigenvalue of the
+    # even sector: half the grid finds the full operator's value
+    basis = BasisTruncation(J=5, grid=Grid1D(-18.0, 18.0, n))
+    pair = embedded_eigenpair(PROBLEM, basis, 1)
+    full = assemble(PROBLEM, basis, theta=0.3j, kappa=0.05)
+    sector = assemble(PROBLEM, basis, theta=0.3j, kappa=0.05, even_sector=True)
+    assert 2 * sector.dim in (full.dim, full.dim + basis.J)
+    w_full, v_full, res_full, _ = find_eigenvalue_near(full, pair.energy, x0=pair.vector)
+    w, v, res, _ = find_eigenvalue_near(sector, pair.energy,
+                                        x0=sector.restrict(pair.vector))
+    assert max(res, res_full) < 1e-10
+    assert abs(w - w_full) < 1e-12
+    # the residue's pairing keeps its value in sector coordinates
+    phi = pair.vector
+    alpha_full = (v_full @ phi) ** 2 / (v_full @ v_full)
+    alpha = (v @ sector.restrict(phi)) ** 2 / (v @ v)
+    assert abs(alpha - alpha_full) < 1e-10
+
+
 def test_shift_perturbation_stability():
     basis = BasisTruncation(J=4, grid=Grid1D(-14.0, 14.0, 301))
     pair = embedded_eigenpair(PROBLEM, basis, 1)
