@@ -22,7 +22,6 @@ an exception outside landau's own errors adds its traceback),
 """
 
 import argparse
-import hashlib
 import inspect
 import json
 import math
@@ -154,7 +153,20 @@ class Config:
 
     def experiment_id(self):
         canon = "\n".join(f"{k} = {v}" for k, (v, _) in sorted(self.entries.items()))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return _sha256_id(canon)
+
+
+def _sha256_id(text):
+    """The first 16 hex digits of SHA-256(text), from CPython's built-in module:
+    ``hashlib`` loads OpenSSL, 3.6 MB of every launch's resident set."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +412,11 @@ def _run_dynamics(run):
     # the golden-rule rate needs only Im F: the channel route
     imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
     # the poles on h/2 and h/4 first, one grid at a time; then the base grid's
-    # dilated coupling is held across the kappa loop: each contracted once
+    # dilated coupling (its even-sector half) and embedded state are held
+    # across the kappa loop: each computed once
     poles = refined_poles(problem, basis, q, kappas, theta)
-    shared = coupling(problem, basis, theta)  # see ``operators.coupling``
+    shared = coupling(problem, basis, theta, even_sector=True)  # see ``coupling``
+    state = None
     tables = {}
     fit_rows = []
     surrogate = []
@@ -411,7 +425,8 @@ def _run_dynamics(run):
         t0, t1 = default_fit_window(delta_window, gamma_est)
         times = default_times(t1)
         ser = autocorrelation(problem, basis, q, float(kappa), times, delta_window,
-                              theta=theta, poles=pole)
+                              theta=theta, poles=pole, state=state)
+        state = ser.state
         fit = fit_decay(ser, (t0, t1))
         surrogate.append({"kappa": kappa, "nodes": ser.surrogate_nodes,
                           "resolvent_solves": ser.resolvent_solves,

@@ -16,11 +16,12 @@ their values.  The pole w_h and its residue alpha come from inverse iteration
 on the base grid (alpha from the eigenvector); the pole used in the series is
 extrapolated over (h, h/2, h/4) by ``numutil.richardson``, and
 ``refined_poles`` finds the h/2 and h/4 poles of every kappa one grid at a
-time, from one embedded state per grid.  The pole is then multiplied out:
-f(E) = (E - w_h) G(E) is analytic around the window [E0 - delta, E0 + delta],
-so it is interpolated at N Chebyshev-Lobatto points (one banded solve each) and
-certified against direct solves at the N - 1 midpoints that complete the
-2N - 1 Lobatto grid.  The grids nest, so a rung that fails reuses all its
+time, from one embedded state per grid; a series hands its base-grid state
+(``AutocorrelationSeries.state``) to the next kappa's.  The pole is then
+multiplied out: f(E) = (E - w_h) G(E) is analytic around the window
+[E0 - delta, E0 + delta], so it is interpolated at N Chebyshev-Lobatto
+points (one banded solve each) and certified against direct solves at the
+N - 1 midpoints that complete the 2N - 1 Lobatto grid.  The grids nest, so a rung that fails reuses all its
 solves in the next, N <- 2N - 1, from N = 9 up to 65; a held-out error still
 above 1e-9 there raises AccuracyError.  The background is the divided
 difference (f(E) - f(w_h)) / (E - w_h), which removes the interpolant's own
@@ -86,6 +87,8 @@ class AutocorrelationSeries:
     resolvent_solves: int = 0
     held_out_error: float = math.nan
     surrogate_nodes: int = 0
+    # the base grid's embedded state (``_dilated_pole``), for the next kappa
+    state: tuple = None
 
 
 def dilated_bound_vector(problem, basis, theta):
@@ -194,7 +197,7 @@ def refined_poles(problem, basis, q, kappas, theta):
     b2 = basis.refined()
     per_grid = []
     for fine in (b2, b2.refined()):
-        shared = coupling(problem, fine, theta)  # see ``operators.coupling``
+        shared = coupling(problem, fine, theta, even_sector=True)  # see ``coupling``
         state, poles = None, []
         for k in kappas:
             _, state, w, _ = _dilated_pole(problem, fine, q, k, theta, state)
@@ -204,12 +207,14 @@ def refined_poles(problem, basis, q, kappas, theta):
     return list(zip(*per_grid))
 
 
-def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, poles):
+def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, poles,
+                      state):
     # the grid biases Im w by O(h^2), which would swamp widths Gamma ~ kappa^2,
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     w_2, w_4 = poles or refined_poles(problem, basis, q, [kappa], theta)[0]
-    op, (center, phi_th), w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta)
+    op, state, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta, state)
+    center, phi_th = state
     h = basis.grid.h
     w_pole = richardson(w_h, w_2, w_4)
 
@@ -245,31 +250,33 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, pole
             raise AccuracyError(
                 f"background not decayed at the time cap: |b| = {tail:.2e}"
             )
-    return values, center, solves, err, nodes
+    return values, state, solves, err, nodes
 
 
 def autocorrelation(problem, basis, q, kappa, times, delta_window, theta=0.3j,
-                    poles=None):
+                    poles=None, state=None):
     """Smoothed autocorrelation of the embedded state by the complex-scaled
     spectral density (pole + smooth background): no recurrence, valid at all
     times; requires dilatable inputs.  ``poles`` is this kappa's entry of
-    ``refined_poles``, computed here if None.
+    ``refined_poles``, computed here if None; ``state`` is the ``state`` of a
+    series on the same grid and theta, solved here if None.
     """
     times = np.asarray(times, dtype=float)
     if not times.size or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise DomainError("times must be nonempty, nonnegative and strictly increasing")
     if not delta_window > 0:
         raise DomainError("delta_window must be positive")
-    values, center, solves, err, nodes = _series_resolvent(
-        problem, basis, q, kappa, times, delta_window, theta, poles)
+    values, state, solves, err, nodes = _series_resolvent(
+        problem, basis, q, kappa, times, delta_window, theta, poles, state)
     return AutocorrelationSeries(
         times=times,
         values=values,
-        center=center,
+        center=state[0],
         delta_window=delta_window,
         resolvent_solves=solves,
         held_out_error=err,
         surrogate_nodes=nodes,
+        state=state,
     )
 
 

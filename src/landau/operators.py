@@ -30,11 +30,12 @@ Cholesky certificate per step.
 When v0, V and the grid are even in x3, so is the embedded state
 phi_q (x) psi_0, and ``assemble(..., even_sector=True)`` returns the
 compression of the operator to the even sector (``landau.sector``), a subclass
-that overrides the layouts its first link changes.
+that overrides the layouts its first link changes; it is built from the
+stencil and a coupling contracted on x3 >= 0 only.
 
 Of the parameters only kappa changes along a kappa-continuation.  The coupling
-C(theta) of a (problem, basis, theta) is shared by every live operator built
-from it, and the guard inf spec(H_par) > -2b (``checked_floor``) reads the
+C(theta) of a (problem, basis, theta), full or even-sector half, is shared by
+every live operator built from it, and the guard inf spec(H_par) > -2b (``checked_floor``) reads the
 ground state that ``schrodinger1d.solved_bound_states`` holds for the grid, so
 each step of a continuation assembles only the stencil; a v0 that fails that
 solve's grid-end tail check is refused here too.  ``fgr`` reads its rows
@@ -353,23 +354,37 @@ def checked_floor(v0, grid, b):
 
 
 # Couplings shared by the live operators (and fgr calls) of one (problem, basis,
-# theta): an entry lasts while one holds it, so a kappa-continuation computes C
-# once per grid, and gap's m blocks, each dropped after counting, keep none.
+# theta, half): an entry lasts while one holds it, so a kappa-continuation
+# computes C once per grid, and gap's m blocks, each dropped after counting,
+# keep none.
 _COUPLINGS = weakref.WeakValueDictionary()
 
 
-def coupling(problem, basis, theta):
+def _has_even_sector(problem, grid):
+    """v0, V and the grid are even in x3, so the even sector (``landau.sector``)
+    is invariant."""
+    return problem.v0.even and problem.V.even and grid.x_min == -grid.x_max
+
+
+def coupling(problem, basis, theta, even_sector=False):
     """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int),
     shared as a read-only array by the operators and by ``fgr``, and cached
     while anything holds it: a caller that holds it across a kappa loop has
-    every operator of the loop share it.  Keys compare potentials by identity,
-    as in ``schrodinger1d.solved_bound_states``.  Im theta > 0 needs V
-    dilatable with Im theta < V.theta0.  V is sampled at the nodes of
+    every operator of the loop share it.  ``even_sector=True`` asks, as in
+    ``assemble``, for the even sector's coupling: when v0, V and the grid are
+    even, only the nodes x3 >= 0 (from index n_int // 2) are contracted,
+    (J, J, n_int - n_int // 2).  The cache key is (problem, basis, theta,
+    half), half telling the two contractions apart; potentials compare by
+    identity, as in ``schrodinger1d.solved_bound_states``.  Im theta > 0 needs
+    V dilatable with Im theta < V.theta0.  V is sampled at the nodes of
     ``specfun.radial_rule`` on ``_X_BLOCK`` grid points at a time, each block
     contracted with the weights w phi_a phi_b of the pairs a <= b in one
-    matrix product set at (a, b) and (b, a), so C is exactly symmetric.
+    matrix product set at (a, b) and (b, a), so C is exactly symmetric.  A
+    half contraction takes the full one's blocks, from the one holding node
+    n_int // 2, so its entries are bitwise those of the full coupling.
     """
-    key = (problem, basis, theta)
+    half = even_sector and _has_even_sector(problem, basis.grid)
+    key = (problem, basis, theta, half)
     c = _COUPLINGS.get(key)
     if c is not None:
         return c
@@ -388,10 +403,14 @@ def coupling(problem, basis, theta):
     w_ab = rule.weights * B[rows] * B[cols]
     arg = cmath.exp(theta)
     x = (arg if theta.imag else arg.real) * basis.grid.interior
-    c = np.empty((len(qs), len(qs), len(x)), dtype=complex if theta.imag else float)
-    for lo in range(0, len(x), _X_BLOCK):
+    start = len(x) // 2 if half else 0
+    c = np.empty((len(qs), len(qs), len(x) - start),
+                 dtype=complex if theta.imag else float)
+    for lo in range(start - start % _X_BLOCK, len(x), _X_BLOCK):
         vv = problem.V.evaluate(rule.nodes[:, None], x[None, lo:lo + _X_BLOCK])
-        c[rows, cols, lo:lo + _X_BLOCK] = c[cols, rows, lo:lo + _X_BLOCK] = w_ab @ vv
+        skip = max(start - lo, 0)
+        out = slice(lo + skip - start, lo + _X_BLOCK - start)
+        c[rows, cols, out] = c[cols, rows, out] = (w_ab @ vv)[:, skip:]
     c.flags.writeable = False
     _COUPLINGS[key] = c
     return c
@@ -405,16 +424,18 @@ def assemble(problem, basis, theta=0.0, kappa=0.0, even_sector=False):
     checked by ``coupling``) and rotates the continuum strings into the lower
     half-plane.  C and the -2b guard may be shared (see the module docstring).
     ``even_sector=True`` returns the even sector (``landau.sector``) when v0
-    and V declare themselves even and the grid is symmetric about 0.
+    and V declare themselves even and the grid is symmetric about 0; it is
+    built from the stencil and the x3 >= 0 half of the coupling alone.
     """
     theta = complex(theta)
     grid = basis.grid
+    sector = even_sector and _has_even_sector(problem, grid)
     checked_floor(problem.v0, grid, problem.b)
     hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
 
     qs = basis.landau_indices(problem.m)
-    op = AssembledOperator(
+    params = dict(
         b=problem.b,
         m=problem.m,
         qs=qs,
@@ -424,13 +445,13 @@ def assemble(problem, basis, theta=0.0, kappa=0.0, even_sector=False):
         mode_shifts=2.0 * problem.b * qs,
         hpar_diag=hpar_diag,
         hpar_off=hpar_off,
-        coupling=coupling(problem, basis, theta) if kappa != 0.0 else None,
+        coupling=coupling(problem, basis, theta, sector) if kappa != 0.0 else None,
     )
-    if even_sector and problem.v0.even and problem.V.even and grid.x_min == -grid.x_max:
+    if sector:
         from .sector import EvenSectorOperator
 
-        return EvenSectorOperator(op)
-    return op
+        return EvenSectorOperator(**params)
+    return AssembledOperator(**params)
 
 
 @dataclass(frozen=True)

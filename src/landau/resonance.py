@@ -176,7 +176,7 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
         raise DomainError("kappa grid must be strictly increasing")
     # the branch's operators share one coupling C(theta), held from here on;
     # the loop keeps one operator alive at a time
-    shared = coupling(problem, basis, complex(theta))
+    shared = coupling(problem, basis, complex(theta), even_sector=True)
     pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []

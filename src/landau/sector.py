@@ -8,7 +8,9 @@ basis e_c, (e_(c+i) + e_(c-i)) / sqrt(2) about the centre node c.  Its stencil
 is the x3 >= 0 half of M's with the first link sqrt(2) hpar_off; with no
 centre node (an even interior count) the basis is (e_(c+i) + e_(c-1-i)) /
 sqrt(2), the first link stays hpar_off and the first diagonal entry gains
-hpar_off.  Its coupling is a view of M's.
+hpar_off.  Its coupling is its own x3 >= 0 contraction
+(``operators.coupling(..., even_sector=True)``), bitwise M's entries there, so
+M itself is never built.
 
 The complex-scaled solves that start from the embedded state (the resonance
 branch, the decay poles and the decay resolvent) run here, at half the band;
@@ -27,17 +29,19 @@ from .operators import AssembledOperator
 
 
 class EvenSectorOperator(AssembledOperator):
-    """S^T M S of a full-grid operator M, with its first link ``first_off``."""
+    """S^T M S, with its first link ``first_off``, from M's parameters:
+    ``hpar_diag`` is the full grid's stencil diagonal and ``coupling`` C on
+    the nodes x3 >= 0 only, (J, J, n_int - n_int // 2), or None."""
 
-    def __init__(self, full):
-        c = full.n_int // 2
-        diag, self.first_off = full.hpar_diag[c:], math.sqrt(2.0) * full.hpar_off
-        if full.n_int % 2 == 0:
-            diag, self.first_off = diag.copy(), full.hpar_off
-            diag[0] += full.hpar_off
-        super().__init__(full.b, full.m, full.qs, full.grid, full.theta, full.kappa,
-                         full.mode_shifts, diag, full.hpar_off,
-                         None if full.coupling is None else full.coupling[:, :, c:])
+    def __init__(self, b, m, qs, grid, theta, kappa, mode_shifts, hpar_diag, hpar_off,
+                 coupling):
+        n_full = len(hpar_diag)
+        diag, self.first_off = hpar_diag[n_full // 2:], math.sqrt(2.0) * hpar_off
+        if n_full % 2 == 0:
+            diag, self.first_off = diag.copy(), hpar_off
+            diag[0] += hpar_off
+        super().__init__(b, m, qs, grid, theta, kappa, mode_shifts, diag, hpar_off,
+                         coupling)
 
     @property
     def D(self):

@@ -152,16 +152,18 @@ ROOT = Path(__file__).resolve().parents[1]
 def _run_fresh(subcommand, out, threads, module):
     """``landau <subcommand>`` on its shipped config in a fresh interpreter, so
     that ``--threads`` applies before numpy loads; returns the exit code and
-    whether ``module`` was loaded."""
+    whether ``module`` was loaded.  OpenSSL (``_hashlib``) must never load:
+    the experiment ID comes from CPython's built-in SHA-256."""
     code = ("import sys\nfrom landau.cli import main\n"
             f"rc = main([{subcommand!r}, '--config', "
             f"{str(ROOT / 'configs' / f'{subcommand}.cfg')!r}, "
             f"'--out', {str(out)!r}, '--threads', {str(threads)!r}])\n"
-            f"print(rc, {module!r} in sys.modules)\n")
+            f"print(rc, {module!r} in sys.modules, '_hashlib' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    rc, loaded = done.stdout.split()
+    rc, loaded, openssl = done.stdout.split()
+    assert openssl == "False"
     return int(rc), loaded == "True"
 
 
@@ -181,11 +183,21 @@ def test_package_imports_no_scipy_special():
             "import landau.cli, landau.specfun\n"
             "for name in MODULES:\n"
             "    importlib.import_module('landau.' + name)\n"
-            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n")
+            "print('scipy.special' in sys.modules, 'scipy.linalg' in sys.modules,\n"
+            "      '_hashlib' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False", "False", "False"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text())
+def test_experiment_id_is_the_hashlib_sha256_prefix(text):
+    # the built-in SHA-256 gives hashlib's digest: the IDs are hashlib's
+    import hashlib
+
+    assert cli._sha256_id(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_gap_run_does_not_import_scipy_linalg(tmp_path):
@@ -234,6 +246,16 @@ def test_complex_scaled_output_independent_of_thread_count(subcommand, tmp_path)
     outs = [tmp_path / f"threads{n}" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
         assert _run_fresh(subcommand, out, n, "scipy.sparse")[0] == 0
+    _assert_same_bytes(outs)
+
+
+@pytest.mark.parametrize("subcommand", ["bound", "toeplitz", "mourre"])
+def test_real_output_independent_of_thread_count(subcommand, tmp_path):
+    # tridiagonal solves and eigensolves, Jost marching and small products:
+    # nothing a BLAS thread count could reorder
+    outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert _run_fresh(subcommand, out, n, "scipy.sparse") == (0, False)
     _assert_same_bytes(outs)
 
 
@@ -620,7 +642,7 @@ def test_dynamics_contracts_each_pole_grid_coupling_once(tmp_path, monkeypatch):
     # the pole grids (h, h/2, h/4) go one at a time, each holding its dilated
     # coupling across the kappas: three kappas contract each grid's once (9
     # when every kappa contracted its own), and no other dilated coupling is
-    # alive when one is stored
+    # alive when one is stored; each is the even sector's x3 >= 0 half
     stored = []
 
     class Counting(weakref.WeakValueDictionary):
@@ -632,9 +654,27 @@ def test_dynamics_contracts_each_pole_grid_coupling_once(tmp_path, monkeypatch):
     monkeypatch.setattr(operators, "_COUPLINGS", Counting())
     assert main(["dynamics", "--config", str(ROOT / "configs" / "dynamics.cfg"),
                  "--out", str(tmp_path / "dyn")]) == 0
-    dilated = [(basis.grid.n, alive) for (_, basis, theta), alive in stored
+    dilated = [(basis.grid.n, half, alive) for (_, basis, theta, half), alive in stored
                if theta.imag]
-    assert dilated == [(2401, []), (4801, []), (1201, [])]
+    assert dilated == [(2401, True, []), (4801, True, []), (1201, True, [])]
+
+
+def test_dynamics_solves_each_grid_embedded_state_once(tmp_path, monkeypatch):
+    # the base grid's embedded state is held across the kappas, as its
+    # coupling is: one dilated bound vector per grid, and the bytes of a run
+    # that solves the state afresh for every pole
+    cfg = str(ROOT / "configs" / "dynamics.cfg")
+    solved = _counting(monkeypatch, dynamics, "dilated_bound_vector")
+    assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "held")]) == 0
+    assert sorted(args[1].grid.n for args in solved) == [1201, 2401, 4801]
+
+    pole = dynamics._dilated_pole
+    monkeypatch.setattr(dynamics, "_dilated_pole",
+                        lambda *args, state=None: pole(*args[:5]))
+    solved.clear()
+    assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "fresh")]) == 0
+    assert len(solved) == 9  # three kappas on three grids
+    _assert_same_bytes([tmp_path / "held", tmp_path / "fresh"])
 
 
 def test_dynamics_uncertified_surrogate_exit_1(tmp_path, monkeypatch):

@@ -356,7 +356,7 @@ def test_cached_coupling_gives_the_bits_of_a_fresh_one():
 def test_coupling_shared_only_while_an_operator_holds_it():
     problem, basis = refcase.problem(), refcase.basis(n=201, J=3)
     op = assemble(problem, basis, theta=0.3j, kappa=0.05)
-    key = (problem, basis, 0.3j)
+    key = (problem, basis, 0.3j, False)  # the full contraction, not the sector's
     assert operators._COUPLINGS[key] is op.coupling
     del op  # gap's m blocks are dropped after counting: nothing piles up
     assert key not in operators._COUPLINGS

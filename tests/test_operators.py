@@ -28,7 +28,9 @@ from landau.potentials import (
     square_well,
     zero_potential,
 )
+from landau.resonance import find_eigenvalue_near
 from landau.schrodinger1d import Grid1D, bound_states
+from landau.sector import EvenSectorOperator
 from landau.specfun import RadialMode, radial_eigenfunction
 
 PROBLEM = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
@@ -316,6 +318,42 @@ def test_even_sector_is_the_compression_to_even_vectors(n, theta):
         1e-14 * scale * np.abs(v).max())
 
 
+@pytest.mark.parametrize("grid, J, kappa", [
+    (Grid1D(-12.0, 12.0, 121), 3, 0.3), (Grid1D(-12.0, 12.0, 122), 3, 0.3),
+    (Grid1D(-18.0, 18.0, 601), 5, 0.05), (Grid1D(-18.0, 18.0, 602), 5, 0.05),
+])
+@pytest.mark.parametrize("theta", [0.0, 0.3j])
+def test_even_sector_owns_its_half_coupling_with_the_bits_of_a_view(grid, J, kappa,
+                                                                    theta):
+    # the sector contracts C on x3 >= 0 only, into memory of its own, and
+    # computes bit for bit what a sector built on a view of the full C does
+    basis = BasisTruncation(J=J, grid=grid)
+    full = assemble(PROBLEM, basis, theta=theta, kappa=kappa)
+    sector = assemble(PROBLEM, basis, theta=theta, kappa=kappa, even_sector=True)
+    view = EvenSectorOperator(full.b, full.m, full.qs, full.grid, full.theta, full.kappa,
+                              full.mode_shifts, full.hpar_diag, full.hpar_off,
+                              full.coupling[:, :, full.n_int // 2:])
+    assert sector.coupling.shape == (J, J, sector.n_int)
+    assert sector.coupling.flags.owndata
+    assert not np.shares_memory(sector.coupling, full.coupling)
+    if sector.dim < 1000:
+        assert sector.dense().tobytes() == view.dense().tobytes()
+    rng = np.random.default_rng(grid.n)
+    rhs = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+    assert sector.matvec(rhs).tobytes() == view.matvec(rhs).tobytes()
+    shift = 2.0 + 0.5j
+    assert (sector.factorized(shift).solve(rhs).tobytes()
+            == view.factorized(shift).solve(rhs).tobytes())
+    if theta:
+        pair = embedded_eigenpair(PROBLEM, basis, 1)
+        x0 = sector.restrict(pair.vector)
+        w, v, res, its = find_eigenvalue_near(sector, pair.energy, x0=x0)
+        w_view, v_view, res_view, its_view = find_eigenvalue_near(view, pair.energy,
+                                                                  x0=x0)
+        assert (w, res, its) == (w_view, res_view, its_view)
+        assert v.tobytes() == v_view.tobytes()
+
+
 def _undeclared(v0):
     return Potential1D(evaluate=v0.evaluate, derivatives=v0.derivatives, theta0=v0.theta0)
 
@@ -329,6 +367,7 @@ def test_even_sector_needs_a_declared_symmetry(problem, grid):
     basis = BasisTruncation(J=3, grid=grid)
     op = assemble(problem, basis, theta=0.3j, kappa=0.05, even_sector=True)
     assert op.dim == basis.J * (grid.n - 2)
+    assert op.coupling is coupling(problem, basis, 0.3j)  # one full C, one key
     v = np.arange(op.dim, dtype=float)
     assert op.restrict(v) is v
 
