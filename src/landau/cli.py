@@ -18,7 +18,7 @@ v0 and V are families of ``landau.potentials``; ``problem.v0.<param>`` and
 Exit codes: 0 success, 1 accuracy/solver failure or any other exception in a
 runner (both write `<subcommand>_diagnostics.txt` naming the exception type;
 an exception outside landau's own errors adds its traceback),
-2 usage/config error.
+2 usage/config error or an output that cannot be written.
 """
 
 import argparse
@@ -203,16 +203,19 @@ def _build_potential(cfg, part):
         raise ConfigError(f"{family}: {exc}", line=line)
 
 
-def _common_keys():
+def _common_keys(cfg):
     """Keys every runner may ignore without tripping the unknown-key check: the
-    shared problem and numerics keys, and every family's keys."""
+    shared problem and numerics keys, and the keys of each part's selected
+    family (a parameter of another family stays unknown)."""
     keys = ["problem.b", "problem.m", "problem.q", "numerics.x_min",
             "numerics.x_max", "numerics.n", "numerics.J"]
     for part, registry in _registries().items():
-        keys.append(f"problem.{part}.family")
-        keys += [f"problem.{part}.{name}"
-                 for build in registry.values()
-                 for name in inspect.signature(build).parameters]
+        family = f"problem.{part}.family"
+        keys.append(family)
+        build = registry.get(cfg.entries.get(family, (None,))[0])
+        if build is not None:
+            keys += [f"problem.{part}.{name}"
+                     for name in inspect.signature(build).parameters]
     return keys
 
 
@@ -634,7 +637,7 @@ def main(argv=None):
         cfg = Config.load(args.config)
         if not cfg.prefix_keys("task."):
             raise ConfigError(f"empty task block for subcommand {args.subcommand!r}")
-        for key in _common_keys():
+        for key in _common_keys(cfg):
             if cfg.has(key):
                 cfg.raw(key)
         tables, diagnostics = _RUNNERS[args.subcommand](_Run(cfg))
@@ -668,10 +671,12 @@ def main(argv=None):
         "config_echo": cfg.echo(),
         "diagnostics": diagnostics,
     }
-    if args.format == "csv":
-        written = _write_csv_tables(args.out, args.subcommand, tables, record)
-    else:
-        written = _write_json(args.out, args.subcommand, tables, record)
+    write = _write_csv_tables if args.format == "csv" else _write_json
+    try:
+        written = write(args.out, args.subcommand, tables, record)
+    except OSError as exc:
+        print(f"landau: cannot write output: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - started
     print(f"landau: {args.subcommand} wrote {len(written)} file(s) "
           f"in {elapsed:.2f}s", file=sys.stderr)

@@ -41,7 +41,7 @@ from .numutil import dot, norm, richardson
 from .operators import assemble, coupling, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
-from .schrodinger1d import ground_state, hamiltonian_tridiagonal, tridiagonal_band
+from .schrodinger1d import ground_state, hamiltonian_tridiagonal
 
 _BG_TIME_CAP = 6000.0  # beyond this the smooth-background Fourier tail is < 1e-12
 # f(E) = (E - w_h) G(E) is analytic around the window: for the reference
@@ -106,9 +106,8 @@ def dilated_bound_vector(problem, basis, theta):
     h = grid.h
     u = st.psi[1:-1].astype(complex)
     w = complex(st.lam)
-    ab = tridiagonal_band(d, e, w)
     for _ in range(50):
-        y = solve_banded((1, 1), ab, u)
+        y = solve_banded(d - w, e, u)
         u = y / norm(y)
         mu = d * u
         mu[:-1] += e * u[1:]
@@ -118,7 +117,6 @@ def dilated_bound_vector(problem, basis, theta):
             w = w_new
             break
         w = w_new
-        ab[1] = d - w
     u = u / np.sqrt(h * dot(u, u))
     if (h * np.sum(u * st.psi[1:-1])).real < 0:
         u = -u
@@ -288,7 +286,6 @@ class DecayFit:
     gamma: float
     omega: float
     background_norm: float
-    window: tuple
 
 
 def default_fit_window(delta_window, gamma_est):
@@ -357,5 +354,4 @@ def fit_decay(series, window):
         gamma=float(gamma),
         omega=float(omega),
         background_norm=float(np.max(np.abs(resid))),
-        window=(float(t0), float(t1)),
     )

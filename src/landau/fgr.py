@@ -38,7 +38,7 @@ from .lapack import solve_banded
 from .numutil import richardson
 from .operators import checked_floor, coupling
 from .schrodinger1d import (ground_state, hamiltonian_tridiagonal, outgoing_solve,
-                            scattering_states, tridiagonal_band)
+                            scattering_states)
 from .specfun import RadialMode, m_minus, radial_overlap, radial_rule
 from .toeplitz_ssf import longitudinal_average, rule_samples
 
@@ -193,14 +193,13 @@ def _reduced_solve(v0, st, rhs):
     d, e = hamiltonian_tridiagonal(v0, st.grid)
     psi = st.psi[1:-1]
     k = int(np.argmax(np.abs(psi)))
-    ab = tridiagonal_band(d, e, st.lam)
     # u_k = 0: row and column k become those of the identity
-    ab[0, k:k + 2] = 0.0
-    ab[2, max(k - 1, 0):k + 1] = 0.0
-    ab[1, k] = 1.0
+    d -= st.lam
+    d[k] = 1.0
+    e[max(k - 1, 0):k + 1] = 0.0
     r = rhs.copy()
     r[k] = 0.0
-    u = solve_banded((1, 1), ab, r)
+    u = solve_banded(d, e, r)
     return u - psi * (st.grid.h * float(np.dot(psi, u)))
 
 
@@ -271,7 +270,6 @@ class OverlapPolynomialResult:
     pairs: list  # (alpha, quadrature value, polynomial value)
     polynomial: np.polynomial.Polynomial  # in gamma = 1/(1 + alpha)
     degree_bound: int
-    node_gammas: np.ndarray
 
 
 def _candidate_overlap(b, q, m, poly, alpha, rule):
@@ -279,21 +277,24 @@ def _candidate_overlap(b, q, m, poly, alpha, rule):
     return radial_overlap(RadialMode(b, q - 1, m), RadialMode(b, q, m), wa, rule)
 
 
-def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, gamma_range=(0.12, 0.88)):
-    """Overlap of phi_{q-1,m} phi_{q,m} against P(b rho^2/2) e^(-alpha b rho^2/2).
+def overlap_polynomial_check(q, m, poly_coeffs, alphas):
+    """Overlap of phi_{q-1,m} phi_{q,m} against P(b rho^2/2) e^(-alpha b rho^2/2)
+    at b = 1.
 
     The overlap is a polynomial of degree at most 2q + m + 1 + deg P in
     gamma = 1/(1+alpha); it is reconstructed by interpolation on Chebyshev
-    gamma nodes and evaluated against direct quadrature at the requested alphas.
+    gamma nodes in [0.12, 0.88] and evaluated against direct quadrature at the
+    requested alphas.
     """
     if q < m_minus(m) + 1:
         raise DomainError("need q >= m_- + 1 so that both modes exist")
+    b = 1.0
     poly = np.polynomial.Polynomial(np.asarray(poly_coeffs, dtype=float))
     rule = radial_rule(b, q + poly.degree(), m)
     deg_bound = 2 * q + m + 1 + poly.degree()
     n_nodes = deg_bound + 1
     kk = np.arange(n_nodes)
-    glo, ghi = gamma_range
+    glo, ghi = 0.12, 0.88
     gammas = 0.5 * (glo + ghi) + 0.5 * (ghi - glo) * np.cos(
         math.pi * (2 * kk + 1) / (2 * n_nodes)
     )
@@ -318,5 +319,4 @@ def overlap_polynomial_check(q, m, poly_coeffs, alphas, b=1.0, gamma_range=(0.12
         pairs=pairs,
         polynomial=fitted,
         degree_bound=deg_bound,
-        node_gammas=gammas,
     )

@@ -6,10 +6,11 @@ The module is loaded from its file, so no scipy package ``__init__`` runs:
 run.  Each function below makes the LAPACK calls, with the arguments, that the
 ``scipy.linalg`` function of the same name makes for the call form the package
 uses, so its results are bitwise those of scipy; it keeps scipy's checks of
-finite input and of LAPACK's ``info``.  The package needs four call forms:
-the tridiagonal solve ``solve_banded``, the eigenpairs of a tridiagonal in a
-value window ``eigh_tridiagonal``, the eigenvalues of a symmetric band in a
-value window ``eig_banded``, and the banded LU ``zgbtrf``/``zgbtrs``.
+finite input and of LAPACK's ``info``.  Each takes only what that call form
+reads: the symmetric tridiagonal solve ``solve_banded(d, e, b)``, the
+eigenpairs of a tridiagonal in a value window ``eigh_tridiagonal(d, e, vl,
+vu)``, the eigenvalues of a symmetric lower band in a value window
+``eig_banded(ab, vl, vu)``, and the banded LU ``zgbtrf``/``zgbtrs``.
 """
 
 import importlib.util
@@ -58,32 +59,24 @@ def _check_info(info, routine):
         raise LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
-def _only(condition, form):
-    if not condition:
-        raise NotImplementedError(f"landau.lapack supports only {form}")
-
-
-def solve_banded(l_and_u, ab, b):
-    """x with A x = b for the tridiagonal A in ``ab`` (rows: super-, main and
-    sub-diagonal); ``scipy.linalg.solve_banded((1, 1), ab, b)`` by ?gtsv."""
-    _only(tuple(l_and_u) == (1, 1), "solve_banded((1, 1), ab, b)")
-    a1 = np.asarray_chkfinite(ab)
-    b1 = np.asarray_chkfinite(b)
-    gtsv = _flapack.zgtsv if np.iscomplexobj(a1) or np.iscomplexobj(b1) else _flapack.dgtsv
-    _, _, _, x, info = gtsv(a1[2, :-1], a1[1, :], a1[0, 1:], b1)
+def solve_banded(d, e, b):
+    """x with A x = b for the symmetric tridiagonal A = (d, e) by ?gtsv:
+    ``scipy.linalg.solve_banded(l_and_u, ab, b)`` with one sub- and one
+    superdiagonal, the rows of ``ab`` being e shifted right, d and e."""
+    d, e, b = (np.asarray_chkfinite(a) for a in (d, e, b))
+    gtsv = _flapack.zgtsv if any(map(np.iscomplexobj, (d, e, b))) else _flapack.dgtsv
+    _, _, _, x, info = gtsv(e, d, e, b)
     if info > 0:
         raise LinAlgError("singular matrix")
     _check_info(info, "gtsv")
     return x
 
 
-def eigh_tridiagonal(d, e, select, select_range):
-    """(w, v): the eigenpairs in (vl, vu] = ``select_range`` of the symmetric
-    tridiagonal (d, e), ascending; ``scipy.linalg.eigh_tridiagonal(d, e,
-    select="v", select_range=(vl, vu))`` by dstebz and dstein."""
-    _only(select == "v", 'eigh_tridiagonal(d, e, select="v", select_range=...)')
+def eigh_tridiagonal(d, e, vl, vu):
+    """(w, v): the eigenpairs in (vl, vu] of the symmetric tridiagonal (d, e),
+    ascending; ``scipy.linalg.eigh_tridiagonal(d, e)`` with ``select="v"`` and
+    the window (vl, vu), by dstebz and dstein."""
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    vl, vu = np.asarray(select_range)
     # range 1 selects by value (il, iu unused), tol 0, as scipy calls it
     m, w, iblock, isplit, info = _flapack.dstebz(d, e, 1, vl, vu, 1, 1, 0.0, "B")
     _check_info(info, "stebz")
@@ -94,15 +87,12 @@ def eigh_tridiagonal(d, e, select, select_range):
     return w[order], v[:, order]
 
 
-def eig_banded(a_band, lower=False, eigvals_only=False, select="a", select_range=None):
-    """The eigenvalues in (vl, vu] = ``select_range`` of the symmetric band
-    ``a_band`` in lower storage; ``scipy.linalg.eig_banded(a_band, lower=True,
-    eigvals_only=True, select="v", select_range=(vl, vu))`` by dsbevx."""
-    _only(lower and eigvals_only and select == "v",
-          'eig_banded(ab, lower=True, eigvals_only=True, select="v", select_range=...)')
-    a1 = np.asarray_chkfinite(a_band)
-    vl, vu = np.asarray(select_range)
-    w, _, m, _, info = _flapack.dsbevx(a1, vl, vu, 1, 1, compute_v=0, mmax=1, range=1,
+def eig_banded(ab, vl, vu):
+    """The eigenvalues in (vl, vu] of the symmetric band ``ab`` in lower
+    storage; ``scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)``
+    with ``select="v"`` and the window (vl, vu), by dsbevx."""
+    w, _, m, _, info = _flapack.dsbevx(np.asarray_chkfinite(ab), vl, vu, 1, 1,
+                                       compute_v=0, mmax=1, range=1,
                                        lower=1, overwrite_ab=0, abstol=_ABSTOL)
     _check_info(info, "sbevx")
     return w[:m]

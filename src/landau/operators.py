@@ -54,7 +54,7 @@ from . import lapack as _lapack
 from .errors import DegenerateInputError, DomainError, SolverError
 from .lapack import eigh_tridiagonal
 from .potentials import PerturbationProfile, Potential1D
-from .schrodinger1d import (BoundState, Grid1D, ground_state, hamiltonian_tridiagonal,
+from .schrodinger1d import (Grid1D, ground_state, hamiltonian_tridiagonal,
                             solved_bound_states)
 from .specfun import RadialMode, m_minus, radial_eigenfunction, radial_rule
 
@@ -136,28 +136,24 @@ class _BandSolver:
 
 
 class AssembledOperator:
-    """The truncated operator by its defining parameters; see the module docstring.
+    """The truncated operator as its five parameters; see the module docstring.
 
-    Stored: the longitudinal stencil ``hpar_diag`` (n_int,) and ``hpar_off``
-    (a scalar), ``mode_shifts`` 2 b q_a (J,), ``kappa`` and the shared
-    read-only ``coupling`` C (J, J, n_int), or None when kappa = 0.  Derived:
-    the diagonal blocks ``D`` (n_int, J, J), the dense matrix, the banded LU.
-    Vectors are flat in mode-major order: index = a * n_interior + i.
+    ``kappa``; ``mode_shifts`` 2 b q_a (J,); the longitudinal stencil
+    ``hpar_diag`` (n_int,) and ``hpar_off`` (a scalar); and the shared
+    read-only ``coupling`` C (J, J, n_int), or None when kappa = 0.  Nothing
+    else is stored: J and n_int are the lengths of the shifts and of the
+    diagonal.  Derived: the diagonal blocks ``D`` (n_int, J, J), the dense
+    matrix, the banded LU.  Vectors are flat in mode-major order:
+    index = a * n_int + i.
     """
 
-    def __init__(self, b, m, qs, grid, theta, kappa, mode_shifts, hpar_diag, hpar_off,
-                 coupling):
-        self.b = b
-        self.m = m
-        self.qs = np.asarray(qs)
-        self.grid = grid
-        self.theta = theta
+    def __init__(self, kappa, mode_shifts, hpar_diag, hpar_off, coupling):
         self.kappa = kappa
         self.mode_shifts = np.asarray(mode_shifts, dtype=float)
         self.hpar_diag = np.asarray(hpar_diag)
         self.hpar_off = hpar_off
         self.coupling = coupling  # (J, J, n_int) or None
-        self.J = len(self.qs)
+        self.J = len(self.mode_shifts)
         self.n_int = len(self.hpar_diag)
 
     @property
@@ -259,7 +255,7 @@ class AssembledOperator:
         ab[2 * J] -= shift
         return ab
 
-    def factorized(self, shift=0.0):
+    def factorized(self, shift):
         """Banded LU of (M - shift); returns a solver with .solve(rhs) (mode-major).
 
         The band is built for this shift and factorized in place, so the
@@ -434,24 +430,13 @@ def assemble(problem, basis, theta=0.0, kappa=0.0, even_sector=False):
     hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal
 
-    qs = basis.landau_indices(problem.m)
-    params = dict(
-        b=problem.b,
-        m=problem.m,
-        qs=qs,
-        grid=grid,
-        theta=theta,
-        kappa=kappa,
-        mode_shifts=2.0 * problem.b * qs,
-        hpar_diag=hpar_diag,
-        hpar_off=hpar_off,
-        coupling=coupling(problem, basis, theta, sector) if kappa != 0.0 else None,
-    )
+    params = (kappa, 2.0 * problem.b * basis.landau_indices(problem.m), hpar_diag,
+              hpar_off, coupling(problem, basis, theta, sector) if kappa != 0.0 else None)
     if sector:
         from .sector import EvenSectorOperator
 
-        return EvenSectorOperator(**params)
-    return AssembledOperator(**params)
+        return EvenSectorOperator(*params)
+    return AssembledOperator(*params)
 
 
 @dataclass(frozen=True)
@@ -464,9 +449,7 @@ class EmbeddedEigenpair:
 
     energy: float
     coefficients: np.ndarray  # (J, n_int), mode-major rows
-    q: int
     lam: float
-    bound_state: BoundState
 
     @property
     def vector(self):
@@ -486,9 +469,7 @@ def embedded_eigenpair(problem, basis, q):
     return EmbeddedEigenpair(
         energy=2.0 * problem.b * q + st.lam,
         coefficients=coeff,
-        q=q,
         lam=st.lam,
-        bound_state=st,
     )
 
 
@@ -531,18 +512,7 @@ def commutator_ad(problem, basis, k=1):
     so the result is the same in every radial block (no 2bq shifts).
     """
     diag, off = _commutator_tridiagonal(problem.v0, basis.grid, k)
-    return AssembledOperator(
-        b=problem.b,
-        m=problem.m,
-        qs=basis.landau_indices(problem.m),
-        grid=basis.grid,
-        theta=0.0,
-        kappa=0.0,
-        mode_shifts=np.zeros(basis.J),
-        hpar_diag=diag,
-        hpar_off=off,
-        coupling=None,
-    )
+    return AssembledOperator(0.0, np.zeros(basis.J), diag, off, None)
 
 
 def free_kinetic_eigenvalues(grid):
@@ -591,7 +561,7 @@ def mourre_quantity(problem, basis, q, delta, check_tails=True):
         wlo, whi = lo - 2 * b * qa, hi - 2 * b * qa
         if whi <= d.min() - 2 * abs(e[0] if len(e) else 0) - 1:
             continue
-        vals, vecs = eigh_tridiagonal(d, e, select="v", select_range=(wlo, whi))
+        vals, vecs = eigh_tridiagonal(d, e, wlo, whi)
         if vals.size == 0:
             continue
         wu = wd[:, None] * vecs

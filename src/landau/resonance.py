@@ -53,7 +53,7 @@ class AsymptoticFit:
     degree: int
 
 
-def find_eigenvalue_near(op, shift, x0=None):
+def find_eigenvalue_near(op, shift, x0):
     """Eigenvalue of the assembled operator nearest the shift.
 
     Shifted inverse iteration with Rayleigh-quotient refinement; the Rayleigh
@@ -61,14 +61,11 @@ def find_eigenvalue_near(op, shift, x0=None):
     matrices produced by dilation.  Returns (w, eigenvector, residual, iterations);
     the residual is ||(M - w) u||_2 with ||u||_2 = 1.  The iteration stops at
     residual ``_TOL`` (or the roundoff floor) or after ``_MAXITER`` steps.
-    At most one LU of ``op`` is alive at a time.  ``x0`` and the eigenvector
-    are in the operator's coordinates (``op.restrict``); every long reduction
+    At most one LU of ``op`` is alive at a time.  The start vector ``x0`` and
+    the eigenvector are in the operator's coordinates (``op.restrict``); every long reduction
     is ``numutil``'s, so the bits do not depend on the BLAS thread count.
     """
-    if x0 is None:
-        x = np.ones(op.dim, dtype=complex)
-    else:
-        x = np.asarray(x0, dtype=complex).copy()
+    x = np.asarray(x0, dtype=complex).copy()
     nx = norm(x)
     if nx == 0:
         raise DomainError("zero start vector")

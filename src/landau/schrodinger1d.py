@@ -10,7 +10,8 @@ values (ends carry zeros for Dirichlet eigenvectors).
 H_par(theta) = -e^(-2 theta) d^2/dx^2 + v0(e^theta x): every tridiagonal,
 banded and block-tridiagonal matrix of H_par (theta = 0 or Im theta > 0) is
 built from its (d, e), and it alone checks theta against v0's analyticity
-sector.  ``tridiagonal_band`` lays (d, e) out for ``solve_banded((1, 1), ...)``.
+sector.  The tridiagonal solves and eigensolves take (d, e) as it is
+(``lapack.solve_banded(d, e, b)``, ``lapack.eigh_tridiagonal(d, e, vl, vu)``).
 
 Jost solutions march the smooth envelope by RK4.  The envelope equation is
 linear, so the march is a product of 2 x 2 step propagators, formed and
@@ -33,7 +34,6 @@ __all__ = [
     "BoundState",
     "ScatteringSolution",
     "hamiltonian_tridiagonal",
-    "tridiagonal_band",
     "bound_states",
     "solved_bound_states",
     "ground_state",
@@ -106,7 +106,6 @@ class ScatteringSolution:
     so discrete Wronskians need no finite differencing.
     """
 
-    k: float
     y1: np.ndarray
     y2: np.ndarray
     dy1: np.ndarray
@@ -156,16 +155,6 @@ def hamiltonian_tridiagonal(v0, grid, theta=0.0):
     return d, e
 
 
-def tridiagonal_band(d, e, shift):
-    """The tridiagonal (d - shift, e) as the (3, n) band of
-    ``solve_banded((1, 1), ...)``; complex when any input is."""
-    ab = np.zeros((3, len(d)), dtype=np.result_type(d, e, shift))
-    ab[0, 1:] = e
-    ab[1] = d - shift
-    ab[2, :-1] = e
-    return ab
-
-
 def _check_tails(v0, grid, exc=DomainError):
     vals = np.abs(np.asarray(v0.evaluate(grid.points), dtype=float))
     vmax = vals.max()
@@ -190,7 +179,7 @@ def bound_states(v0, grid, check_tails=True):
     d, e = hamiltonian_tridiagonal(v0, grid)
     vmin = float(np.min(np.asarray(v0.evaluate(grid.interior), dtype=float)))
     lo = min(0.0, vmin) - 1.0
-    w, v = eigh_tridiagonal(d, e, select="v", select_range=(lo, -1e-12))
+    w, v = eigh_tridiagonal(d, e, lo, -1e-12)
     out = []
     h = grid.h
     for i in range(len(w)):
@@ -330,7 +319,7 @@ def jost_solutions(v0, k, grid):
         raise AccuracyError(f"degenerate Jost matching at k={k}")
     T = 1.0 / trans
     R = refl * T
-    sol = ScatteringSolution(k=k, y1=y1, y2=y2, dy1=dy1, dy2=dy2, T=T, R=R, grid=grid)
+    sol = ScatteringSolution(y1=y1, y2=y2, dy1=dy1, dy2=dy2, T=T, R=R, grid=grid)
     if sol.flux_defect > 1e-4:
         raise AccuracyError(
             f"flux conservation violated at k={k}: |T|^2+|R|^2 - 1 = {sol.flux_defect:.2e}"
@@ -377,8 +366,8 @@ def outgoing_solve(v0, grid, energy, rhs):
     d, e = hamiltonian_tridiagonal(v0, grid)
     h = grid.h
     v_ends = np.asarray(v0.evaluate(np.array([grid.x_min, grid.x_max])), dtype=float)
-    ab = tridiagonal_band(d, e, complex(energy))  # complex: the ends take zeta
-    ab[1, 0] -= outgoing_root(energy - v_ends[0], h) / h**2
-    ab[1, -1] -= outgoing_root(energy - v_ends[1], h) / h**2
-    return solve_banded((1, 1), ab, rhs)
+    shifted = d - complex(energy)  # complex: the ends take zeta
+    shifted[0] -= outgoing_root(energy - v_ends[0], h) / h**2
+    shifted[-1] -= outgoing_root(energy - v_ends[1], h) / h**2
+    return solve_banded(shifted, e, rhs)
 

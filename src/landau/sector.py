@@ -30,18 +30,17 @@ from .operators import AssembledOperator
 
 class EvenSectorOperator(AssembledOperator):
     """S^T M S, with its first link ``first_off``, from M's parameters:
-    ``hpar_diag`` is the full grid's stencil diagonal and ``coupling`` C on
-    the nodes x3 >= 0 only, (J, J, n_int - n_int // 2), or None."""
+    ``hpar_diag`` is the full grid's stencil diagonal, of length ``n_full``,
+    and ``coupling`` C on the nodes x3 >= 0 only, (J, J, n_full - n_full // 2),
+    or None."""
 
-    def __init__(self, b, m, qs, grid, theta, kappa, mode_shifts, hpar_diag, hpar_off,
-                 coupling):
-        n_full = len(hpar_diag)
+    def __init__(self, kappa, mode_shifts, hpar_diag, hpar_off, coupling):
+        n_full = self.n_full = len(hpar_diag)
         diag, self.first_off = hpar_diag[n_full // 2:], math.sqrt(2.0) * hpar_off
         if n_full % 2 == 0:
             diag, self.first_off = diag.copy(), hpar_off
             diag[0] += hpar_off
-        super().__init__(b, m, qs, grid, theta, kappa, mode_shifts, diag, hpar_off,
-                         coupling)
+        super().__init__(kappa, mode_shifts, diag, hpar_off, coupling)
 
     @property
     def D(self):
@@ -64,7 +63,7 @@ class EvenSectorOperator(AssembledOperator):
     def restrict(self, vec):
         """Sector coordinates S^T v of a full-grid mode-major vector: v at the
         centre node, if any, then (v(x) + v(-x)) / sqrt(2) for x > 0."""
-        n = self.grid.n - 2
+        n = self.n_full
         v = np.asarray(vec).reshape(self.J, n)
         out = v[:, n - self.n_int:].copy()
         paired = out[:, self.n_int - n // 2:]

@@ -286,8 +286,7 @@ def _count_below_eig_banded(blocks, hpar_off, norm, sigmas):
     """Fallback for a flagged inertia count: the eigenvalues in (lower bound,
     max sigma] from one ``eig_banded`` call, counted up to each sigma."""
     lo = min(-norm, float(np.min(sigmas))) - 1.0
-    ev = eig_banded(symmetric_band_lower(blocks, hpar_off), lower=True,
-                    eigvals_only=True, select="v", select_range=(lo, float(np.max(sigmas))))
+    ev = eig_banded(symmetric_band_lower(blocks, hpar_off), lo, float(np.max(sigmas)))
     return np.searchsorted(ev, sigmas, side="right")
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -465,6 +466,19 @@ def test_computation_failure_exit_1(tmp_path, monkeypatch, out):
     assert diag.read_text() == "AccuracyError: forced failure\n"
 
 
+@pytest.mark.parametrize("fmt, out", [("csv", "taken"), ("json", "taken/mourre.json")])
+def test_unwritable_out_exit_2(tmp_path, capsys, fmt, out):
+    # an existing file where the csv folder goes, or the json file's folder
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    cfg = _write(tmp_path, MOURRE_CFG)
+    assert main(["mourre", "--config", cfg, "--out", str(tmp_path / out),
+                 "--format", fmt]) == 2
+    assert "landau: cannot write output: " in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "taken"]
+
+
 def test_unexpected_runner_exception_exit_1(tmp_path, monkeypatch, capsys):
     # an exception outside landau's own hierarchy is a computation failure too
     def fail(run):
@@ -818,6 +832,24 @@ def test_family_rejects_non_finite(tmp_path, capsys):
     assert "config error: line 2: gaussian_product: amplitude must be finite" in err
 
 
+@pytest.mark.parametrize("part, param", [("V", "alpha"),  # power_radial's
+                                         ("v0", "half_width")])  # square_well's
+def test_parameter_of_another_family_is_an_unknown_key(tmp_path, capsys, part, param):
+    text = BOUND_CFG + f"problem.V.family = gaussian_product\nproblem.{part}.{param} = 3\n"
+    cfg = _write(tmp_path, text)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    line = len(text.splitlines())
+    assert (f"config error: line {line}: unknown key 'problem.{part}.{param}'"
+            in capsys.readouterr().err)
+
+
+def test_unread_parameter_of_the_selected_family_is_accepted(tmp_path):
+    # bound never builds V, yet a parameter of V's selected family is no error
+    cfg = _write(tmp_path, BOUND_CFG + "problem.V.family = gaussian_product\n"
+                 "problem.V.amplitude = 3\n")
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+
+
 def _same_potential(part, a, b):
     rho = np.array([0.0, 0.3, 1.1, 2.5])
     x = np.array([-3.0, -0.6, 0.0, 0.8, 4.0])
@@ -946,3 +978,34 @@ def test_junk_in_small_config_exits_0_1_or_2(subcommand, pick, junk, unknown_key
     # the same junk on the subcommands whose shipped grids take seconds a run,
     # on grids small enough for a run to take a fraction of a second
     _check_exit_contract(subcommand, _small_lines(subcommand), pick, junk, unknown_key)
+
+
+def _readme_task_keys():
+    """The README's task-key table: subcommand -> its keys, ``all`` the union
+    of the subcommands its row names."""
+    rows = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 4 and cells[1].strip("`") in cli._RUNNERS:
+            rows[cells[1].strip("`")] = cells[2]
+    union = re.fullmatch(r"union of ([\w/]+) keys.*", rows["all"]).group(1).split("/")
+    keys = {name: set(re.findall(r"`(\w+)`", text)) for name, text in rows.items()}
+    keys["all"] = set().union(*(keys[name] for name in union))
+    return keys
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._RUNNERS))
+def test_readme_task_keys_are_the_keys_each_runner_asks_for(subcommand, tmp_path,
+                                                           monkeypatch):
+    asked = set()
+    raw = Config.raw
+
+    def recording(self, key, *args, **kwargs):
+        if key.startswith("task."):
+            asked.add(key.removeprefix("task."))
+        return raw(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(Config, "raw", recording)
+    cfg = _write(tmp_path, "\n".join(_small_lines(subcommand)) + "\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert asked == _readme_task_keys()[subcommand]

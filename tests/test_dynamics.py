@@ -267,14 +267,27 @@ def _dense_phase_sum(fw, energies, times):
     return np.exp(-1j * np.outer(times, energies)) @ fw
 
 
-# Both sums round each phase t E to half an ulp, which stays below 4.6e-13 while
-# t E < 2^13: windows around E0 = 1 (the reference problem) of half-width up to
-# 0.25, at times up to the cap.  Weights in the subnormal range round to whole
-# multiples of the smallest subnormal, an absolute error that the relative
-# bound cannot see (it underflows to 0 for fw = [0, 5e-324]); the floor allows
-# one such unit per weight.
+# The bound: with u = 2^-53 and E_max = energies[-1], per unit weight at time
+# t the two sums differ by at most the sum of
+# - u t E_max, the dense phase fl(t E_k);
+# - u t (2 delta + E_max), E_k itself: Horner's rule sums the exact
+#   e0 + k d_e, while linspace rounds k d_e and then k d_e + e0, and sets the
+#   last node to the stop, within u 4 delta of e0 + (n - 1) d_e;
+# - u t E_max, Horner's prefactor phase fl(t e0);
+# - u t 2 delta, Horner's phase fl(t d_e), which z^k takes k <= n - 1 times;
+# - 7 u (n + 1), the rest: each exp (2u; z's error again k times), Horner's
+#   complex products (sqrt(5) u each) and sums (u each), and the dense
+#   product's sum of n terms (n u).
+# The first four grow with t.  In the pinned example (t E = 5209) the sums
+# differ by 1.1e-12, above the 1e-12 that the first and third alone stay under.
+# Weights in the subnormal range round to whole multiples of the smallest
+# subnormal, an absolute error that the relative bound cannot see (it
+# underflows to 0 for fw = [0, 5e-324]); the floor allows one such unit per
+# weight.
 @settings(max_examples=60, deadline=None)
 @example(fw=[0.0, 5e-324], center=1.0, delta=0.25, times=[1.0])
+@example(fw=[0.0, 0.0, 1.0, 0.0], center=0.96875, delta=0.125,
+         times=[5155.207612444366])
 @given(fw=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=1401),
        center=st.floats(0.5, 1.0), delta=st.floats(0.01, 0.25),
        times=st.lists(st.floats(0.0, dynamics._BG_TIME_CAP), min_size=1,
@@ -286,8 +299,10 @@ def test_horner_background_matches_dense_phase_sum(fw, center, delta, times):
                                 retstep=True)
     horner = dynamics._horner_phase_sum(fw, energies[0], d_e, times)
     dense = _dense_phase_sum(fw, energies, times)
+    u = 2.0**-53
+    per_weight = u * (times * (3.0 * energies[-1] + 4.0 * delta) + 7.0 * (len(fw) + 1))
     floor = len(fw) * np.finfo(float).smallest_subnormal
-    assert np.max(np.abs(horner - dense)) <= 1e-12 * np.sum(np.abs(fw)) + floor
+    assert np.all(np.abs(horner - dense) <= per_weight * np.sum(np.abs(fw)) + floor)
 
 
 def test_fit_decay_zero_coupling():

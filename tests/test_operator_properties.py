@@ -43,8 +43,8 @@ def _real_operator(draw, J, n, uncoupled=False):
     coupling = rng.standard_normal((J, J, n - 2))
     coupling = 0.5 * (coupling + coupling.transpose(1, 0, 2))
     return AssembledOperator(
-        b=1.0, m=m, qs=qs, grid=grid, theta=0.0, kappa=kappa,
-        mode_shifts=2.0 * qs, hpar_diag=2.0 / h**2 + rng.uniform(-2.0, 0.0, n - 2),
+        kappa=kappa, mode_shifts=2.0 * qs,
+        hpar_diag=2.0 / h**2 + rng.uniform(-2.0, 0.0, n - 2),
         hpar_off=-1.0 / h**2, coupling=coupling,
     )
 
@@ -81,10 +81,8 @@ def test_count_below_equals_dense_count(op, fracs, picks, side):
 
 
 def test_count_below_guard_on_singular_schur_block():
-    grid = Grid1D(-1.0, 1.0, 12)
     diag = np.linspace(1.0, 2.0, 10)
-    op = AssembledOperator(b=1.0, m=0, qs=[0], grid=grid, theta=0.0, kappa=0.0,
-                           mode_shifts=[0.0], hpar_diag=diag, hpar_off=-0.1,
+    op = AssembledOperator(kappa=0.0, mode_shifts=[0.0], hpar_diag=diag, hpar_off=-0.1,
                            coupling=None)
     _, singular, _ = operators.inertia_counts(op.D[None], op.hpar_off, [diag[0]],
                                               [op.norm_estimate()])
@@ -346,8 +344,8 @@ def test_cached_coupling_gives_the_bits_of_a_fresh_one():
         operators._COUPLINGS.clear()
         fresh = operators.coupling(problem, basis, complex(theta))
         assert fresh is not op.coupling
-        built = AssembledOperator(op.b, op.m, op.qs, op.grid, op.theta, op.kappa,
-                                  op.mode_shifts, op.hpar_diag, op.hpar_off, fresh)
+        built = AssembledOperator(op.kappa, op.mode_shifts, op.hpar_diag, op.hpar_off,
+                                  fresh)
         assert built.D.tobytes() == op.D.tobytes()
         assert built.matvec(rhs).tobytes() == op.matvec(rhs).tobytes()
         assert built.norm_estimate() == op.norm_estimate()

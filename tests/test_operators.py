@@ -330,8 +330,7 @@ def test_even_sector_owns_its_half_coupling_with_the_bits_of_a_view(grid, J, kap
     basis = BasisTruncation(J=J, grid=grid)
     full = assemble(PROBLEM, basis, theta=theta, kappa=kappa)
     sector = assemble(PROBLEM, basis, theta=theta, kappa=kappa, even_sector=True)
-    view = EvenSectorOperator(full.b, full.m, full.qs, full.grid, full.theta, full.kappa,
-                              full.mode_shifts, full.hpar_diag, full.hpar_off,
+    view = EvenSectorOperator(full.kappa, full.mode_shifts, full.hpar_diag, full.hpar_off,
                               full.coupling[:, :, full.n_int // 2:])
     assert sector.coupling.shape == (J, J, sector.n_int)
     assert sector.coupling.flags.owndata
