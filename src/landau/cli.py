@@ -395,7 +395,6 @@ def _run_dynamics(run):
     from .dynamics import (autocorrelation, default_fit_window, default_times, fit_decay,
                            refined_poles)
     from .fgr import channel_amplitudes, im_from_amplitudes
-    from .operators import coupling
 
     cfg = run.cfg
     # one route; the key stays because shipped and benchmark configs set it
@@ -415,10 +414,9 @@ def _run_dynamics(run):
     # the golden-rule rate needs only Im F: the channel route
     imf = im_from_amplitudes(channel_amplitudes(problem, basis, q))
     # the poles on h/2 and h/4 first, one grid at a time; then the base grid's
-    # dilated coupling (its even-sector half) and embedded state are held
-    # across the kappa loop: each computed once
+    # operator and embedded state pass from each series to the next kappa's:
+    # each computed once
     poles = refined_poles(problem, basis, q, kappas, theta)
-    shared = coupling(problem, basis, theta, even_sector=True)  # see ``coupling``
     state = None
     tables = {}
     fit_rows = []

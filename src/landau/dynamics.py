@@ -16,8 +16,8 @@ their values.  The pole w_h and its residue alpha come from inverse iteration
 on the base grid (alpha from the eigenvector); the pole used in the series is
 extrapolated over (h, h/2, h/4) by ``numutil.richardson``, and
 ``refined_poles`` finds the h/2 and h/4 poles of every kappa one grid at a
-time, from one embedded state per grid; a series hands its base-grid state
-(``AutocorrelationSeries.state``) to the next kappa's.  The pole is then
+time, from one operator and embedded state per grid; a series hands its
+base-grid state (``AutocorrelationSeries.state``) to the next kappa's.  The pole is then
 multiplied out: f(E) = (E - w_h) G(E) is analytic around the window
 [E0 - delta, E0 + delta], so it is interpolated at N Chebyshev-Lobatto
 points (one banded solve each) and certified against direct solves at the
@@ -38,7 +38,7 @@ from numpy.polynomial import chebyshev
 from .errors import AccuracyError, DomainError
 from .lapack import solve_banded
 from .numutil import dot, norm, richardson
-from .operators import assemble, coupling, embedded_eigenpair
+from .operators import assemble, embedded_eigenpair
 from .potentials import smoothstep
 from .resonance import find_eigenvalue_near
 from .schrodinger1d import ground_state, hamiltonian_tridiagonal
@@ -87,7 +87,7 @@ class AutocorrelationSeries:
     resolvent_solves: int = 0
     held_out_error: float = math.nan
     surrogate_nodes: int = 0
-    # the base grid's embedded state (``_dilated_pole``), for the next kappa
+    # the base grid's operator and embedded state, for the next kappa
     state: tuple = None
 
 
@@ -126,22 +126,24 @@ def dilated_bound_vector(problem, basis, theta):
 def _dilated_pole(problem, basis, q, kappa, theta, state=None):
     """Resonance pole and residue of the dilated resolvent on one grid.
 
-    Returns (op, state, w, alpha): the operator on the even sector, the
-    embedded state (2bq + lambda, phi_theta) in its coordinates, the pole and
-    alpha = h (v^T phi_theta)^2 / (v^T v).  A grid's ``state`` does not depend
-    on kappa, so a caller passes back the one an earlier call returned.
+    Returns (state, w, alpha): state = (op, 2bq + lambda, phi_theta), the
+    operator on the even sector and the embedded state in its coordinates; the
+    pole; alpha = h (v^T phi_theta)^2 / (v^T v).  A caller passes back the
+    state an earlier call returned: its op is stepped to kappa by ``with_kappa``.
     """
-    op = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=True)
     if state is None:
+        op = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=True)
         pair = embedded_eigenpair(problem, basis, q)
         _, u_th = dilated_bound_vector(problem, basis, theta)
         phi_th = np.zeros((basis.J, basis.grid.n - 2), dtype=complex)
         phi_th[basis.mode_index(problem.m, q)] = u_th
-        state = (pair.energy, op.restrict(phi_th.reshape(-1)))
-    energy, phi_th = state
+        energy, phi_th = pair.energy, op.restrict(phi_th.reshape(-1))
+    else:
+        op, energy, phi_th = state
+        op = op.with_kappa(kappa)
     w, v, _, _ = find_eigenvalue_near(op, energy, x0=phi_th)
     alpha = basis.grid.h * dot(v, phi_th) ** 2 / dot(v, v)
-    return op, state, w, alpha
+    return (op, energy, phi_th), w, alpha
 
 
 def _pole_free_surrogate(op, phi, h, w_h, center, delta):
@@ -190,18 +192,16 @@ def _horner_phase_sum(fw, e0, d_e, times):
 
 def refined_poles(problem, basis, q, kappas, theta):
     """The poles (w_2, w_4) of each kappa on the grids h/2 and h/4, one grid at
-    a time, each holding its dilated coupling and embedded state across the
-    kappas: one such coupling is alive at a time, and each is contracted once."""
+    a time, each grid's operator and embedded state carried across the kappas:
+    one dilated coupling is alive at a time, and each is contracted once."""
     b2 = basis.refined()
     per_grid = []
     for fine in (b2, b2.refined()):
-        shared = coupling(problem, fine, theta, even_sector=True)  # see ``coupling``
-        state, poles = None, []
+        state, poles = None, []  # releases the previous grid's operator
         for k in kappas:
-            _, state, w, _ = _dilated_pole(problem, fine, q, k, theta, state)
+            state, w, _ = _dilated_pole(problem, fine, q, k, theta, state)
             poles.append(w)
         per_grid.append(poles)
-        del shared
     return list(zip(*per_grid))
 
 
@@ -211,8 +211,8 @@ def _series_resolvent(problem, basis, q, kappa, times, delta_window, theta, pole
     # and any frequency bias grows linearly in t; extrapolate the pole over
     # (h, h/2, h/4) and keep the background from the base grid
     w_2, w_4 = poles or refined_poles(problem, basis, q, [kappa], theta)[0]
-    op, state, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta, state)
-    center, phi_th = state
+    state, w_h, alpha = _dilated_pole(problem, basis, q, kappa, theta, state)
+    op, center, phi_th = state
     h = basis.grid.h
     w_pole = richardson(w_h, w_2, w_4)
 
@@ -269,7 +269,7 @@ def autocorrelation(problem, basis, q, kappa, times, delta_window, theta=0.3j,
     return AutocorrelationSeries(
         times=times,
         values=values,
-        center=state[0],
+        center=state[1],
         delta_window=delta_window,
         resolvent_solves=solves,
         held_out_error=err,

@@ -20,10 +20,12 @@ their agreement is the module's self-check and is reported, never silently
 resolved.
 
 The rows C_{a q}(x) of both routes are those of the operators' coupling at
-theta = 0 (``operators.coupling``), contracted once per grid.  The first-order
-shift is ``specfun.radial_overlap`` of phi_q, phi_q and the longitudinal
-average U_h(rho) = h sum_x V(rho, x) psi(x)^2 (``toeplitz_ssf``), which equals
-h sum_x C_qq(x) psi(x)^2 and needs no truncation.  Every radial integral here
+theta = 0 (``operators.coupling``), contracted once per grid: ``fgr_value``
+hands each grid's rows to both routes before it contracts the next grid's.
+The first-order shift is ``specfun.radial_overlap`` of phi_q, phi_q and the
+longitudinal average U_h(rho) = h sum_x V(rho, x) psi(x)^2
+(``toeplitz_ssf``), which equals h sum_x C_qq(x) psi(x)^2 and needs no
+truncation.  Every radial integral here
 is on ``specfun.radial_rule``, one rule for every low q and J, so U_h is
 sampled once per grid for every first-order shift.
 """
@@ -58,7 +60,7 @@ _ROUTE_TOLERANCE = 1e-3  # relative Im F disagreement that flags a result
 
 def _coupling_rows(problem, basis, q):
     """Rows C_{a q}(x), (J, n_int), of the theta = 0 coupling on the grid of
-    ``basis``; the view keeps the shared coupling alive."""
+    ``basis``."""
     return coupling(problem, basis, 0j)[:, basis.mode_index(problem.m, q)]
 
 
@@ -99,27 +101,24 @@ def first_order_shift(problem, basis, q, refine=1):
     return float(richardson(*(_first_order_on_grid(problem, b, q) for b in bases)))
 
 
-def _channel_pairs_on_grid(problem, basis, q, js):
-    """{j: (a_1, a_2)} with a_l = int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda)
-    V(rho, x) dx rho drho on the grid of ``basis``, one Jost solve per j."""
+def _channel_pairs_on_grid(problem, basis, q, js, rows):
+    """{(l, j): a_l} with a_l = int phi_j phi_q psi(x) Psi_l(x; 2b(q-j)+lambda)
+    V(rho, x) dx rho drho on the grid of ``basis``, whose coupling rows C_{a q}
+    are ``rows``; one Jost solve per j serves both l."""
     st = ground_state(problem.v0, basis.grid)
-    rows = _coupling_rows(problem, basis, q)
-    pairs = {}
+    amps = {}
     for j in js:
         energy = 2.0 * problem.b * (q - j) + st.lam
         weight = rows[basis.mode_index(problem.m, j)] * st.psi[1:-1]
-        pairs[j] = [basis.grid.h * complex(np.sum(weight * psi_l[1:-1]))
-                    for psi_l in scattering_states(problem.v0, energy, basis.grid)]
-    return pairs
+        for l, psi_l in zip((1, 2), scattering_states(problem.v0, energy, basis.grid)):
+            amps[(l, j)] = basis.grid.h * complex(np.sum(weight * psi_l[1:-1]))
+    return amps
 
 
-def _channel_pairs(problem, basis, q, js, refine):
-    """{j: [a_1, a_2]} over (h, h/2)[:1 + refine], Richardson-combined; with
-    no open channel nothing is contracted."""
-    grids = [_channel_pairs_on_grid(problem, b, q, js) if js else {}
-             for b in _checked_bases(problem, basis, refine)]
-    return {j: [complex(richardson(*a)) for a in zip(*(pairs[j] for pairs in grids))]
-            for j in js}
+def _richardson_amplitudes(grids):
+    """The per-grid amplitudes of (h, h/2)[:len(grids)], Richardson-combined."""
+    return {key: complex(richardson(*(amps[key] for amps in grids)))
+            for key in grids[0]}
 
 
 def fgr_channel(problem, basis, q, j, l, refine=1):
@@ -128,16 +127,19 @@ def fgr_channel(problem, basis, q, j, l, refine=1):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    return _channel_pairs(problem, basis, q, [j], refine)[j][l - 1]
+    return channel_amplitudes(problem, basis, q, refine)[(l, j)]
 
 
 def channel_amplitudes(problem, basis, q, refine=1):
-    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2;
-    one Jost solve per channel and grid serves both l."""
+    """Every open-channel amplitude {(l, j): a} for m_- <= j < q and l = 1, 2
+    over (h, h/2)[:1 + refine], Richardson-combined; with no open channel
+    nothing is contracted."""
     if q < m_minus(problem.m):
         raise DomainError(f"q={q} below m_- for m={problem.m}")
-    pairs = _channel_pairs(problem, basis, q, range(m_minus(problem.m), q), refine)
-    return {(l, j): a for j, pair in pairs.items() for l, a in zip((1, 2), pair)}
+    js = range(m_minus(problem.m), q)
+    return _richardson_amplitudes([
+        _channel_pairs_on_grid(problem, b, q, js, _coupling_rows(problem, b, q))
+        if js else {} for b in _checked_bases(problem, basis, refine)])
 
 
 def im_from_amplitudes(amps):
@@ -170,14 +172,14 @@ class FgrResult:
         return im_from_amplitudes(self.channel_amplitudes)
 
 
-def _mode_rows(problem, basis, q, st):
+def _mode_rows(problem, basis, q, st, rows):
     """Landau indices, w = V Phi as mode rows C_{a q}(x) psi(x), and (I - P) w,
-    on the grid of ``basis`` (that of ``st``)."""
+    on the grid of ``basis`` (that of ``st``) from its coupling ``rows``."""
     grid = st.grid
     a_idx = basis.mode_index(problem.m, q)
     qs = basis.landau_indices(problem.m)
     psi = st.psi[1:-1]
-    w = _coupling_rows(problem, basis, q) * psi
+    w = rows * psi
     # (I - P) w: remove the embedded eigenvector component exactly
     w_proj = w.copy()
     w_proj[a_idx] -= psi * (grid.h * float(np.dot(w[a_idx], psi)))
@@ -203,13 +205,14 @@ def _reduced_solve(v0, st, rhs):
     return u - psi * (st.grid.h * float(np.dot(psi, u)))
 
 
-def _resolvent_route(problem, basis, q, st):
+def _resolvent_route(problem, basis, q, st, rows):
     """F(E0 + i0) at E0 = 2bq + lambda_h on the grid of ``basis`` and ``st``,
-    and the number of open channels.  H^(m) is block-diagonal over the radial
-    modes, so this is one tridiagonal solve per mode: the reduced resolvent for
-    mode q, the outgoing resolvent at the channel energy E0 - 2b q_a for every other."""
+    from its coupling ``rows``, and the number of open channels.  H^(m) is
+    block-diagonal over the radial modes, so this is one tridiagonal solve per
+    mode: the reduced resolvent for mode q, the outgoing resolvent at the
+    channel energy E0 - 2b q_a for every other."""
     e0 = 2.0 * problem.b * q + st.lam
-    qs, w, w_proj = _mode_rows(problem, basis, q, st)
+    qs, w, w_proj = _mode_rows(problem, basis, q, st, rows)
     total = 0.0 + 0.0j
     n_open = 0
     for a, qa in enumerate(qs):
@@ -232,16 +235,20 @@ def fgr_value(problem, basis, q, refine=1):
     a relative Im F disagreement above ``_ROUTE_TOLERANCE`` flags the result.
     """
     bases = _checked_bases(problem, basis, refine)
-    # each grid's coupling is held for the call, so the channel amplitudes and
-    # the resolvent route read their rows from one contraction per grid
-    held = [coupling(problem, b, 0j) for b in bases]
     first = first_order_shift(problem, basis, q, refine=refine)
 
-    amps = channel_amplitudes(problem, basis, q, refine=refine)
-    im_channels = im_from_amplitudes(amps)
-
+    # one grid at a time: its coupling rows serve its channel amplitudes and
+    # its resolvent route, and are dropped before the next grid's contraction
+    js = range(m_minus(problem.m), q)
     states = [ground_state(problem.v0, b.grid) for b in bases]
-    routes = [_resolvent_route(problem, b, q, st) for b, st in zip(bases, states)]
+    grids, routes = [], []
+    for b, st in zip(bases, states):
+        rows = _coupling_rows(problem, b, q)
+        grids.append(_channel_pairs_on_grid(problem, b, q, js, rows))
+        routes.append(_resolvent_route(problem, b, q, st, rows))
+        del rows
+    amps = _richardson_amplitudes(grids)
+    im_channels = im_from_amplitudes(amps)
     f_val = complex(richardson(*(f for f, _ in routes)))
     lam = richardson(*(st.lam for st in states))
     counters = {"grid_n": [st.grid.n for st in states],

@@ -14,8 +14,8 @@ H_par(theta) is the tridiagonal of ``schrodinger1d.hamiltonian_tridiagonal``,
 which also checks theta against v0.  The matrix is complex symmetric (exactly,
 by construction) for Im theta > 0 and real symmetric for theta = 0.  An operator
 stores only the parameters that define it: the stencil of H_par (its diagonal
-and its scalar off-diagonal), the shifts 2 b q_a, kappa and the shared
-read-only coupling C.  In grid-major order it is block tridiagonal, with J x J
+and its scalar off-diagonal), the shifts 2 b q_a, kappa and the read-only
+coupling C.  In grid-major order it is block tridiagonal, with J x J
 diagonal blocks D_i = diag(H_par,ii + 2 b q_a) + kappa C(x_i) and off-diagonal
 blocks H_par,i,i+1 times I.  Every storage layout is derived from the
 parameters with the float operations of that formula, so every layout holds
@@ -33,19 +33,19 @@ compression of the operator to the even sector (``landau.sector``), a subclass
 that overrides the layouts its first link changes; it is built from the
 stencil and a coupling contracted on x3 >= 0 only.
 
-Of the parameters only kappa changes along a kappa-continuation.  The coupling
-C(theta) of a (problem, basis, theta), full or even-sector half, is shared by
-every live operator built from it, and the guard inf spec(H_par) > -2b (``checked_floor``) reads the
-ground state that ``schrodinger1d.solved_bound_states`` holds for the grid, so
-each step of a continuation assembles only the stencil; a v0 that fails that
+Of the parameters only kappa changes along a kappa-continuation, so a
+continuation assembles once and steps with ``with_kappa``: each operator owns
+its coupling C(theta), and its copies at other kappas share it.  The guard
+inf spec(H_par) > -2b (``checked_floor``) reads the ground state that
+``schrodinger1d.solved_bound_states`` holds for the grid; a v0 that fails that
 solve's grid-end tail check is refused here too.  ``fgr`` reads its rows
 C_aq(x3) from the theta = 0 coupling and applies the same guard.  The radial
 integrals of C are on ``specfun.radial_rule``, split at ``V.breaks``.
 """
 
 import cmath
+import copy
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +139,8 @@ class AssembledOperator:
     """The truncated operator as its five parameters; see the module docstring.
 
     ``kappa``; ``mode_shifts`` 2 b q_a (J,); the longitudinal stencil
-    ``hpar_diag`` (n_int,) and ``hpar_off`` (a scalar); and the shared
-    read-only ``coupling`` C (J, J, n_int), or None when kappa = 0.  Nothing
+    ``hpar_diag`` (n_int,) and ``hpar_off`` (a scalar); and the read-only
+    ``coupling`` C (J, J, n_int), or None when assembled at kappa = 0.  Nothing
     else is stored: J and n_int are the lengths of the shifts and of the
     diagonal.  Derived: the diagonal blocks ``D`` (n_int, J, J), the dense
     matrix, the banded LU.  Vectors are flat in mode-major order:
@@ -155,6 +155,15 @@ class AssembledOperator:
         self.coupling = coupling  # (J, J, n_int) or None
         self.J = len(self.mode_shifts)
         self.n_int = len(self.hpar_diag)
+
+    def with_kappa(self, kappa):
+        """This operator at another kappa: a shallow copy sharing the stencil
+        and the coupling, bitwise a fresh ``assemble`` at that kappa."""
+        if kappa != 0 and self.coupling is None:
+            raise DomainError("an operator assembled at kappa = 0 has no coupling")
+        op = copy.copy(self)
+        op.kappa = kappa
+        return op
 
     @property
     def _coupled(self):
@@ -349,41 +358,18 @@ def checked_floor(v0, grid, b):
         )
 
 
-# Couplings shared by the live operators (and fgr calls) of one (problem, basis,
-# theta, half): an entry lasts while one holds it, so a kappa-continuation
-# computes C once per grid, and gap's m blocks, each dropped after counting,
-# keep none.
-_COUPLINGS = weakref.WeakValueDictionary()
-
-
-def _has_even_sector(problem, grid):
-    """v0, V and the grid are even in x3, so the even sector (``landau.sector``)
-    is invariant."""
-    return problem.v0.even and problem.V.even and grid.x_min == -grid.x_max
-
-
-def coupling(problem, basis, theta, even_sector=False):
-    """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int),
-    shared as a read-only array by the operators and by ``fgr``, and cached
-    while anything holds it: a caller that holds it across a kappa loop has
-    every operator of the loop share it.  ``even_sector=True`` asks, as in
-    ``assemble``, for the even sector's coupling: when v0, V and the grid are
-    even, only the nodes x3 >= 0 (from index n_int // 2) are contracted,
-    (J, J, n_int - n_int // 2).  The cache key is (problem, basis, theta,
-    half), half telling the two contractions apart; potentials compare by
-    identity, as in ``schrodinger1d.solved_bound_states``.  Im theta > 0 needs
-    V dilatable with Im theta < V.theta0.  V is sampled at the nodes of
-    ``specfun.radial_rule`` on ``_X_BLOCK`` grid points at a time, each block
-    contracted with the weights w phi_a phi_b of the pairs a <= b in one
-    matrix product set at (a, b) and (b, a), so C is exactly symmetric.  A
-    half contraction takes the full one's blocks, from the one holding node
-    n_int // 2, so its entries are bitwise those of the full coupling.
+def coupling(problem, basis, theta, half=False):
+    """The coupling C_ab(theta)(x3) on the interior points, (J, J, n_int), as
+    a fresh read-only array.  ``half=True`` contracts only the nodes x3 >= 0
+    (from index n_int // 2), (J, J, n_int - n_int // 2): the even sector's
+    coupling, whose entries are bitwise those of the full one, as a half
+    contraction takes the full one's blocks from the one holding node
+    n_int // 2.  Im theta > 0 needs V dilatable with Im theta < V.theta0.  V
+    is sampled at the nodes of ``specfun.radial_rule`` on ``_X_BLOCK`` grid
+    points at a time, each block contracted with the weights w phi_a phi_b of
+    the pairs a <= b in one matrix product set at (a, b) and (b, a), so C is
+    exactly symmetric.
     """
-    half = even_sector and _has_even_sector(problem, basis.grid)
-    key = (problem, basis, theta, half)
-    c = _COUPLINGS.get(key)
-    if c is not None:
-        return c
     if theta.imag > 0:
         if not problem.V.dilatable:
             raise DomainError("V is not dilatable; cannot take Im theta > 0")
@@ -408,7 +394,6 @@ def coupling(problem, basis, theta, even_sector=False):
         out = slice(lo + skip - start, lo + _X_BLOCK - start)
         c[rows, cols, out] = c[cols, rows, out] = (w_ab @ vv)[:, skip:]
     c.flags.writeable = False
-    _COUPLINGS[key] = c
     return c
 
 
@@ -418,14 +403,16 @@ def assemble(problem, basis, theta=0.0, kappa=0.0, even_sector=False):
     theta real is an exact change of variables (spectrum-preserving up to
     discretization); Im theta > 0 requires dilatable v0 (and V when kappa != 0,
     checked by ``coupling``) and rotates the continuum strings into the lower
-    half-plane.  C and the -2b guard may be shared (see the module docstring).
-    ``even_sector=True`` returns the even sector (``landau.sector``) when v0
-    and V declare themselves even and the grid is symmetric about 0; it is
-    built from the stencil and the x3 >= 0 half of the coupling alone.
+    half-plane.  The -2b guard's ground state is shared (see the module
+    docstring).  ``even_sector=True`` returns the even sector
+    (``landau.sector``) when v0 and V declare themselves even and the grid is
+    symmetric about 0; it is built from the stencil and the x3 >= 0 half of
+    the coupling alone.
     """
     theta = complex(theta)
     grid = basis.grid
-    sector = even_sector and _has_even_sector(problem, grid)
+    sector = (even_sector and problem.v0.even and problem.V.even
+              and grid.x_min == -grid.x_max)
     checked_floor(problem.v0, grid, problem.b)
     hpar_diag, e = hamiltonian_tridiagonal(problem.v0, grid, theta)
     hpar_off = e[0].item() if e.size else 0.0  # n = 3: no off-diagonal

@@ -7,8 +7,9 @@ The perturbed eigenvalue is isolated, so w(kappa) is analytic near 0 and the
 fit is a polynomial whose degree is the lowest that reproduces the branch to
 its own inverse-iteration residual: the fit has no tuning parameter.  The same
 analyticity lets the continuation predict each step's shift from the branch
-so far, so most steps converge on one factorization; the kappa-independent
-coupling is assembled once per grid (``operators.assemble``).  The embedded
+so far, so most steps converge on one factorization; the branch's operator is
+assembled once per grid and each step is its copy at that step's kappa
+(``AssembledOperator.with_kappa``), which shares its coupling.  The embedded
 state is even in x3, so the branch is tracked on the even sector, at half the
 band."""
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ContinuationError, DomainError, SolverError
 from .numutil import dot, norm, richardson
-from .operators import assemble, coupling, embedded_eigenpair
+from .operators import assemble, embedded_eigenpair
 
 _EPS = np.finfo(float).eps
 _TOL = 1e-10
@@ -171,21 +172,17 @@ def continue_in_kappa(problem, basis, theta, q, kappa_grid):
         raise DomainError("kappa grid must start at 0")
     if np.any(np.diff(kappa_grid) <= 0):
         raise DomainError("kappa grid must be strictly increasing")
-    # the branch's operators share one coupling C(theta), held from here on;
-    # the loop keeps one operator alive at a time
-    shared = coupling(problem, basis, complex(theta), even_sector=True)
+    # assembled at the last kappa, so that it holds the coupling C(theta)
+    branch = assemble(problem, basis, theta=theta, kappa=float(kappa_grid[-1]),
+                      even_sector=True)
     pair = embedded_eigenpair(problem, basis, q)
     radius = isolation_radius(problem, basis, theta, q, pair.lam)
     results = []
-    x0 = None
+    x0 = branch.restrict(pair.vector).astype(complex)
     w_prev = complex(pair.energy)
-    op = None
     for kappa in kappa_grid:
         kappa = float(kappa)
-        op = None  # free this step's operator before the next one is built
-        op = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=True)
-        if x0 is None:
-            x0 = op.restrict(pair.vector).astype(complex)
+        op = branch.with_kappa(kappa)
         if not results:
             shift = w_prev
         elif len(results) == 1:

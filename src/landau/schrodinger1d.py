@@ -112,7 +112,6 @@ class ScatteringSolution:
     dy2: np.ndarray
     T: complex
     R: complex
-    grid: Grid1D
 
     @property
     def transition(self):
@@ -319,7 +318,7 @@ def jost_solutions(v0, k, grid):
         raise AccuracyError(f"degenerate Jost matching at k={k}")
     T = 1.0 / trans
     R = refl * T
-    sol = ScatteringSolution(y1=y1, y2=y2, dy1=dy1, dy2=dy2, T=T, R=R, grid=grid)
+    sol = ScatteringSolution(y1=y1, y2=y2, dy1=dy1, dy2=dy2, T=T, R=R)
     if sol.flux_defect > 1e-4:
         raise AccuracyError(
             f"flux conservation violated at k={k}: |T|^2+|R|^2 - 1 = {sol.flux_defect:.2e}"

@@ -9,7 +9,7 @@ is the x3 >= 0 half of M's with the first link sqrt(2) hpar_off; with no
 centre node (an even interior count) the basis is (e_(c+i) + e_(c-1-i)) /
 sqrt(2), the first link stays hpar_off and the first diagonal entry gains
 hpar_off.  Its coupling is its own x3 >= 0 contraction
-(``operators.coupling(..., even_sector=True)``), bitwise M's entries there, so
+(``operators.coupling(..., half=True)``), bitwise M's entries there, so
 M itself is never built.
 
 The complex-scaled solves that start from the embedded state (the resonance

@@ -652,31 +652,41 @@ def test_each_grid_bound_state_solved_once(tmp_path, monkeypatch, subcommand, te
     assert sorted(args[1].n for args in calls) == [600 * 2**k + 1 for k in range(grids)]
 
 
-def test_dynamics_contracts_each_pole_grid_coupling_once(tmp_path, monkeypatch):
-    # the pole grids (h, h/2, h/4) go one at a time, each holding its dilated
-    # coupling across the kappas: three kappas contract each grid's once (9
-    # when every kappa contracted its own), and no other dilated coupling is
-    # alive when one is stored; each is the even sector's x3 >= 0 half
-    stored = []
+@pytest.mark.parametrize("subcommand, contracted", [
+    ("fgr", 2), ("resonance", 4), ("dynamics", 5), ("all", 4), ("gap", 7),
+])
+def test_each_coupling_contracted_once_by_its_owner(tmp_path, monkeypatch, subcommand,
+                                                     contracted):
+    # operators own their coupling and a kappa-continuation steps one operator
+    # with ``with_kappa``: each (m, grid, theta, half) is contracted once (the
+    # dynamics poles were 9 when every kappa contracted its own), every dilated
+    # one is the even sector's x3 >= 0 half, and no other dilated coupling is
+    # alive when one is contracted (the grids go one at a time)
+    calls, dilated = [], []
+    real = operators.coupling
 
-    class Counting(weakref.WeakValueDictionary):
-        def __setitem__(self, key, value):
-            alive = [k for k in list(self.keys()) if k[2].imag]
-            stored.append((key, alive))
-            super().__setitem__(key, value)
+    def counted(problem, basis, theta, half=False):
+        if theta.imag:
+            assert [ref for ref in dilated if ref() is not None] == []
+        c = real(problem, basis, theta, half)
+        calls.append((problem.m, basis.grid.n, theta, half))
+        if theta.imag:
+            dilated.append(weakref.ref(c))
+        return c
 
-    monkeypatch.setattr(operators, "_COUPLINGS", Counting())
-    assert main(["dynamics", "--config", str(ROOT / "configs" / "dynamics.cfg"),
-                 "--out", str(tmp_path / "dyn")]) == 0
-    dilated = [(basis.grid.n, half, alive) for (_, basis, theta, half), alive in stored
-               if theta.imag]
-    assert dilated == [(2401, True, []), (4801, True, []), (1201, True, [])]
+    monkeypatch.setattr(operators, "coupling", counted)
+    monkeypatch.setattr(fgr, "coupling", counted)
+    assert main([subcommand, "--config", str(ROOT / "configs" / f"{subcommand}.cfg"),
+                 "--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == len(set(calls)) == contracted
+    assert all(half for _, _, theta, half in calls if theta.imag)
+    assert len(dilated) == {"resonance": 2, "dynamics": 3, "all": 2}.get(subcommand, 0)
 
 
 def test_dynamics_solves_each_grid_embedded_state_once(tmp_path, monkeypatch):
-    # the base grid's embedded state is held across the kappas, as its
-    # coupling is: one dilated bound vector per grid, and the bytes of a run
-    # that solves the state afresh for every pole
+    # each grid's operator and embedded state are carried across the kappas:
+    # one dilated bound vector per grid, and the bytes of a run that solves
+    # the state afresh for every pole
     cfg = str(ROOT / "configs" / "dynamics.cfg")
     solved = _counting(monkeypatch, dynamics, "dilated_bound_vector")
     assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "held")]) == 0

@@ -202,7 +202,7 @@ def test_series_stability_under_refinement():
 @pytest.mark.parametrize("kappa", [0.02, 0.08])
 def test_surrogate_matches_direct_solves(kappa):
     # oracle: the direct scan the surrogate replaced, one banded solve per energy
-    op, (center, phi), w_h, alpha = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
+    (op, center, phi), w_h, alpha = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
     h, delta = SMALL.grid.h, 0.25
     coef, err, solves, nodes = dynamics._pole_free_surrogate(op, phi, h, w_h, center,
                                                              delta)
@@ -231,7 +231,7 @@ def test_surrogate_ladder_climbs_without_repeating_a_solve(monkeypatch):
     # ladder steps to 9 nodes and reuses the first rung's 9 solves there
     monkeypatch.setattr(dynamics, "_SURROGATE_START", 5)
     kappa = 0.08
-    op, (center, phi), w_h, _ = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
+    (op, center, phi), w_h, _ = dynamics._dilated_pole(PROBLEM, SMALL, 1, kappa, 0.3j)
     h, delta = SMALL.grid.h, 0.25
     shifts = []
     factorized = op.factorized

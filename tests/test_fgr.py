@@ -11,6 +11,7 @@ from scipy.linalg import solve_banded
 import refcase
 from landau.errors import DomainError
 from landau.fgr import (
+    _coupling_rows,
     _mode_rows,
     _reduced_solve,
     _resolvent_route,
@@ -393,7 +394,8 @@ def test_closed_box_route_matches_long_grid_oracle(m, q):
     pad = 66367
     long_grid = Grid1D(basis.grid.x_min - pad * h, basis.grid.x_max + pad * h,
                        basis.grid.n + 2 * pad)
-    got, n_open = _resolvent_route(prob, basis, q, bound_states(prob.v0, basis.grid)[0])
+    got, n_open = _resolvent_route(prob, basis, q, bound_states(prob.v0, basis.grid)[0],
+                                   _coupling_rows(prob, basis, q))
     want = _full_grid_route(prob, basis, q, long_grid, ORACLE_DELTAS)
     assert n_open == q - m_minus(m)
     assert abs(got - want) <= 1e-5 * abs(want)
@@ -438,7 +440,7 @@ def test_mode_rows_match_whole_grid_oracle(v_name, m, q_offset):
     a = BASIS.mode_index(m, q)
     want_proj = want.copy()
     want_proj[a] -= psi * (BASIS.grid.h * float(np.dot(want[a], psi)))
-    got_qs, w, w_proj = _mode_rows(prob, BASIS, q, bound)
+    got_qs, w, w_proj = _mode_rows(prob, BASIS, q, bound, _coupling_rows(prob, BASIS, q))
     assert np.array_equal(got_qs, qs)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(w - want)) <= 1e-15 * scale

@@ -9,17 +9,20 @@ operators and against itself, and the pole search and assembly against memory
 bounds of one live band and no block array.  The assembled diagonal blocks are
 exactly complex symmetric and carry the shared longitudinal stencil bit for
 bit.  On the even sector, an even right-hand side solves as on the full grid.
+An operator stepped to another kappa by ``with_kappa`` computes bit for bit
+what a fresh assembly at that kappa does.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import refcase
 from landau import operators, toeplitz_ssf
-from landau.errors import SolverError
+from landau.errors import DomainError, SolverError
 from landau.operators import (AssembledOperator, BasisTruncation, LandauProblem, assemble,
                               embedded_eigenpair)
 from landau.potentials import gaussian_product, sech2
@@ -288,21 +291,28 @@ def test_pole_search_keeps_one_band_alive():
 
 
 def test_assembled_operator_holds_no_block_array():
-    # with the dilated coupling held, assembly adds only the stencil: storing
-    # D, or forming kappa C whole, would each take one block array
+    # assembly allocates its coupling and less than one more block array:
+    # storing D, or forming kappa C whole, would each take one more; a copy at
+    # another kappa allocates no array
     problem, basis = refcase.problem(), refcase.basis(n=1201, J=7)
-    held = operators.coupling(problem, basis, 0.3j)
-    assemble(problem, basis, theta=0.3j, kappa=0.05)  # solves the -2b guard's states
+    assemble(problem, basis, theta=0.3j)  # solves the -2b guard's states
     block_bytes = (basis.grid.n - 2) * basis.J**2 * 16
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         op = assemble(problem, basis, theta=0.3j, kappa=0.05)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        other = op.with_kappa(0.07)
+        copy_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert op.coupling is held
-    assert peak - start < block_bytes
+    assert op.coupling.nbytes == block_bytes
+    assert peak - start < op.coupling.nbytes + block_bytes
+    assert copy_peak - start < op.hpar_diag.nbytes
+    for name in ("mode_shifts", "hpar_diag", "coupling"):
+        assert getattr(other, name) is getattr(op, name)
 
 
 def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
@@ -333,28 +343,41 @@ def test_gap_fallback_reproduces_inertia_counts(monkeypatch):
         assert slow.eig_banded_fallbacks == fast.m_used + 1
 
 
-def test_cached_coupling_gives_the_bits_of_a_fresh_one():
-    problem, basis = refcase.problem(), refcase.basis(n=201, J=3)
-    rhs = np.linspace(-1.0, 1.0, basis.J * (basis.grid.n - 2)) + 0.25j
-    for theta in (0.0, 0.3j):
-        op = assemble(problem, basis, theta=theta, kappa=0.05)
-        # the next kappa reads the same read-only coupling
-        assert assemble(problem, basis, theta=theta, kappa=0.07).coupling is op.coupling
-        assert not op.coupling.flags.writeable
-        operators._COUPLINGS.clear()
-        fresh = operators.coupling(problem, basis, complex(theta))
-        assert fresh is not op.coupling
-        built = AssembledOperator(op.kappa, op.mode_shifts, op.hpar_diag, op.hpar_off,
-                                  fresh)
-        assert built.D.tobytes() == op.D.tobytes()
-        assert built.matvec(rhs).tobytes() == op.matvec(rhs).tobytes()
-        assert built.norm_estimate() == op.norm_estimate()
+@SETTINGS
+@given(sector=st.booleans(), theta=st.sampled_from([0.0, 0.3j]),
+       kappas=st.lists(st.sampled_from([0.0, -0.05, 0.02, 0.07]), min_size=2,
+                       max_size=2),
+       n=st.sampled_from([61, 62]), J=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_with_kappa_is_bitwise_a_fresh_assembly(sector, theta, kappas, n, J, seed):
+    # an operator stepped to kappa by ``with_kappa`` computes what one
+    # assembled at kappa does, bit for bit, on the full grid and on the sector
+    kappa0, kappa = kappas
+    assume(kappa0 != 0 or kappa == 0)  # kappa = 0 holds no coupling to step with
+    problem = LandauProblem(b=1.0, v0=sech2(), V=gaussian_product(), m=0)
+    basis = BasisTruncation(J=J, grid=Grid1D(-12.0, 12.0, n))
+    stepped = assemble(problem, basis, theta=theta, kappa=kappa0,
+                       even_sector=sector).with_kappa(kappa)
+    fresh = assemble(problem, basis, theta=theta, kappa=kappa, even_sector=sector)
+    assert type(stepped) is type(fresh)
+    assert stepped.kappa == kappa
+    if stepped.coupling is not None:
+        assert not stepped.coupling.flags.writeable
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(fresh.dim) + 1j * rng.standard_normal(fresh.dim)
+    assert stepped.matvec(rhs).tobytes() == fresh.matvec(rhs).tobytes()
+    assert stepped.norm_estimate() == fresh.norm_estimate()
+    shift = 2.0 + 0.5j
+    assert (stepped.factorized(shift).solve(rhs).tobytes()
+            == fresh.factorized(shift).solve(rhs).tobytes())
+    if not sector:
+        assert stepped.D.tobytes() == fresh.D.tobytes()
 
 
-def test_coupling_shared_only_while_an_operator_holds_it():
+@pytest.mark.parametrize("sector", [False, True])
+def test_with_kappa_refuses_a_coupling_it_does_not_hold(sector):
     problem, basis = refcase.problem(), refcase.basis(n=201, J=3)
-    op = assemble(problem, basis, theta=0.3j, kappa=0.05)
-    key = (problem, basis, 0.3j, False)  # the full contraction, not the sector's
-    assert operators._COUPLINGS[key] is op.coupling
-    del op  # gap's m blocks are dropped after counting: nothing piles up
-    assert key not in operators._COUPLINGS
+    op = assemble(problem, basis, theta=0.3j, even_sector=sector)
+    assert op.coupling is None
+    assert op.with_kappa(0.0).kappa == 0.0
+    with pytest.raises(DomainError, match="kappa = 0 has no coupling"):
+        op.with_kappa(0.05)
