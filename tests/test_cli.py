@@ -652,35 +652,53 @@ def test_each_grid_bound_state_solved_once(tmp_path, monkeypatch, subcommand, te
     assert sorted(args[1].n for args in calls) == [600 * 2**k + 1 for k in range(grids)]
 
 
-@pytest.mark.parametrize("subcommand, contracted", [
-    ("fgr", 2), ("resonance", 4), ("dynamics", 5), ("all", 4), ("gap", 7),
-])
-def test_each_coupling_contracted_once_by_its_owner(tmp_path, monkeypatch, subcommand,
-                                                     contracted):
-    # operators own their coupling and a kappa-continuation steps one operator
-    # with ``with_kappa``: each (m, grid, theta, half) is contracted once (the
-    # dynamics poles were 9 when every kappa contracted its own), every dilated
-    # one is the even sector's x3 >= 0 half, and no other dilated coupling is
-    # alive when one is contracted (the grids go one at a time)
+def _counting_couplings(monkeypatch):
+    # wraps ``operators.coupling``: each call's (m, grid, theta, half), and the
+    # dilated couplings still alive when a dilated one is contracted
     calls, dilated = [], []
     real = operators.coupling
 
     def counted(problem, basis, theta, half=False):
-        if theta.imag:
-            assert [ref for ref in dilated if ref() is not None] == []
+        alive = [ref for ref in dilated if ref() is not None] if theta.imag else []
         c = real(problem, basis, theta, half)
-        calls.append((problem.m, basis.grid.n, theta, half))
+        calls.append((problem.m, basis.grid.n, theta, half, len(alive)))
         if theta.imag:
             dilated.append(weakref.ref(c))
         return c
 
     monkeypatch.setattr(operators, "coupling", counted)
     monkeypatch.setattr(fgr, "coupling", counted)
+    return calls
+
+
+@pytest.mark.parametrize("subcommand, contracted", [
+    ("fgr", 2), ("resonance", 4), ("all", 4), ("gap", 7),
+])
+def test_each_coupling_contracted_once_by_its_owner(tmp_path, monkeypatch, subcommand,
+                                                     contracted):
+    # operators own their coupling: each (m, grid, theta, half) is contracted
+    # once, every dilated one is the even sector's x3 >= 0 half, and no other
+    # dilated coupling is alive when one is contracted
+    calls = _counting_couplings(monkeypatch)
     assert main([subcommand, "--config", str(ROOT / "configs" / f"{subcommand}.cfg"),
                  "--out", str(tmp_path / "x")]) == 0
     assert len(calls) == len(set(calls)) == contracted
-    assert all(half for _, _, theta, half in calls if theta.imag)
-    assert len(dilated) == {"resonance": 2, "dynamics": 3, "all": 2}.get(subcommand, 0)
+    dilated = [(half, alive) for _, _, theta, half, alive in calls if theta.imag]
+    assert dilated == [(True, 0)] * {"resonance": 2, "all": 2}.get(subcommand, 0)
+
+
+def test_dynamics_contracts_each_pole_grid_coupling_once(tmp_path, monkeypatch):
+    # the pole grids (h, h/2, h/4) go one at a time, each operator stepping
+    # across the kappas with ``with_kappa``: three kappas contract each grid's
+    # dilated coupling once (9 when every kappa contracted its own), no other
+    # dilated coupling is alive when one is contracted, and each is the even
+    # sector's x3 >= 0 half
+    calls = _counting_couplings(monkeypatch)
+    assert main(["dynamics", "--config", str(ROOT / "configs" / "dynamics.cfg"),
+                 "--out", str(tmp_path / "dyn")]) == 0
+    assert len(calls) == len(set(calls)) == 5
+    dilated = [(n, half, alive) for _, n, theta, half, alive in calls if theta.imag]
+    assert dilated == [(2401, True, 0), (4801, True, 0), (1201, True, 0)]
 
 
 def test_dynamics_solves_each_grid_embedded_state_once(tmp_path, monkeypatch):
