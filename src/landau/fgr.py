@@ -122,12 +122,16 @@ def _richardson_amplitudes(grids):
 
 
 def fgr_channel(problem, basis, q, j, l, refine=1):
-    """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q)."""
+    """Single open-channel coupling amplitude (l = 1 or 2, m_- <= j < q):
+    ``channel_amplitudes(...)[(l, j)]``, with the Jost solve of channel j alone
+    on each grid."""
     if not (m_minus(problem.m) <= j < q):
         raise DomainError(f"channel index j={j} outside [m_-, q) for q={q}")
     if l not in (1, 2):
         raise DomainError("branch index l must be 1 or 2")
-    return channel_amplitudes(problem, basis, q, refine)[(l, j)]
+    return _richardson_amplitudes([
+        _channel_pairs_on_grid(problem, b, q, [j], _coupling_rows(problem, b, q))
+        for b in _checked_bases(problem, basis, refine)])[(l, j)]
 
 
 def channel_amplitudes(problem, basis, q, refine=1):

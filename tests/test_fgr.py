@@ -148,6 +148,23 @@ def test_channel_amplitudes_one_jost_solve_per_channel_and_grid(monkeypatch):
         assert a == fgr_channel(PROBLEM, basis, 2, j, l)
 
 
+def test_fgr_channel_solves_only_its_own_channel(monkeypatch):
+    from landau import schrodinger1d
+
+    basis = refcase.basis(n=601, J=4)
+    amps = channel_amplitudes(PROBLEM, basis, 2)
+    momenta = []
+    real = schrodinger1d.jost_solutions
+    monkeypatch.setattr(schrodinger1d, "jost_solutions",
+                        lambda *args: momenta.append(args[1]) or real(*args))
+    lams = [bound_states(PROBLEM.v0, b.grid)[0].lam for b in (basis, basis.refined())]
+    for (l, j), a in amps.items():
+        momenta.clear()
+        assert fgr_channel(PROBLEM, basis, 2, j, l) == a
+        # one Jost solve on each grid of (h, h/2), at channel j's energy
+        assert momenta == [math.sqrt(2.0 * PROBLEM.b * (2 - j) + lam) for lam in lams]
+
+
 def test_fgr_quadratic_scaling():
     res1 = refcase.reference_fgr()
     prob2 = replace(PROBLEM, V=gaussian_product(amplitude=2.0))

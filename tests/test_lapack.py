@@ -1,9 +1,11 @@
 """landau.lapack against the scipy.linalg functions it stands in for: the same
 LAPACK routines with the same arguments, so every result is bitwise equal.
 The tridiagonal solves take (d, e); the (3, n) band that scipy's
-``solve_banded`` reads is rebuilt here as their oracle."""
+``solve_banded`` reads is rebuilt here as their oracle.  The band LU is
+checked against ``scipy.linalg.lapack``'s f2py wrappers of the same scipy
+OpenBLAS, and the loading against what a fresh interpreter maps."""
 
-import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import landau
@@ -25,7 +27,7 @@ from landau.potentials import Potential1D, sech2
 from landau.schrodinger1d import (Grid1D, ground_state, hamiltonian_tridiagonal,
                                   outgoing_root, outgoing_solve)
 
-SIZES = st.integers(2, 400)
+SIZES = st.integers(1, 400)
 SEEDS = st.integers(0, 2**32 - 1)
 DTYPES = st.sampled_from([float, complex])
 
@@ -49,14 +51,28 @@ def _band_of(d, e):
     return ab
 
 
+def _scipy_solve(d, e, b):
+    """``scipy.linalg.solve_banded`` of the tridiagonal (d, e).  At n = 1 scipy
+    divides by d in numpy rather than call ?gtsv (and refuses a real b against
+    a complex d), so there the 1 x 1 system is solved as the leading block of
+    diag(d, 1) with b padded by 0: ?gtsv's first row of that is the same
+    Fortran division B(1) / D(1) that it makes at n = 1."""
+    if len(d) > 1:
+        return scipy.linalg.solve_banded((1, 1), _band_of(d, e), b)
+    pad = (np.append(d, 1.0), np.append(e, 0.0), np.append(b, 0.0))
+    return scipy.linalg.solve_banded((1, 1), _band_of(*pad[:2]), pad[2])[:1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=SIZES, seed=SEEDS, d_dtype=DTYPES, e_dtype=DTYPES, b_dtype=DTYPES)
+@example(n=1, seed=0, d_dtype=complex, e_dtype=float, b_dtype=float)
+@example(n=1, seed=1, d_dtype=float, e_dtype=float, b_dtype=complex)
 def test_solve_banded_matches_scipy(n, seed, d_dtype, e_dtype, b_dtype):
     rng = np.random.default_rng(seed)
     d, e = _tridiagonal(rng, n, d_dtype, e_dtype)
     b = _vector(rng, n, b_dtype)
     x = lapack.solve_banded(d, e, b)
-    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), _band_of(d, e), b))
+    assert np.array_equal(x, _scipy_solve(d, e, b))
     assert x.dtype == np.result_type(d, e, b)
 
 
@@ -106,6 +122,8 @@ def test_reduced_solve_matches_the_band_route(where):
 
 @settings(max_examples=60, deadline=None)
 @given(n=SIZES, seed=SEEDS, window=st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 4.0)))
+@example(n=1, seed=0, window=(-4.0, 8.0))  # d = 0.126, inside (-4, 4]
+@example(n=1, seed=0, window=(1.0, 1.0))  # and outside (1, 2]
 def test_tridiagonal_value_window_matches_scipy(n, seed, window):
     rng = np.random.default_rng(seed)
     d, e = _tridiagonal(rng, n)
@@ -114,6 +132,7 @@ def test_tridiagonal_value_window_matches_scipy(n, seed, window):
     w, v = lapack.eigh_tridiagonal(d, e, *sr)
     w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=sr)
     assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert v.shape == v_ref.shape == (n, w.size)
 
 
 def test_tridiagonal_empty_value_window():
@@ -167,15 +186,26 @@ def test_singular_tridiagonal_raises_lin_alg_error():
         lapack.solve_banded(d.astype(complex), e, np.ones(10))
 
 
-def test_missing_extension_raises_import_error_with_its_path(monkeypatch, tmp_path):
-    (tmp_path / "linalg").mkdir()
-    spec = importlib.util.spec_from_file_location(
-        "scipy", tmp_path / "__init__.py", submodule_search_locations=[str(tmp_path)])
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
-    with pytest.raises(ImportError) as err:
-        lapack._load_flapack()
-    assert err.value.path.startswith(str(tmp_path / "linalg" / "_flapack"))
-    assert err.value.path in str(err.value)
+def _fresh(code, *path):
+    """The stdout lines of ``code`` run in a fresh interpreter that finds
+    ``path`` and then the package on its import path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [*map(str, path), str(Path(landau.__file__).resolve().parents[1])]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.splitlines()
+
+
+def test_missing_extension_raises_import_error_with_its_path(tmp_path):
+    # a scipy package whose wheel bundles no OpenBLAS beside it: the import of
+    # landau.lapack fails and names the path it searched
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy.libs").mkdir()
+    err = _fresh("try:\n    import landau.lapack\nexcept ImportError as err:\n"
+                 "    print(err.path)\n    print(err)\n", tmp_path)
+    assert err[0].startswith(str(tmp_path / "scipy.libs" / "libscipy_openblas"))
+    assert err[0] in err[1]
 
 
 _ROUND_TRIP = """\
@@ -200,8 +230,157 @@ def test_both_import_orders_work(scipy_first):
     first, second = "import scipy.linalg", "from landau import lapack"
     if not scipy_first:
         first, second = second, first
-    env = dict(os.environ, PYTHONPATH=str(Path(landau.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c",
-                           _ROUND_TRIP.format(first=first, second=second)],
-                          capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split() == ["ok"]
+    assert _fresh(_ROUND_TRIP.format(first=first, second=second)) == ["ok"]
+
+
+def _lu_oracle(ab, J, b):
+    """zgbtrf and zgbtrs of ``ab`` (kl = ku = J) and b by landau.lapack and by
+    scipy's f2py wrappers, as (lu, piv, info, x) pairs; x is None for a
+    singular band."""
+    pairs = []
+    for lib in (lapack, scipy.linalg.lapack):
+        lu, piv, info = lib.zgbtrf(ab, J, J)
+        x = lib.zgbtrs(lu, J, J, b, piv) if info == 0 else None
+        pairs.append((lu, piv, info, x))
+    return pairs
+
+
+def _assert_lu_equal(ours, theirs):
+    (lu, piv, info, x), (lu_ref, piv_ref, info_ref, x_ref) = ours, theirs
+    assert np.array_equal(lu, lu_ref) and lu.dtype == lu_ref.dtype
+    assert np.array_equal(piv, piv_ref) and piv.dtype == piv_ref.dtype == np.int32
+    assert info == info_ref
+    if x is not None:
+        assert np.array_equal(x[0], x_ref[0]) and x[1] == x_ref[1] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(1, 7), nodes=st.integers(1, 12), seed=SEEDS, nrhs=st.integers(0, 2),
+       singular=st.booleans())
+def test_band_lu_matches_scipy(J, nodes, seed, nrhs, singular):
+    # the operator's shape: kl = ku = J on n = nodes * J unknowns, J fill rows
+    # on top; a zero column makes the band singular (info > 0); nrhs = 0 is
+    # a 1-D right-hand side
+    rng = np.random.default_rng(seed)
+    n = nodes * J
+    ab = np.zeros((3 * J + 1, n), dtype=complex, order="F")
+    ab[J:] = rng.standard_normal((2 * J + 1, n)) + 1j * rng.standard_normal((2 * J + 1, n))
+    if singular:
+        ab[:, rng.integers(n)] = 0.0
+    b = _vector(rng, n * max(nrhs, 1), complex).reshape((n, nrhs) if nrhs else n, order="F")
+    ours, theirs = _lu_oracle(ab, J, b)
+    _assert_lu_equal(ours, theirs)
+    assert (ours[2] > 0) == singular
+
+
+_DILATED = assemble(refcase.problem(), BasisTruncation(J=3, grid=Grid1D(-12.0, 12.0, 61)),
+                    theta=0.3j, kappa=0.05)
+
+
+@settings(max_examples=20, deadline=None)
+@given(re=st.floats(-1.0, 8.0), im=st.floats(-0.5, 0.5), seed=SEEDS)
+def test_band_lu_matches_scipy_on_assembled_bands(re, im, seed):
+    band = _DILATED._shifted_band(complex(re, im))
+    b = _vector(np.random.default_rng(seed), band.shape[1], complex)
+    _assert_lu_equal(*_lu_oracle(band, _DILATED.J, b))
+
+
+def test_band_lu_overwrites_only_what_it_may():
+    J, n = 2, 8
+    ab = np.zeros((3 * J + 1, n), dtype=complex, order="F")
+    ab[J:] = np.random.default_rng(4).standard_normal((2 * J + 1, n))
+    want, piv, _ = scipy.linalg.lapack.zgbtrf(ab, J, J)
+    # a real or C-ordered band is copied, as f2py copies it, even with overwrite_ab
+    for other in (ab.real.copy(order="F"), np.ascontiguousarray(ab)):
+        kept = other.copy()
+        lu, _, _ = lapack.zgbtrf(other, J, J, overwrite_ab=1)
+        assert np.array_equal(lu, want) and np.array_equal(other, kept)
+    lu, _, _ = lapack.zgbtrf(ab.copy(order="F"), J, J)
+    assert np.array_equal(lu, want)
+    inplace = ab.copy(order="F")
+    assert lapack.zgbtrf(inplace, J, J, overwrite_ab=1)[0] is inplace
+    b = np.ones(n, dtype=complex)
+    x, _ = lapack.zgbtrs(want, J, J, b, piv)
+    assert np.array_equal(b, np.ones(n)) and lapack.zgbtrs(want, J, J, b, piv, 1)[0] is b
+    assert np.array_equal(b, x)
+
+
+_BAD_CALLS = {
+    "e of length n": lambda: lapack.solve_banded(np.ones(4), np.ones(4), np.ones(4)),
+    "e of length n - 2": lambda: lapack.eigh_tridiagonal(np.ones(4), np.ones(2), 0, 1),
+    "empty d": lambda: lapack.solve_banded(np.ones(0), np.ones(0), np.ones(0)),
+    "b of length n + 1": lambda: lapack.solve_banded(np.ones(4), np.ones(3), np.ones(5)),
+    "b of n + 1 rows": lambda: lapack.solve_banded(np.ones(4), np.ones(3), np.ones((5, 2))),
+    "3-D b": lambda: lapack.solve_banded(np.ones(4), np.ones(3), np.ones((4, 1, 1))),
+    "1-D band": lambda: lapack.eig_banded(np.ones(4), 0, 1),
+    "ab with 2 kl + ku rows": lambda: lapack.zgbtrf(np.ones((3, 6)), 1, 1),
+    "1-D ab": lambda: lapack.zgbtrf(np.ones(6), 0, 0),
+    "negative kl": lambda: lapack.zgbtrf(np.ones((4, 6)), -1, 1),
+    "lu with 2 kl + ku rows": lambda: lapack.zgbtrs(
+        np.ones((3, 6)), 1, 1, np.ones(6), np.arange(6)),
+    "rhs of length n - 1": lambda: lapack.zgbtrs(
+        np.ones((4, 6)), 1, 1, np.ones(5), np.arange(6)),
+    "rhs of n + 1 rows": lambda: lapack.zgbtrs(
+        np.ones((4, 6)), 1, 1, np.ones((7, 2)), np.arange(6)),
+    "n - 1 pivots": lambda: lapack.zgbtrs(
+        np.ones((4, 6)), 1, 1, np.ones(6), np.arange(5)),
+    "pivot n": lambda: lapack.zgbtrs(
+        np.ones((4, 6)), 1, 1, np.ones(6), np.array([0, 1, 2, 3, 4, 6])),
+    "pivot -1": lambda: lapack.zgbtrs(
+        np.ones((4, 6)), 1, 1, np.ones(6), np.array([-1, 1, 2, 3, 4, 5])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CALLS))
+def test_wrong_buffers_raise_value_error(name):
+    # f2py refused these before LAPACK saw a pointer; ctypes would not
+    with pytest.raises(ValueError):
+        _BAD_CALLS[name]()
+
+
+_LOAD = """\
+import json, os, sys
+from pathlib import PurePath
+from landau.cli import main
+rc = main([{subcommand!r}, "--config", {config!r}, "--out", {out!r}, "--threads", "1"])
+linux = os.path.exists("/proc/self/maps")
+maps = {{line.split()[-1] for line in open("/proc/self/maps")}} if linux else set()
+threads = [int(line.split()[1]) for line in open("/proc/self/status")
+           if line.startswith("Threads:")] if linux else [None]
+print(json.dumps({{
+    "rc": rc, "linux": linux, "threads": threads[0],
+    "modules": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+    "libs": sorted(PurePath(p).name for p in maps
+                   if {{"scipy", "scipy.libs"}} & set(PurePath(p).parts)),
+}}))
+"""
+
+
+def _load(subcommand, tmp_path):
+    """What ``landau <subcommand> --threads 1`` on its shipped config imported
+    from scipy, mapped from scipy's folders and ran as OS threads at its end,
+    in a fresh interpreter."""
+    code = _LOAD.format(subcommand=subcommand, out=str(tmp_path / subcommand),
+                        config=str(Path(refcase.__file__).resolve().parents[1]
+                                   / "configs" / f"{subcommand}.cfg"))
+    run = json.loads(_fresh(code)[-1])
+    assert run["rc"] == 0 and run["modules"] == []
+    return run
+
+
+@pytest.mark.parametrize("subcommand", ["bound", "fgr", "toeplitz", "gap", "mourre"])
+def test_light_subcommands_map_no_scipy_library(subcommand, tmp_path):
+    # they factorize no complex band, so scipy's OpenBLAS is never opened
+    run = _load(subcommand, tmp_path)
+    if not run["linux"]:
+        pytest.skip("no /proc/self/maps")
+    assert run["libs"] == []
+
+
+def test_dynamics_maps_scipy_openblas_and_one_thread(tmp_path):
+    run = _load("dynamics", tmp_path)
+    if not run["linux"]:
+        pytest.skip("no /proc/self/maps")
+    assert any(lib.startswith("libscipy_openblas-") for lib in run["libs"])
+    assert not any(lib.startswith("_flapack") for lib in run["libs"])
+    assert run["threads"] == 1
